@@ -53,6 +53,16 @@ _INPUT_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
 )
+_HANDLED_ERRORS = (DetectionError, NumericalError, *_INPUT_ERRORS)
+
+
+def _exit_code(exc: Exception) -> int:
+    """Exit code for one of the handled errors (see the module docstring)."""
+    if isinstance(exc, DetectionError):
+        return 4
+    if isinstance(exc, NumericalError):
+        return 3
+    return 2
 
 
 def _print_metrics(metrics, label=""):
@@ -152,23 +162,11 @@ def _resolve_flag(traj, config, args, mode):
     return config
 
 
-def _fit_one(dataset_path, mode, config):
-    traj = load_dataset(dataset_path)
-    result = lm_fit(traj, config, mode=mode)
-    return result
-
-
 def _cmd_fit(args):
     traj = load_dataset(args.data)
     config = _make_config(args, args.mode)
     config = _resolve_flag(traj, config, args, args.mode)
-    try:
-        result = lm_fit(traj, config, mode=args.mode)
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        for i, loss in enumerate(getattr(exc, "loss_trace", [])):
-            print(f"  loss[{i}] = {loss:.6e}", file=sys.stderr)
-        return 3
+    result = lm_fit(traj, config, mode=args.mode)
     prefix = args.out_prefix or os.path.splitext(args.data)[0]
     result_path = prefix + ".result.json"
     model_path = prefix + ".model.json"
@@ -212,9 +210,12 @@ def _cmd_evaluate(args):
 # ----------------------------------------------------------------- fit-all
 
 def _fit_all_worker(task):
+    """Fit one (dataset, mode) task; a handled error is returned, not raised."""
     dataset_path, mode, config = task
-    result = _fit_one(dataset_path, mode, config)
-    return dataset_path, mode, result
+    try:
+        return dataset_path, mode, lm_fit(load_dataset(dataset_path), config, mode=mode)
+    except _HANDLED_ERRORS as exc:
+        return dataset_path, mode, exc
 
 
 def _cmd_fit_all(args):
@@ -233,7 +234,12 @@ def _cmd_fit_all(args):
     else:
         outcomes = [_fit_all_worker(task) for task in tasks]
     rows = []
+    failures = []
     for data, mode, result in outcomes:
+        if isinstance(result, Exception):
+            print(f"{data} [{mode}]: failed: {result}", file=sys.stderr)
+            failures.append(result)
+            continue
         stem = os.path.splitext(os.path.basename(data))[0] + f".{mode}"
         prefix = os.path.join(args.out_dir, stem)
         save_fit_result(prefix + ".result.json", result, dataset=data)
@@ -243,7 +249,7 @@ def _cmd_fit_all(args):
     report_path = os.path.join(args.out_dir, "report.csv")
     write_report(report_path, rows)
     print(f"wrote {report_path}")
-    return 0
+    return _exit_code(failures[0]) if failures else 0
 
 
 # ------------------------------------------------------------------ report
@@ -350,17 +356,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DetectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalError as exc:
+    except _HANDLED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         for i, loss in enumerate(getattr(exc, "loss_trace", [])):
             print(f"  loss[{i}] = {loss:.6e}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

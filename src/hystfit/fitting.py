@@ -32,7 +32,7 @@ from .errors import (
     ParameterError,
 )
 from .metrics import Metrics, compute_metrics
-from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, predict
+from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, predict, predict_jacobian
 from .signals import Trajectory
 
 EGPI_PARAM_NAMES = (
@@ -159,6 +159,37 @@ def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 3
     return predict(model, traj.t, traj.v) - traj.theta
 
 
+def _bank_slots(mode: str) -> list[dict]:
+    """Column of each bank parameter in the layout, one dict per bank."""
+    if mode == "gpi":
+        return [{name: i for i, name in enumerate(GPI_PARAM_NAMES)}]
+    col = {name: i for i, name in enumerate(EGPI_PARAM_NAMES)}
+    shared = {k: col[k] for k in ("asc_slope", "asc_intercept", "lam", "sigma", "r1", "rn")}
+    return [
+        {**shared, "desc_slope": col["desc1_slope"], "desc_intercept": col["desc1_intercept"]},
+        {
+            **shared,
+            "desc_slope": col["desc2_slope"],
+            "desc_intercept": col["desc2_intercept"],
+            "kappa_desc": col["kappa"],
+        },
+    ]
+
+
+def residuals_and_jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
+    """Residuals and their exact Jacobian from one forward-mode tangent pass.
+
+    The residuals equal ``residuals()`` exactly. Where the output is not
+    differentiable (an operator state exactly at its crossover) the
+    Jacobian takes the one-sided derivative of the branch the state is on.
+    """
+    if traj.theta is None:
+        raise InputError("trajectory has no measured angles to fit against")
+    model = build_model(params, mode, v_f, n)
+    z, J = predict_jacobian(model, traj.v, _bank_slots(mode))
+    return z - traj.theta, J
+
+
 def jacobian_fd(
     params,
     traj: Trajectory,
@@ -213,7 +244,6 @@ class FitConfig:
     mu_max: float = 1e12
     loss_tol: float = 1e-9
     grad_tol: float = 1e-8
-    rel_step: float = 1e-6
     n_operators: int = 30
     v_f: float | None = None
     initial: np.ndarray | None = None
@@ -221,7 +251,7 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        for name in ("mu0", "mu_up", "mu_down", "mu_max", "loss_tol", "grad_tol", "rel_step"):
+        for name in ("mu0", "mu_up", "mu_down", "mu_max", "loss_tol", "grad_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
         if self.n_operators < 1:
@@ -298,12 +328,13 @@ def default_initial_guess(traj: Trajectory, v_f=None, mode: str = "egpi") -> np.
 def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi") -> FitResult:
     """Damped normal-equation least squares over the parameter vector.
 
-    Steps solve (J'J + mu*diag(J'J)) delta = -J'e and are accepted only
-    when the objective strictly decreases (mu shrinks) and retried with
-    larger mu otherwise; every step is projected onto the bounds. Stops on
-    relative loss change, gradient norm, max_iterations, or when no
-    improving step exists within the damping budget. Returns the best
-    parameters seen.
+    J is the exact Jacobian from one tangent pass per iteration
+    (``residuals_and_jacobian``). Steps solve (J'J + mu*diag(J'J)) delta =
+    -J'e and are accepted only when the objective strictly decreases (mu
+    shrinks) and retried with larger mu otherwise; every step is projected
+    onto the bounds. Stops on relative loss change, gradient norm,
+    max_iterations, or when no improving step exists within the damping
+    budget. Returns the best parameters seen.
     """
     config = config or FitConfig()
     if traj.theta is None:
@@ -322,7 +353,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     else:
         p = default_initial_guess(traj, v_f, mode)
 
-    e = residuals(p, traj, v_f, mode, n)
+    e, J = residuals_and_jacobian(p, traj, v_f, mode, n)
     loss = float(e @ e)
     trace = [loss]
     best_p, best_loss = p.copy(), loss
@@ -332,7 +363,8 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     iterations = 0
 
     for iterations in range(1, config.max_iterations + 1):
-        J = jacobian_fd(p, traj, v_f, mode, n, config.rel_step)
+        if iterations > 1:  # p moved on the last accepted step
+            _, J = residuals_and_jacobian(p, traj, v_f, mode, n)
         grad = 2.0 * (J.T @ e)
         if float(np.max(np.abs(grad))) < config.grad_tol:
             converged = True

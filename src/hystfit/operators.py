@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .envelopes import Envelope, TanhEnvelope
+from .envelopes import Envelope, LinearEnvelope, TanhEnvelope
 from .errors import ConfigError, DomainError, InputError, StateError
 
 
@@ -243,6 +243,21 @@ def _init_bank(model: GpiModel, v0: float, w_init: float = 0.0) -> np.ndarray:
 _CHUNK = 2048
 
 
+def _runs(v: np.ndarray):
+    """Maximal runs of constant input direction, as (start, end, direction).
+
+    A run covers the samples ``v[start + 1 : end + 1]``; its direction is
+    the common sign of their differences (0 for a hold).
+    """
+    sgn = np.sign(np.diff(v))
+    if sgn.size:
+        cuts = np.flatnonzero(sgn[1:] != sgn[:-1]) + 1
+        starts = np.concatenate(([0], cuts))
+        ends = np.concatenate((cuts, [sgn.size]))
+        for start, end in zip(starts, ends):
+            yield start, end, sgn[start]
+
+
 def _run_bank(model: GpiModel, v: np.ndarray, w0: np.ndarray, weights: np.ndarray):
     """Weighted bank output per sample plus the final bank state.
 
@@ -256,30 +271,105 @@ def _run_bank(model: GpiModel, v: np.ndarray, w0: np.ndarray, weights: np.ndarra
     y = np.empty(v.size)
     w = w0
     y[0] = weights @ w
-    sgn = np.sign(np.diff(v))
-    if sgn.size:
-        cuts = np.flatnonzero(sgn[1:] != sgn[:-1]) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [sgn.size]))
-        for start, end in zip(starts, ends):
-            if sgn[start] == 0:
-                y[start + 1 : end + 1] = weights @ w
-                continue
-            ascending = sgn[start] > 0
-            for cs in range(start + 1, end + 1, _CHUNK):
-                ce = min(cs + _CHUNK, end + 1)
-                seg = v[cs:ce]
-                if ascending:
-                    targets = model.asc_env(seg)[None, :] - asc_off
-                    np.maximum.accumulate(targets, axis=1, out=targets)
-                    np.maximum(targets, w[:, None], out=targets)
-                else:
-                    targets = model.desc_env(seg)[None, :] + desc_off
-                    np.minimum.accumulate(targets, axis=1, out=targets)
-                    np.minimum(targets, w[:, None], out=targets)
-                y[cs:ce] = weights @ targets
-                w = targets[:, -1].copy()
+    for start, end, direction in _runs(v):
+        if direction == 0:
+            y[start + 1 : end + 1] = weights @ w
+            continue
+        for cs in range(start + 1, end + 1, _CHUNK):
+            ce = min(cs + _CHUNK, end + 1)
+            seg = v[cs:ce]
+            if direction > 0:
+                targets = model.asc_env(seg)[None, :] - asc_off
+                np.maximum.accumulate(targets, axis=1, out=targets)
+                np.maximum(targets, w[:, None], out=targets)
+            else:
+                targets = model.desc_env(seg)[None, :] + desc_off
+                np.minimum.accumulate(targets, axis=1, out=targets)
+                np.minimum(targets, w[:, None], out=targets)
+            y[cs:ce] = weights @ targets
+            w = targets[:, -1].copy()
     return y, w
+
+
+# samples per block of the tangent pass; temporaries stay O(operators x block)
+_TANGENT_BLOCK = 512
+
+
+def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
+    """Forward-mode pass of one fresh bank with linear envelopes.
+
+    Writes the bank output and its exact derivatives into the rows of
+    ``z`` and ``J`` selected by ``rows``. ``slots`` maps bank parameter
+    names (``asc_slope``, ``asc_intercept``, ``desc_slope``,
+    ``desc_intercept``, ``lam``, ``sigma``, ``r1``, ``rn``, ``kappa_desc``)
+    to columns of ``J``; unnamed parameters are held fixed.
+
+    On a monotone run the branch targets are monotone too (affine
+    envelope, increasing input), so each state is ``T`` where it passes the
+    entering state and the entering state otherwise; its tangent follows
+    the same selection.
+    """
+    P = J.shape[1]
+
+    def unit(name):
+        u = np.zeros(P)
+        if name in slots:
+            u[slots[name]] = 1.0
+        return u
+
+    d = model.density
+    r = d.thresholds()
+    p = d.weights()
+    frac = np.arange(d.n) / (d.n - 1) if d.n > 1 else np.zeros(1)
+    dr = np.zeros((r.size, P))
+    dr[1:] = np.outer(1.0 - frac, unit("r1")) + np.outer(frac, unit("rn"))
+    dp = p[:, None] * (unit("lam") / d.lam - np.outer(r, unit("sigma")) - d.sigma * dr)
+    asc_off = model.kappa_asc * r
+    desc_off = model.kappa_desc * r
+    # tangents of the branch targets, less the envelope slope term v*a
+    dasc = unit("asc_intercept") - model.kappa_asc * dr
+    ddesc = unit("desc_intercept") + model.kappa_desc * dr + np.outer(r, unit("kappa_desc"))
+    a_asc, a_desc = unit("asc_slope"), unit("desc_slope")
+
+    def put(i, yb, Jb):
+        sel = rows[i : i + yb.size]
+        np.copyto(z[i : i + yb.size], yb, where=sel)
+        np.copyto(J[i : i + yb.size], Jb, where=sel[:, None])
+
+    # clamped initial state: the tangent of whichever bound is active
+    v0 = float(v[0])
+    w = _init_bank(model, v0)
+    lo = model.asc_env(v0) - asc_off
+    hi = model.desc_env(v0) + desc_off
+    ok = lo <= hi
+    dw = np.zeros((r.size, P))
+    low, high = ok & (lo > 0.0), ok & (hi < 0.0)
+    dw[low] = (v0 * a_asc + dasc)[low]
+    dw[high] = (v0 * a_desc + ddesc)[high]
+    put(0, np.array([p @ w]), (w @ dp + p @ dw)[None, :])
+
+    for start, end, direction in _runs(v):
+        if direction == 0:
+            k = end - start
+            put(start + 1, np.full(k, p @ w), np.broadcast_to(w @ dp + p @ dw, (k, P)))
+            continue
+        if direction > 0:
+            env, off, dT, a = model.asc_env, -asc_off, dasc, a_asc
+            passes, extreme = np.greater, np.maximum
+        else:
+            env, off, dT, a = model.desc_env, desc_off, ddesc, a_desc
+            passes, extreme = np.less, np.minimum
+        for cs in range(start + 1, end + 1, _TANGENT_BLOCK):
+            seg = v[cs : min(cs + _TANGENT_BLOCK, end + 1)]
+            T = env(seg)[None, :] + off[:, None]
+            moved = passes(T, w[:, None]).astype(float)
+            S = extreme(T, w[:, None])
+            pm = p @ moved
+            Jb = moved.T @ (p[:, None] * (dT - dw)) + S.T @ dp + p @ dw
+            Jb += np.outer(seg * pm, a)
+            put(cs, p @ S, Jb)
+            dw = np.where(moved[:, -1:] > 0, seg[-1] * a + dT, dw)
+            w = S[:, -1].copy()
 
 
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
@@ -306,6 +396,21 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     return y[drop:]
 
 
+def _reports_second(model: EgpiModel, v: np.ndarray, prev: float | None) -> np.ndarray:
+    """Per-sample flag switching: True where submodel 2 is reported.
+
+    ``prev`` is the input before ``v[0]``, or None on a fresh evaluation.
+    """
+    s = np.zeros(v.size)
+    s[1:] = np.sign(np.diff(v))
+    if prev is not None:
+        s[0] = np.sign(v[0] - prev)
+    asc = s > 0
+    if model.mode is SwitchMode.TWO_FLAG:
+        return np.where(asc, v >= model.flag_asc, v <= model.flag_desc)
+    return ~asc & (v <= model.flag_desc)
+
+
 def egpi_eval(model: EgpiModel, t, v, reset: bool = True):
     """Evaluate both submodels and select the reported output per sample.
 
@@ -321,16 +426,7 @@ def egpi_eval(model: EgpiModel, t, v, reset: bool = True):
     z1 = gpi_eval(sub1, t, v, reset=reset)
     z2 = gpi_eval(sub2, t, v, reset=reset)
 
-    s = np.zeros(v.size)
-    s[1:] = np.sign(np.diff(v))
-    if prev is not None:
-        s[0] = np.sign(v[0] - prev)
-    asc = s > 0
-
-    if model.mode is SwitchMode.TWO_FLAG:
-        use2 = np.where(asc, v >= model.flag_asc, v <= model.flag_desc)
-    else:
-        use2 = ~asc & (v <= model.flag_desc)
+    use2 = _reports_second(model, v, prev)
     z = np.where(use2, z2, z1)
     active = np.where(use2, 2, 1)
     return z, active
@@ -341,6 +437,30 @@ def predict(model, t, v, reset: bool = True) -> np.ndarray:
     if isinstance(model, EgpiModel):
         return egpi_eval(model, t, v, reset=reset)[0]
     return gpi_eval(model, t, v, reset=reset)
+
+
+def predict_jacobian(model, v, slots):
+    """Output of a fresh evaluation and its exact parameter Jacobian.
+
+    One forward-mode tangent pass over either model kind with linear
+    envelopes. ``slots`` holds one dict per bank mapping that bank's
+    parameter names to Jacobian columns (see ``_bank_tangent``); banks may
+    share columns. Returns ``(z, J)`` with ``z`` equal to ``predict(model,
+    t, v)``. Each sample's row is the derivative of the bank it reports.
+    """
+    v = np.asarray(v, dtype=float)
+    banks = model.submodels if isinstance(model, EgpiModel) else [model]
+    if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
+        raise ConfigError("the exact Jacobian needs linear envelopes")
+    z = np.empty(v.size)
+    J = np.empty((v.size, 1 + max(max(s.values()) for s in slots)))
+    if isinstance(model, EgpiModel):
+        use2 = _reports_second(model, v, None)
+        _bank_tangent(banks[0], v, slots[0], z, J, ~use2)
+        _bank_tangent(banks[1], v, slots[1], z, J, use2)
+    else:
+        _bank_tangent(model, v, slots[0], z, J, np.ones(v.size, dtype=bool))
+    return z, J
 
 
 def reference_model() -> EgpiModel:

@@ -219,6 +219,17 @@ def test_fit_config_rejects_unknown_fields(tmp_path, small_data):
                "--flag-point", SWEEP_FLAG) == 2
 
 
+def test_fit_config_rejects_removed_rel_step(tmp_path, small_data, capsys):
+    # fits use the exact Jacobian, so FitConfig has no finite-difference
+    # step; a config that sets one fails loudly rather than being ignored
+    data_path, _, _ = small_data
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rel_step": 1e-6}))
+    assert run("fit", "--data", data_path, "--config", cfg,
+               "--flag-point", SWEEP_FLAG) == 2
+    assert "unknown fit config fields: ['rel_step']" in capsys.readouterr().err
+
+
 def test_full_pipeline_roundtrip_noiseless(tmp_path, small_data, capsys):
     # generate(model, noise 0) -> fit initialized at the truth -> evaluate
     data_path, model_path, params = small_data
@@ -371,3 +382,31 @@ def test_fit_all_parallel_jobs(tmp_path):
     s = json.loads((out_serial / "d.egpi.result.json").read_text())
     p = json.loads((out_par / "d.egpi.result.json").read_text())
     assert s["params"] == p["params"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fit_all_isolates_failed_tasks(tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    base = sweep_input(n=700)
+    params = recovery_params(0)
+    good = tmp_path / "good.csv"
+    save_dataset(good, gen_synthetic(build_model(params, "egpi", SWEEP_FLAG), base, 0.1, seed=0))
+    # never descends: no initial guess can be built, in either mode
+    v = np.linspace(0.0, 10.0, 400)
+    bad = tmp_path / "bad.csv"
+    save_dataset(bad, Trajectory(t=np.arange(400.0), v=v, theta=3 * v + 1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iterations": 5}))
+    common = ("--flag-point", SWEEP_FLAG, "--config", cfg, "--jobs", jobs)
+    alone, mixed = tmp_path / "alone", tmp_path / "mixed"
+    assert run("fit-all", "--data", good, "--out-dir", alone, *common) == 0
+    capsys.readouterr()
+    # InitializationError: exit code 2, as main gives it
+    assert run("fit-all", "--data", bad, good, "--out-dir", mixed, *common) == 2
+    err = capsys.readouterr().err
+    for mode in ("egpi", "gpi"):
+        assert f"{bad} [{mode}]: failed: too few descending samples" in err
+    written = sorted(p.name for p in mixed.iterdir())
+    assert written == sorted(p.name for p in alone.iterdir())
+    for name in written:
+        assert (mixed / name).read_bytes() == (alone / name).read_bytes()

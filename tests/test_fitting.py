@@ -24,6 +24,7 @@ from hystfit import (
     residuals,
     validate_params,
 )
+from hystfit.fitting import residuals_and_jacobian
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -174,6 +175,62 @@ def test_jacobian_falls_back_to_one_sided_at_bounds(small_fixture):
     p[list(param_names("egpi")).index("sigma")] = 0.0  # sits on its bound
     J = jacobian_fd(p, noisy, SWEEP_FLAG, "egpi")
     assert np.all(np.isfinite(J))
+
+
+# ------------------------------------------------------------ tangent pass
+
+GPI_COLUMNS = [0, 1, 2, 3, 6, 7, 8, 9]  # gpi layout as a subset of the egpi one
+
+
+def _tangent_cases():
+    """(params, mode, n) over seeded random in-bounds starts plus
+    degenerate banks: a single threshold and a crossed-envelope start."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for seed in range(4):
+        p = project_params(recovery_params(seed) * rng.uniform(0.7, 1.3, 11), "egpi")
+        cases.append(pytest.param(p, "egpi", 30, id=f"egpi{seed}"))
+        cases.append(pytest.param(p[GPI_COLUMNS], "gpi", 30, id=f"gpi{seed}"))
+    cases.append(pytest.param(recovery_params(1), "egpi", 1, id="egpi-n1"))
+    cases.append(pytest.param(recovery_params(2)[GPI_COLUMNS], "gpi", 1, id="gpi-n1"))
+    crossed = recovery_params(3)
+    crossed[1], crossed[3] = 6.0, -4.0  # ascending envelope above descending at v=0
+    cases.append(pytest.param(crossed, "egpi", 30, id="egpi-crossed"))
+    cases.append(pytest.param(crossed[GPI_COLUMNS], "gpi", 30, id="gpi-crossed"))
+    return cases
+
+
+TANGENT_CASES = _tangent_cases()
+
+
+@pytest.mark.parametrize("params,mode,n", TANGENT_CASES)
+def test_tangent_residuals_equal_residuals(small_fixture, params, mode, n):
+    _, _, _, noisy = small_fixture
+    e, _ = residuals_and_jacobian(params, noisy, SWEEP_FLAG, mode, n)
+    assert np.array_equal(e, residuals(params, noisy, SWEEP_FLAG, mode, n))
+
+
+@pytest.mark.parametrize("params,mode,n", TANGENT_CASES)
+def test_tangent_jacobian_matches_central_differences(small_fixture, params, mode, n):
+    # rows where two central-difference steps disagree straddle a
+    # crossover (a kink of the output); elsewhere the exact columns must
+    # match the finite differences
+    _, _, _, noisy = small_fixture
+    _, J = residuals_and_jacobian(params, noisy, SWEEP_FLAG, mode, n)
+    J6 = jacobian_fd(params, noisy, SWEEP_FLAG, mode, n, rel_step=1e-6)
+    J7 = jacobian_fd(params, noisy, SWEEP_FLAG, mode, n, rel_step=1e-7)
+    tol = 1e-6 * np.max(np.abs(J6), axis=0)
+    smooth = np.all(np.abs(J6 - J7) <= tol, axis=1)
+    assert np.count_nonzero(~smooth) < 0.01 * smooth.size
+    assert np.all(np.abs(J - J6)[smooth] <= tol)
+
+
+def test_tangent_pass_rejects_tanh_envelopes():
+    from hystfit import reference_model
+    from hystfit.operators import predict_jacobian
+
+    with pytest.raises(ConfigError):
+        predict_jacobian(reference_model(), np.linspace(0.0, 1.0, 10), [{"lam": 0}] * 2)
 
 
 # ------------------------------------------------------------------- lm_fit

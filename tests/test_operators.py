@@ -217,6 +217,56 @@ def test_gpi_streaming_continuation_matches_batch():
     assert np.array_equal(split.states, whole.states)
 
 
+def _dither_input(n=3000, seed=0):
+    """Quantized dither around a slow ramp: many short runs and exact
+    repeats, plus a 100-sample plateau at samples 1000..1099."""
+    rng = np.random.default_rng(seed)
+    ramp = np.linspace(-6.0, 6.0, n) + rng.normal(0.0, 0.05, n)
+    v = np.round(ramp / 0.02) * 0.02
+    v[1000:1100] = v[999]
+    return 1e-3 * np.arange(n), v
+
+
+def _descend_flag_model():
+    density = DensitySpec(lam=0.06, sigma=0.15, r1=0.25, rn=2.2, n=30)
+    asc = LinearEnvelope(a=3.1, b=0.8)
+    sub1 = GpiModel(density=density, asc_env=asc, desc_env=LinearEnvelope(a=3.2, b=5.0))
+    sub2 = GpiModel(
+        density=density, asc_env=asc, desc_env=LinearEnvelope(a=2.1, b=0.2), kappa_desc=3.0
+    )
+    return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=1.0)
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make_model", [reference_model, _descend_flag_model])
+@pytest.mark.parametrize("signal", ["reference", "dither"])
+def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
+    # seeded random splits; each includes 1-sample chunks, and on the
+    # dither input one chunk that lies inside the plateau (all holds)
+    if signal == "reference":
+        t, v = _demo_input(t_end=10.0)
+    else:
+        t, v = _dither_input()
+    z_all, active_all = egpi_eval(make_model(), t, v)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        cuts = set(rng.choice(np.arange(1, v.size), size=int(rng.integers(1, 40)), replace=False))
+        for c in rng.choice(np.arange(1, v.size - 1), size=3, replace=False):
+            cuts |= {int(c), int(c) + 1}
+        if signal == "dither":
+            cuts |= {1010, 1090}
+        bounds = [0, *sorted(cuts), v.size]
+        model = make_model()
+        parts = [
+            egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        z = np.concatenate([part[0] for part in parts])
+        active = np.concatenate([part[1] for part in parts])
+        assert np.max(np.abs(z - z_all)) <= 1e-12
+        assert np.array_equal(active, active_all)
+
+
 def test_gpi_states_reflect_final_sample():
     model = reference_model().submodels[0]
     t = np.arange(4.0)
