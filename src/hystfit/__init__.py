@@ -20,7 +20,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     RangeError,
-    StateError,
 )
 from .fitting import (
     EGPI_PARAM_NAMES,
@@ -42,13 +41,9 @@ from .operators import (
     DensitySpec,
     EgpiModel,
     GpiModel,
-    PlayOperatorSpec,
-    PlayState,
     SwitchMode,
     egpi_eval,
     gpi_eval,
-    init_state,
-    play_step,
     predict,
     reference_model,
 )
@@ -66,19 +61,14 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "RangeError",
-    "StateError",
     "ParameterError",
     "InitializationError",
     "DetectionError",
     "NumericalError",
     "DensitySpec",
-    "PlayOperatorSpec",
-    "PlayState",
     "GpiModel",
     "EgpiModel",
     "SwitchMode",
-    "init_state",
-    "play_step",
     "gpi_eval",
     "egpi_eval",
     "predict",

@@ -29,19 +29,22 @@ from .errors import (
 )
 from .fileio import (
     load_dataset,
+    load_json,
     load_model,
+    load_model_doc,
+    model_from_doc,
+    report_row,
     save_dataset,
     save_fit_result,
     save_model,
     save_predictions,
     save_simulation,
     write_report,
-    report_row,
 )
 from .fitting import FitConfig, lm_fit, param_names, validate_params
-from .metrics import compute_metrics
-from .operators import EgpiModel, egpi_eval, gpi_eval, predict, reference_model
-from .signals import Trajectory, decaying_sinusoid, detect_flag_point, gen_synthetic
+from .metrics import Metrics, compute_metrics
+from .operators import EgpiModel, egpi_outputs, gpi_eval, predict, reference_model
+from .signals import decaying_sinusoid, detect_flag_point, gen_synthetic
 
 _INPUT_ERRORS = (
     InputError,
@@ -86,10 +89,7 @@ def _cmd_simulate(args):
         raise ConfigError("simulate needs --params FILE or --reference")
     traj = decaying_sinusoid(t_start=args.t_start, t_end=args.t_end, dt=args.dt)
     if isinstance(model, EgpiModel):
-        z, active = egpi_eval(model, traj.t, traj.v)
-        sub1, sub2 = model.submodels
-        z1 = gpi_eval(sub1, traj.t, traj.v)
-        z2 = gpi_eval(sub2, traj.t, traj.v)
+        z, active, z1, z2 = egpi_outputs(model, traj.t, traj.v)
     else:
         z = gpi_eval(model, traj.t, traj.v)
         z1 = z2 = z
@@ -105,7 +105,6 @@ def _cmd_generate(args):
     model = load_model(args.params)
     if args.input:
         base = load_dataset(args.input)
-        base = Trajectory(t=base.t, v=base.v)
     else:
         base = decaying_sinusoid(t_start=args.t_start, t_end=args.t_end, dt=args.dt)
     out = gen_synthetic(model, base, noise_std=args.noise_std, seed=args.seed)
@@ -116,21 +115,10 @@ def _cmd_generate(args):
 
 # --------------------------------------------------------------------- fit
 
-def _load_fit_config(path) -> dict:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: fit config must be a JSON object")
-    return doc
-
-
 def _make_config(args, mode) -> FitConfig:
     fields = {}
     if args.config:
-        doc = _load_fit_config(args.config)
+        doc = load_json(args.config)
         initial = doc.pop("initial", None)
         known = {f for f in FitConfig.__dataclass_fields__}
         unknown = set(doc) - known
@@ -150,22 +138,26 @@ def _make_config(args, mode) -> FitConfig:
     return FitConfig(**fields)
 
 
-def _resolve_flag(traj, config, args, mode):
+def _resolve_flag(traj, config, eps, mode):
+    """Detect the flag point an egpi fit lacks; returns it, or None if not detected."""
     if mode != "egpi" or config.v_f is not None:
-        return config
+        return None
     try:
-        v_f = detect_flag_point(traj, eps=args.eps)
+        config.v_f = detect_flag_point(traj, eps=eps)
     except DetectionError as exc:
         raise DetectionError(f"{exc}; rerun with --flag-point VALUE") from None
-    print(f"flag point estimated at v_f={v_f:g}")
-    config.v_f = v_f
-    return config
+    return config.v_f
+
+
+def _print_flag(v_f):
+    if v_f is not None:
+        print(f"flag point estimated at v_f={v_f:g}")
 
 
 def _cmd_fit(args):
     traj = load_dataset(args.data)
     config = _make_config(args, args.mode)
-    config = _resolve_flag(traj, config, args, args.mode)
+    _print_flag(_resolve_flag(traj, config, args.eps, args.mode))
     result = lm_fit(traj, config, mode=args.mode)
     prefix = args.out_prefix or os.path.splitext(args.data)[0]
     result_path = prefix + ".result.json"
@@ -185,17 +177,15 @@ def _cmd_evaluate(args):
     traj = load_dataset(args.data)
     if traj.theta is None:
         raise InputError(f"{args.data}: dataset has no theta column to evaluate against")
-    model = load_model(args.params)
-    if args.input_units or args.output_units:
-        from .fileio import load_model_doc
-
-        units = load_model_doc(args.params).get("units", {})
-        for flag, key in ((args.input_units, "input"), (args.output_units, "output")):
-            if flag and units.get(key) and flag != units[key]:
-                print(
-                    f"warning: dataset {key} unit {flag!r} != model {key} unit {units[key]!r}",
-                    file=sys.stderr,
-                )
+    doc = load_model_doc(args.params)
+    model = model_from_doc(doc)
+    units = doc.get("units", {})
+    for flag, key in ((args.input_units, "input"), (args.output_units, "output")):
+        if flag and units.get(key) and flag != units[key]:
+            print(
+                f"warning: dataset {key} unit {flag!r} != model {key} unit {units[key]!r}",
+                file=sys.stderr,
+            )
     theta_hat = predict(model, traj.t, traj.v)
     metrics = compute_metrics(traj.theta, theta_hat)
     v_out, theta_out, hat_out = traj.v, traj.theta, theta_hat
@@ -210,32 +200,36 @@ def _cmd_evaluate(args):
 # ----------------------------------------------------------------- fit-all
 
 def _fit_all_worker(task):
-    """Fit one (dataset, mode) task; a handled error is returned, not raised."""
-    dataset_path, mode, config = task
+    """Fit one (dataset, mode) task: ``(data, mode, detected flag, result)``.
+
+    A handled error, flag-point detection included, is returned as the
+    result, not raised.
+    """
+    dataset_path, mode, config, eps = task
     try:
-        return dataset_path, mode, lm_fit(load_dataset(dataset_path), config, mode=mode)
+        traj = load_dataset(dataset_path)
+        v_f = _resolve_flag(traj, config, eps, mode)
+        return dataset_path, mode, v_f, lm_fit(traj, config, mode=mode)
     except _HANDLED_ERRORS as exc:
-        return dataset_path, mode, exc
+        return dataset_path, mode, None, exc
 
 
 def _cmd_fit_all(args):
     os.makedirs(args.out_dir, exist_ok=True)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    tasks = []
-    for data in args.data:
-        traj = load_dataset(data)
-        for mode in modes:
-            config = _make_config(args, mode)
-            config = _resolve_flag(traj, config, args, mode)
-            tasks.append((data, mode, config))
+    tasks = [
+        (data, mode, _make_config(args, mode), args.eps) for data in args.data for mode in modes
+    ]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_fit_all_worker, tasks))
     else:
         outcomes = [_fit_all_worker(task) for task in tasks]
+    for _, _, v_f, _ in outcomes:
+        _print_flag(v_f)
     rows = []
     failures = []
-    for data, mode, result in outcomes:
+    for data, mode, _, result in outcomes:
         if isinstance(result, Exception):
             print(f"{data} [{mode}]: failed: {result}", file=sys.stderr)
             failures.append(result)
@@ -257,25 +251,15 @@ def _cmd_fit_all(args):
 def _cmd_report(args):
     rows = []
     for path in args.results:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}: not valid JSON ({exc})") from None
+        doc = load_json(path)
         for key in ("dataset", "fit_mode", "metrics"):
             if key not in doc:
                 raise InputError(f"{path}: not a fit result file (missing {key!r})")
-        m = doc["metrics"]
-        rows.append(
-            {
-                "dataset": doc["dataset"] or path,
-                "model": doc["fit_mode"],
-                "rmse_deg": m["rmse"],
-                "nrmse_pct": m["nrmse"],
-                "mae_deg": m["mae"],
-                "n": m["n"],
-            }
-        )
+        try:
+            metrics = Metrics(**doc["metrics"])
+        except TypeError:
+            raise InputError(f"{path}: malformed 'metrics' block") from None
+        rows.append(report_row(doc["dataset"] or path, doc["fit_mode"], metrics))
     write_report(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

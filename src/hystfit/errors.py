@@ -10,7 +10,15 @@ class HystError(Exception):
 
 
 class InputError(HystError, ValueError):
-    """Malformed or inconsistent input data (datasets, series, lengths)."""
+    """Malformed or inconsistent input data (datasets, series, lengths).
+
+    ``sample`` is the index of the offending sample when the error is
+    about one sample of a series, else None.
+    """
+
+    def __init__(self, message, sample=None):
+        super().__init__(message)
+        self.sample = sample
 
 
 class ConfigError(HystError, ValueError):
@@ -23,10 +31,6 @@ class DomainError(HystError, ValueError):
 
 class RangeError(HystError, ValueError):
     """Target value outside a function's range."""
-
-
-class StateError(HystError, RuntimeError):
-    """Operator state used before initialization."""
 
 
 class ParameterError(HystError, ValueError):

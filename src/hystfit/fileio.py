@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -62,41 +63,39 @@ def load_dataset(path) -> Trajectory:
         if header is None:
             raise InputError(f"{path}: file is empty, expected header 't,v[,theta]'")
         cols = [c.strip() for c in header]
-        if cols == ["t", "v"]:
-            has_theta = False
-        elif cols == ["t", "v", "theta"]:
-            has_theta = True
-        else:
+        if cols not in (["t", "v"], ["t", "v", "theta"]):
             raise InputError(
                 f"{path}:1: expected header 't,v' or 't,v,theta', got {','.join(cols)!r}"
             )
-        width = 3 if has_theta else 2
-        t, v, theta = [], [], []
+        values = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != width:
+            if len(row) != len(cols):
                 raise InputError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
+                    f"{path}:{lineno}: expected {len(cols)} columns, got {len(row)}"
                 )
             try:
-                values = [float(x) for x in row]
+                values.extend([float(x) for x in row])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: malformed row {row!r}") from None
-            t.append(values[0])
-            v.append(values[1])
-            if has_theta:
-                theta.append(values[2])
-    if not t:
+    if not values:
         raise InputError(f"{path}: no data rows")
-    t = np.array(t)
-    bad = np.nonzero(np.diff(t) <= 0)[0]
-    if bad.size:
-        raise InputError(
-            f"{path}:{int(bad[0]) + 3}: timestamp does not increase over line "
-            f"{int(bad[0]) + 2}"
-        )
-    return Trajectory(t=t, v=np.array(v), theta=np.array(theta) if has_theta else None)
+    try:
+        return Trajectory(*(np.array(values[i :: len(cols)]) for i in range(len(cols))))
+    except InputError as exc:
+        if exc.sample is None:
+            raise
+        # name file lines, not sample indices
+        lines = _data_lines(path)
+        where = re.sub(r"sample (\d+)", lambda m: f"line {lines[int(m[1])]}", str(exc))
+        raise InputError(f"{path}:{lines[exc.sample]}: {where}") from None
+
+
+def _data_lines(path) -> list[int]:
+    """File line number of each data row; blank lines hold no row."""
+    with open(path, newline="") as fh:
+        return [lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row][1:]
 
 
 def _format_rows(header, columns) -> str:
@@ -175,12 +174,9 @@ def model_to_doc(model, units: dict | None = None, source: str = "") -> dict:
             raise ConfigError("model file format requires one density shared by both banks")
         density = sub1.density
         submodels = [_submodel_doc(sub1), _submodel_doc(sub2)]
-        if model.mode is SwitchMode.TWO_FLAG:
-            mode = "egpi_two_flag"
-            flags = {"v_f_asc": model.flag_asc, "v_f_desc": model.flag_desc}
-        else:
-            mode = "egpi_descend_flag"
-            flags = {"v_f_desc": model.flag_desc}
+        mode = next(tag for tag, switch in MODE_TAGS.items() if switch is model.mode)
+        flags = {"v_f_asc": model.flag_asc, "v_f_desc": model.flag_desc}
+        flags = {key: x for key, x in flags.items() if x is not None}
     else:
         raise ConfigError(f"cannot serialize object of type {type(model).__name__}")
     return {
@@ -239,21 +235,24 @@ def save_model(path, model, units=None, source=""):
     return doc
 
 
-def load_model(path):
+def load_json(path) -> dict:
+    """Parse a JSON file that must hold one object; errors name the file."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
-    return model_from_doc(doc)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
-def load_model_doc(path) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON ({exc})") from None
+# a model file's raw document, for fields the model does not hold (units)
+load_model_doc = load_json
+
+
+def load_model(path):
+    return model_from_doc(load_json(path))
 
 
 # ------------------------------------------------------------- fit output

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .envelopes import Envelope, LinearEnvelope, TanhEnvelope
-from .errors import ConfigError, DomainError, InputError, StateError
+from .errors import ConfigError, InputError
 
 
 @dataclass(frozen=True)
@@ -65,81 +65,6 @@ class DensitySpec:
         return self.lam * np.exp(-self.sigma * self.thresholds())
 
 
-@dataclass(frozen=True)
-class PlayOperatorSpec:
-    """One generalized play operator: backlash r, envelope pair, regulators."""
-
-    r: float
-    asc_env: Envelope
-    desc_env: Envelope
-    kappa_asc: float = 1.0
-    kappa_desc: float = 1.0
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ConfigError(f"backlash r must be >= 0, got {self.r}")
-        if self.kappa_asc <= 0 or self.kappa_desc <= 0:
-            raise ConfigError(
-                f"regulators must be > 0, got kappa_asc={self.kappa_asc}, "
-                f"kappa_desc={self.kappa_desc}"
-            )
-
-    def band(self, v):
-        """Admissible state interval (lo, hi) at input v; may be empty (lo > hi)."""
-        lo = self.asc_env(v) - self.kappa_asc * self.r
-        hi = self.desc_env(v) + self.kappa_desc * self.r
-        return lo, hi
-
-    def zero_points(self):
-        """Inputs where each branch crosses zero output: (asc at +r, desc at -r)."""
-        return self.asc_env.inverse(self.r), self.desc_env.inverse(-self.r)
-
-
-@dataclass
-class PlayState:
-    """Scalar memory of one play operator."""
-
-    w: float = 0.0
-    initialized: bool = False
-
-
-def init_state(spec: PlayOperatorSpec, v0: float, w_init: float = 0.0) -> PlayState:
-    """State at the first input sample.
-
-    ``w_init`` is clamped into the admissible band at v0. If the band is
-    empty there (crossed envelopes), the state is left unclamped and a
-    warning is recorded.
-    """
-    lo, hi = spec.band(v0)
-    if lo <= hi:
-        w = min(max(w_init, lo), hi)
-    else:
-        warnings.warn(
-            f"empty play band at v0={v0} (lo={lo} > hi={hi}); state left at w_init",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        w = w_init
-    return PlayState(w=float(w), initialized=True)
-
-
-def play_step(
-    spec: PlayOperatorSpec, state: PlayState, v_prev: float, v_curr: float
-) -> PlayState:
-    """Advance one operator across a single input transition."""
-    if not state.initialized:
-        raise StateError("play state must come from init_state before stepping")
-    if not (np.isfinite(v_prev) and np.isfinite(v_curr)):
-        raise DomainError("input values must be finite")
-    if v_curr > v_prev:
-        w = max(spec.asc_env(v_curr) - spec.kappa_asc * spec.r, state.w)
-    elif v_curr < v_prev:
-        w = min(spec.desc_env(v_curr) + spec.kappa_desc * spec.r, state.w)
-    else:
-        w = state.w
-    return PlayState(w=float(w), initialized=True)
-
-
 @dataclass
 class GpiModel:
     """Weighted bank of play operators sharing one envelope pair.
@@ -163,16 +88,6 @@ class GpiModel:
                 f"regulators must be > 0, got kappa_asc={self.kappa_asc}, "
                 f"kappa_desc={self.kappa_desc}"
             )
-
-    def operator(self, r: float) -> PlayOperatorSpec:
-        """The bank member with backlash r."""
-        return PlayOperatorSpec(
-            r=r,
-            asc_env=self.asc_env,
-            desc_env=self.desc_env,
-            kappa_asc=self.kappa_asc,
-            kappa_desc=self.kappa_desc,
-        )
 
 
 class SwitchMode(Enum):
@@ -207,32 +122,47 @@ class EgpiModel:
             raise ConfigError("descend-flag mode requires flag_desc and no flag_asc")
 
 
-def _validate_series(t, v):
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-        raise InputError("t and v must be 1-d arrays of equal length")
-    if t.size == 0:
+def _validate_series(t, *series):
+    """Float arrays of timestamps ``t`` and of the series sampled at them.
+
+    Every series must be 1-d, non-empty, finite and as long as ``t``, and
+    ``t`` strictly increasing. An error about one sample carries its index
+    as ``InputError.sample``.
+    """
+    arrays = [np.asarray(x, dtype=float) for x in (t, *series)]
+    if any(x.ndim != 1 or x.size != arrays[0].size for x in arrays):
+        raise InputError("t and the sampled series must be 1-d arrays of equal length")
+    if arrays[0].size == 0:
         raise InputError("input sequence is empty")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-        raise InputError("input sequence contains non-finite values")
-    if np.any(np.diff(t) <= 0):
-        bad = int(np.argmax(np.diff(t) <= 0)) + 1
-        raise InputError(f"timestamps must be strictly increasing (sample {bad})")
-    return t, v
+    finite = np.logical_and.reduce([np.isfinite(x) for x in arrays])
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise InputError(f"non-finite value at sample {k}", sample=k)
+    rising = np.diff(arrays[0]) > 0
+    if not rising.all():
+        k = int(np.argmin(rising)) + 1
+        raise InputError(
+            f"timestamp at sample {k} does not increase over sample {k - 1}", sample=k
+        )
+    return arrays
 
 
-def _init_bank(model: GpiModel, v0: float, w_init: float = 0.0) -> np.ndarray:
+def _init_bank(model: GpiModel, v0: float) -> np.ndarray:
+    """States at the first sample: 0 clamped into each operator's band.
+
+    Where the band is empty (crossed envelopes) the state stays at 0 and
+    a warning is recorded.
+    """
     r = model.density.thresholds()
     lo = model.asc_env(v0) - model.kappa_asc * r
     hi = model.desc_env(v0) + model.kappa_desc * r
-    w = np.full(r.size, float(w_init))
+    w = np.zeros(r.size)
     ok = lo <= hi
     np.clip(w, lo, hi, where=ok, out=w)
     if not ok.all():
         warnings.warn(
             f"empty play band at v0={v0} for {int((~ok).sum())} operator(s); "
-            "left at w_init",
+            "left at 0",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -411,6 +341,20 @@ def _reports_second(model: EgpiModel, v: np.ndarray, prev: float | None) -> np.n
     return ~asc & (v <= model.flag_desc)
 
 
+def egpi_outputs(model: EgpiModel, t, v, reset: bool = True):
+    """One pass of each submodel: ``(z, active, z1, z2)``.
+
+    ``z1`` and ``z2`` are the submodel outputs; ``z`` and ``active`` are
+    what ``egpi_eval`` returns.
+    """
+    sub1, sub2 = model.submodels
+    prev = sub1.last_input if (not reset and sub1.states is not None) else None
+    z1 = gpi_eval(sub1, t, v, reset=reset)
+    z2 = gpi_eval(sub2, t, v, reset=reset)
+    use2 = _reports_second(model, np.asarray(v, dtype=float), prev)
+    return np.where(use2, z2, z1), np.where(use2, 2, 1), z1, z2
+
+
 def egpi_eval(model: EgpiModel, t, v, reset: bool = True):
     """Evaluate both submodels and select the reported output per sample.
 
@@ -420,16 +364,7 @@ def egpi_eval(model: EgpiModel, t, v, reset: bool = True):
     below the descending flag; in descend-flag mode ascending samples
     always report submodel 1. Holds follow the non-ascending rule.
     """
-    t, v = _validate_series(t, v)
-    sub1, sub2 = model.submodels
-    prev = sub1.last_input if (not reset and sub1.states is not None) else None
-    z1 = gpi_eval(sub1, t, v, reset=reset)
-    z2 = gpi_eval(sub2, t, v, reset=reset)
-
-    use2 = _reports_second(model, v, prev)
-    z = np.where(use2, z2, z1)
-    active = np.where(use2, 2, 1)
-    return z, active
+    return egpi_outputs(model, t, v, reset)[:2]
 
 
 def predict(model, t, v, reset: bool = True) -> np.ndarray:

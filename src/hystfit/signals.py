@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DetectionError, InputError
-from .operators import predict
+from .operators import _validate_series, predict
 
 
 @dataclass
@@ -23,23 +23,10 @@ class Trajectory:
     theta: np.ndarray | None = None
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.t.ndim != 1 or self.v.ndim != 1 or self.t.size != self.v.size:
-            raise InputError("t and v must be 1-d arrays of equal length")
-        if self.t.size == 0:
-            raise InputError("trajectory is empty")
-        if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.v))):
-            raise InputError("trajectory contains non-finite values")
-        if np.any(np.diff(self.t) <= 0):
-            bad = int(np.argmax(np.diff(self.t) <= 0)) + 1
-            raise InputError(f"timestamps must be strictly increasing (sample {bad})")
-        if self.theta is not None:
-            self.theta = np.asarray(self.theta, dtype=float)
-            if self.theta.shape != self.t.shape:
-                raise InputError("theta must align with the samples")
-            if not np.all(np.isfinite(self.theta)):
-                raise InputError("theta contains non-finite values")
+        if self.theta is None:
+            self.t, self.v = _validate_series(self.t, self.v)
+        else:
+            self.t, self.v, self.theta = _validate_series(self.t, self.v, self.theta)
 
     def __len__(self):
         return self.t.size

@@ -17,11 +17,8 @@ from hystfit import (
     compute_metrics,
     egpi_eval,
     gpi_eval,
-    init_state,
     lm_fit,
-    play_step,
 )
-from hystfit.operators import PlayOperatorSpec
 
 from fixtures import random_envelope, random_gpi, random_input
 
@@ -50,28 +47,37 @@ def _ordered_pair(rng, v_lo, v_hi):
 
 
 def check_band_containment(cases=100):
-    """States stay inside [asc-ka*r, desc+kd*r] wherever that band is nonempty."""
+    """States stay inside [asc-ka*r, desc+kd*r] wherever that band is nonempty.
+
+    Each case streams its input one sample per call, so the bank states
+    are checked after every sample.
+    """
+    from hystfit import DensitySpec
+
     for case in range(cases):
         rng = np.random.default_rng(10_000 + case)
-        _, v = random_input(rng)
+        t, v = random_input(rng)
         asc_env, desc_env = _ordered_pair(rng, float(np.min(v)), float(np.max(v)))
-        spec = PlayOperatorSpec(
-            r=float(rng.uniform(0.0, 3.0)),
+        r = float(rng.uniform(0.0, 3.0))
+        model = GpiModel(
+            density=DensitySpec(lam=1.0, sigma=0.0, r1=r, rn=r, n=1),
             asc_env=asc_env,
             desc_env=desc_env,
             kappa_asc=float(rng.uniform(0.5, 8.0)),
             kappa_desc=float(rng.uniform(0.5, 8.0)),
         )
+        rr = model.density.thresholds()
         with _QUIET():
             warnings.simplefilter("ignore")
-            state = init_state(spec, v[0], w_init=float(rng.uniform(-5, 5)))
-            for i in range(1, v.size):
-                state = play_step(spec, state, v[i - 1], v[i])
-                lo, hi = spec.band(v[i])
-                if lo <= hi:
-                    assert lo - 1e-9 <= state.w <= hi + 1e-9, (
-                        f"case {case}: w={state.w} outside [{lo}, {hi}] at v={v[i]}"
-                    )
+            for i in range(v.size):
+                gpi_eval(model, t[i : i + 1], v[i : i + 1], reset=(i == 0))
+                lo = asc_env(v[i]) - model.kappa_asc * rr
+                hi = desc_env(v[i]) + model.kappa_desc * rr
+                ok = lo <= hi
+                inside = (lo - 1e-9 <= model.states) & (model.states <= hi + 1e-9)
+                assert np.all(inside[ok]), (
+                    f"case {case}: states {model.states} outside [{lo}, {hi}] at v={v[i]}"
+                )
 
 
 def check_rate_independence(cases=100):

@@ -410,3 +410,44 @@ def test_fit_all_isolates_failed_tasks(tmp_path, monkeypatch, capsys, jobs):
     assert written == sorted(p.name for p in alone.iterdir())
     for name in written:
         assert (mixed / name).read_bytes() == (alone / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fit_all_detection_failure_is_per_task(tmp_path, monkeypatch, capsys, jobs):
+    # no --flag-point: the flag of each egpi task is detected in its own worker
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    params = recovery_params(0)
+    good = tmp_path / "good.csv"
+    noisy = gen_synthetic(build_model(params, "egpi", SWEEP_FLAG), sweep_input(n=700), 0.1, seed=0)
+    save_dataset(good, noisy)
+    v = np.linspace(0.0, 10.0, 400)
+    mono = tmp_path / "mono.csv"
+    save_dataset(mono, Trajectory(t=np.arange(400.0), v=v, theta=3 * v + 1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iterations": 5}))
+    common = ("--modes", "egpi", "--config", cfg, "--jobs", jobs)
+    alone, mixed = tmp_path / "alone", tmp_path / "mixed"
+    assert run("fit-all", "--data", good, "--out-dir", alone, *common) == 0
+    out_alone = capsys.readouterr().out
+    assert run("fit-all", "--data", mono, good, "--out-dir", mixed, *common) == 4
+    captured = capsys.readouterr()
+    assert f"{mono} [egpi]: failed: no near-rest sample" in captured.err
+    assert "--flag-point" in captured.err
+    assert captured.out.splitlines()[0] == f"flag point estimated at v_f={SWEEP_FLAG:g}"
+    assert captured.out.replace(str(mixed), str(alone)) == out_alone
+    written = sorted(p.name for p in mixed.iterdir())
+    assert written == sorted(p.name for p in alone.iterdir())
+    for name in written:
+        assert (mixed / name).read_bytes() == (alone / name).read_bytes()
+
+
+@pytest.mark.parametrize("doc", [
+    {"dataset": "d.csv", "fit_mode": "egpi", "metrics": {}},
+    "dataset fit_mode metrics",
+])
+def test_report_rejects_malformed_result_file(tmp_path, capsys, doc):
+    path = tmp_path / "bad.result.json"
+    path.write_text(json.dumps(doc))
+    assert run("report", "--results", path, "--out", tmp_path / "r.csv") == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

@@ -88,6 +88,21 @@ def test_dataset_duplicate_timestamp_names_line(tmp_path):
         load_dataset(path)
 
 
+def test_dataset_timestamp_after_blank_lines_names_file_lines(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("t,v,theta\n0,0,0\n\n\n1,1,1\n0.5,2,2\n")
+    with pytest.raises(InputError, match=r"d\.csv:6: .* over line 5$"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("row", ["nan,3,0", "2,nan,0", "2,3,inf"])
+def test_dataset_non_finite_value_names_line(tmp_path, row):
+    path = tmp_path / "d.csv"
+    path.write_text(f"t,v,theta\n0,0,0\n1,1,1\n\n{row}\n")
+    with pytest.raises(InputError, match=r"d\.csv:5: non-finite value at line 5"):
+        load_dataset(path)
+
+
 def test_dataset_empty_file(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("")
@@ -188,6 +203,14 @@ def test_load_model_bad_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{not json")
     with pytest.raises(InputError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"egpi_two_flag"', "3"])
+def test_load_json_rejects_non_object(tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(InputError, match=r"m\.json: expected a JSON object"):
         load_model(path)
 
 

@@ -11,103 +11,88 @@ from hystfit import (
     GpiModel,
     InputError,
     LinearEnvelope,
-    PlayState,
-    StateError,
     SwitchMode,
     TanhEnvelope,
     egpi_eval,
     gpi_eval,
-    init_state,
-    play_step,
     predict,
     reference_model,
 )
-from hystfit.operators import PlayOperatorSpec
 from hystfit.signals import decaying_sinusoid
 
 IDENTITY = LinearEnvelope(a=1.0, b=0.0)
 
 
-def classical_play(r):
-    return PlayOperatorSpec(r=r, asc_env=IDENTITY, desc_env=IDENTITY)
+def classical_bank(r, asc_env=IDENTITY, desc_env=IDENTITY):
+    """Operators with backlash 0 and r, unit weights."""
+    return GpiModel(
+        density=DensitySpec(lam=1.0, sigma=0.0, r1=r, rn=r, n=1),
+        asc_env=asc_env,
+        desc_env=desc_env,
+    )
 
 
-# ---------------------------------------------------------------- play_step
+def _states_after(model, v):
+    gpi_eval(model, np.arange(float(len(v))), v)
+    return model.states
+
+
+# ------------------------------------------------------- one play operator
 
 def test_play_step_holds_inside_dead_zone():
-    spec = classical_play(1.0)
-    state = init_state(spec, 0.0)
-    state = play_step(spec, state, 0.0, 0.5)
-    assert state.w == 0.0
+    assert _states_after(classical_bank(1.0), [0.0, 0.5])[1] == 0.0
 
 
 def test_play_step_tracks_past_backlash():
-    spec = classical_play(1.0)
-    state = init_state(spec, 0.0)
-    state = play_step(spec, state, 0.0, 2.0)
-    assert state.w == 1.0
-
-
-def test_play_step_requires_initialized_state():
-    with pytest.raises(StateError):
-        play_step(classical_play(1.0), PlayState(), 0.0, 1.0)
+    assert _states_after(classical_bank(1.0), [0.0, 2.0])[1] == 1.0
 
 
 def test_play_step_full_traversal_matches_bruteforce():
-    # one operator with the demonstration tanh envelopes over the stock input
-    spec = PlayOperatorSpec(
-        r=0.25,
-        asc_env=TanhEnvelope(c=8.0, d=0.2, e=-0.5, f=0.0),
-        desc_env=TanhEnvelope(c=9.0, d=0.2, e=-0.1, f=0.0),
-    )
-    v = decaying_sinusoid().v
-    expected = bruteforce.run_play(
-        list(v), spec.asc_env.to_dict(), spec.desc_env.to_dict(), 1.0, 1.0, 0.25
-    )
-    state = init_state(spec, v[0])
-    got = [state.w]
-    for i in range(1, v.size):
-        state = play_step(spec, state, v[i - 1], v[i])
-        got.append(state.w)
-    assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-12
+    # the demonstration tanh envelopes over the stock input, one sample
+    # per call so every operator state can be read back
+    asc = TanhEnvelope(c=8.0, d=0.2, e=-0.5, f=0.0)
+    desc = TanhEnvelope(c=9.0, d=0.2, e=-0.1, f=0.0)
+    model = classical_bank(0.25, asc, desc)
+    traj = decaying_sinusoid()
+    got = []
+    for i in range(traj.v.size):
+        gpi_eval(model, traj.t[i : i + 1], traj.v[i : i + 1], reset=(i == 0))
+        got.append(model.states.copy())
+    got = np.array(got)
+    for col, r in enumerate((0.0, 0.25)):
+        expected = bruteforce.run_play(list(traj.v), asc.to_dict(), desc.to_dict(), 1.0, 1.0, r)
+        assert np.max(np.abs(got[:, col] - np.array(expected))) < 1e-12
 
 
-# ---------------------------------------------------------------- init_state
+# ------------------------------------------------------------ initial state
 
 def test_init_state_keeps_value_inside_band():
-    assert init_state(classical_play(1.0), 0.0, w_init=0.0).w == 0.0
+    assert np.array_equal(_states_after(classical_bank(1.0), [0.0]), [0.0, 0.0])
 
 
 def test_init_state_clamps_to_band_top():
-    assert init_state(classical_play(1.0), 0.0, w_init=5.0).w == 1.0
+    # identity envelopes: the band at v0 is [v0 - r, v0 + r]
+    assert np.array_equal(_states_after(classical_bank(1.0), [-3.0]), [-3.0, -2.0])
+    assert np.array_equal(_states_after(classical_bank(1.0), [3.0]), [3.0, 2.0])
 
 
 def test_init_state_demo_band_straddles_zero():
-    spec = PlayOperatorSpec(
-        r=7.25,
-        asc_env=TanhEnvelope(c=8.0, d=0.2, e=-0.5, f=0.0),
-        desc_env=TanhEnvelope(c=9.0, d=0.2, e=-0.1, f=0.0),
-    )
+    model = reference_model().submodels[0]
     v0 = 8.0 * np.sin(np.pi / 4)
-    lo, hi = spec.band(v0)
+    r = model.density.thresholds()[-1]
+    assert r == 7.25
+    lo = model.asc_env(v0) - model.kappa_asc * r
+    hi = model.desc_env(v0) + model.kappa_desc * r
     assert lo < 0.0 < hi
-    assert init_state(spec, v0, w_init=0.0).w == 0.0
+    assert _states_after(model, [v0])[-1] == 0.0
 
 
 def test_init_state_warns_on_empty_band():
-    spec = PlayOperatorSpec(
-        r=0.0,
-        asc_env=LinearEnvelope(a=1.0, b=2.0),
-        desc_env=LinearEnvelope(a=1.0, b=0.0),
-    )
-    with pytest.warns(RuntimeWarning):
-        state = init_state(spec, 0.0, w_init=0.7)
-    assert state.w == 0.7
-
-
-def test_zero_points_identity_envelope():
-    # identity envelopes reduce the branch roots to +r / -r
-    assert classical_play(1.5).zero_points() == (1.5, -1.5)
+    # r = 0: band [2, 0.5] is empty, state stays at 0; r = 1: [1, 1.5], clamped
+    model = classical_bank(1.0, LinearEnvelope(a=1.0, b=2.0), LinearEnvelope(a=1.0, b=0.5))
+    with pytest.warns(RuntimeWarning, match="empty play band"):
+        states = _states_after(model, [0.0])
+    assert np.array_equal(states, [0.0, 1.0])
 
 
 # ------------------------------------------------------------------ density
@@ -482,3 +467,40 @@ def test_rate_independence_exact():
     za, _ = egpi_eval(model_a, traj.t, traj.v)
     zb, _ = egpi_eval(model_b, t2, traj.v)
     assert np.array_equal(za, zb)
+
+
+# ------------------------------------------------------- degenerate inputs
+
+@pytest.mark.parametrize("v0", [2.0, -1.0])
+def test_single_sample_series(v0):
+    # one sample: no direction, so the descending flag rule selects
+    model = reference_model()
+    sub1, sub2 = (oracle_kwargs(sub) for sub in model.submodels)
+    zb, ab = bruteforce.run_egpi([v0, 0.5], sub1, sub2, "two_flag",
+                                 flag_asc=model.flag_asc, flag_desc=model.flag_desc)
+    z, active = egpi_eval(model, [0.0], [v0])
+    assert z.shape == active.shape == (1,)
+    assert abs(z[0] - zb[0]) < 1e-12 and active[0] == ab[0]
+    assert predict(reference_model(), [0.0], [v0])[0] == z[0]
+    y = gpi_eval(reference_model().submodels[1], [0.0], [v0])
+    assert abs(y[0] - bruteforce.run_gpi([v0], **sub2)[0]) < 1e-12
+    # a single-sample continuation steps from the stored last input
+    z, active = egpi_eval(model, [1.0], [0.5], reset=False)
+    assert abs(z[0] - zb[1]) < 1e-12 and active[0] == ab[1]
+
+
+def test_saturated_tanh_matches_bruteforce():
+    # d = 40: |tanh| rounds to exactly 1 wherever |v| > 0.5
+    density = DensitySpec(lam=0.3, sigma=0.2, r1=0.1, rn=2.5, n=12)
+    sub1 = GpiModel(density=density, asc_env=TanhEnvelope(c=3.0, d=40.0, e=0.0, f=-1.0),
+                    desc_env=TanhEnvelope(c=3.0, d=40.0, e=0.0, f=1.5))
+    sub2 = GpiModel(density=density, asc_env=TanhEnvelope(c=2.0, d=40.0, e=4.0, f=0.0),
+                    desc_env=TanhEnvelope(c=4.0, d=40.0, e=-4.0, f=2.0), kappa_desc=3.0)
+    model = EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=1.0)
+    t, v = _demo_input()
+    assert np.mean(np.abs(np.tanh(40.0 * v)) == 1.0) > 0.8
+    z, active = egpi_eval(model, t, v)
+    zb, ab = bruteforce.run_egpi(list(v), oracle_kwargs(sub1), oracle_kwargs(sub2),
+                                 "descend_flag", flag_desc=1.0)
+    assert np.max(np.abs(z - np.array(zb))) < 1e-12
+    assert np.array_equal(active, np.array(ab))
