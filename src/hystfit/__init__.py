@@ -9,7 +9,7 @@ generate, fit, and evaluate workflows.
 
 __version__ = "0.1.0"
 
-from .envelopes import Envelope, LinearEnvelope, TanhEnvelope, envelope_from_dict, lipschitz_check
+from .envelopes import Envelope, LinearEnvelope, TanhEnvelope, envelope_from_dict
 from .errors import (
     ConfigError,
     DetectionError,
@@ -55,7 +55,6 @@ __all__ = [
     "LinearEnvelope",
     "TanhEnvelope",
     "envelope_from_dict",
-    "lipschitz_check",
     "HystError",
     "InputError",
     "ConfigError",

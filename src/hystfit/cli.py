@@ -132,7 +132,11 @@ def _make_config(args, mode) -> FitConfig:
                 if missing:
                     raise ConfigError(f"initial guess missing parameters: {missing}")
                 initial = [initial[n] for n in names]
-            fields["initial"] = validate_params(np.asarray(initial, float), mode)
+            try:
+                initial = np.asarray(initial, float)
+            except (TypeError, ValueError):
+                raise ConfigError("fit config field 'initial' must hold numbers") from None
+            fields["initial"] = validate_params(initial, mode)
     if args.flag_point is not None:
         fields["v_f"] = args.flag_point
     return FitConfig(**fields)

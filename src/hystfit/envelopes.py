@@ -2,9 +2,9 @@
 
 Two closed families: affine (``LinearEnvelope``) and scaled/shifted
 hyperbolic tangent (``TanhEnvelope``). Both are strictly increasing by
-construction, which keeps the operator branches monotone and the zero
-points invertible. Instances are immutable and safe to share between
-evaluation contexts.
+construction, which keeps the operator branches monotone; the bank walk
+in ``operators`` relies on that holding in floating point too. Instances
+are immutable and safe to share between evaluation contexts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RangeError
+from .errors import ConfigError, DomainError, check_number
 
 
 def _checked(v):
@@ -39,10 +39,6 @@ class LinearEnvelope:
 
     def __call__(self, v):
         return self.a * _checked(v) + self.b
-
-    def inverse(self, y):
-        """Solve gamma(v) = y exactly."""
-        return (_checked(y) - self.b) / self.a
 
     def to_dict(self):
         return {"family": "linear", "a": self.a, "b": self.b}
@@ -72,42 +68,6 @@ class TanhEnvelope:
     def __call__(self, v):
         return self.c * np.tanh(self.d * _checked(v) + self.e) + self.f
 
-    def inverse(self, y):
-        """Solve gamma(v) = y for scalar y strictly inside the range.
-
-        Uses the closed-form artanh identity, falling back to bisection
-        when the closed form loses accuracy near the range edges.
-        """
-        y = float(_checked(y))
-        u = (y - self.f) / self.c
-        if abs(u) >= 1.0:
-            raise RangeError(
-                f"value {y} outside envelope range ({self.f - self.c}, {self.f + self.c})"
-            )
-        v = (np.arctanh(u) - self.e) / self.d
-        if abs(self(v) - y) <= 1e-10 * max(1.0, abs(y)):
-            return float(v)
-        return self._bisect(y, v)
-
-    def _bisect(self, y, v0):
-        lo, hi, span = v0, v0, 1.0
-        while self(lo) > y:
-            lo -= span
-            span *= 2.0
-        span = 1.0
-        while self(hi) < y:
-            hi += span
-            span *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(1.0, abs(mid)):
-                break
-        return 0.5 * (lo + hi)
-
     def to_dict(self):
         return {"family": "tanh", "c": self.c, "d": self.d, "e": self.e, "f": self.f}
 
@@ -121,27 +81,13 @@ def envelope_from_dict(doc: dict) -> Envelope:
         family = doc["family"]
     except (TypeError, KeyError):
         raise ConfigError(f"envelope document missing 'family': {doc!r}") from None
+    if family == "linear":
+        cls, keys = LinearEnvelope, "ab"
+    elif family == "tanh":
+        cls, keys = TanhEnvelope, "cdef"
+    else:
+        raise ConfigError(f"unknown envelope family {family!r}")
     try:
-        if family == "linear":
-            return LinearEnvelope(a=float(doc["a"]), b=float(doc["b"]))
-        if family == "tanh":
-            return TanhEnvelope(
-                c=float(doc["c"]), d=float(doc["d"]), e=float(doc["e"]), f=float(doc["f"])
-            )
+        return cls(*(float(check_number(doc[k], f"{family} envelope field {k!r}")) for k in keys))
     except KeyError as exc:
         raise ConfigError(f"envelope document missing field {exc}") from None
-    raise ConfigError(f"unknown envelope family {family!r}")
-
-
-def lipschitz_check(env: Envelope, lo: float, hi: float, grid: int = 1001) -> float:
-    """Maximum finite-difference slope of ``env`` over a uniform grid.
-
-    Diagnostic only; no bound is enforced anywhere in the toolkit.
-    """
-    if not (lo < hi):
-        raise ConfigError(f"need lo < hi, got [{lo}, {hi}]")
-    if grid < 2:
-        raise ConfigError(f"need grid >= 2, got {grid}")
-    vs = np.linspace(lo, hi, int(grid))
-    gs = env(vs)
-    return float(np.max(np.abs(np.diff(gs)) / np.diff(vs)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .envelopes import envelope_from_dict
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_number
 from .metrics import Metrics
 from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode
 from .signals import Trajectory
@@ -141,15 +141,14 @@ def _density_doc(d: DensitySpec) -> dict:
 
 def _density_from_doc(doc: dict) -> DensitySpec:
     try:
-        return DensitySpec(
-            lam=float(doc["lambda"]),
-            sigma=float(doc["sigma"]),
-            r1=float(doc["r1"]),
-            rn=float(doc["rn"]),
-            n=int(doc["n"]),
+        lam, sigma, r1, rn = (
+            float(check_number(doc[key], f"density field {key!r}"))
+            for key in ("lambda", "sigma", "r1", "rn")
         )
-    except (TypeError, KeyError) as exc:
+        n = check_number(doc["n"], "density field 'n'", integer=True)
+    except KeyError as exc:
         raise ConfigError(f"density block missing field {exc}") from None
+    return DensitySpec(lam=lam, sigma=sigma, r1=r1, rn=rn, n=int(n))
 
 
 def _submodel_doc(m: GpiModel) -> dict:
@@ -189,44 +188,60 @@ def model_to_doc(model, units: dict | None = None, source: str = "") -> dict:
     }
 
 
+def _member(doc: dict, key: str, kind: type):
+    """``doc[key]``, empty if absent; it must be a ``kind`` (dict or list)."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ConfigError(f"model field {key!r} must be {what}, got {type(value).__name__}")
+    return value
+
+
 def model_from_doc(doc: dict):
-    """Rebuild a model from its document, enforcing mode/flag consistency."""
+    """Rebuild a model from its document, enforcing mode/flag consistency.
+
+    A missing or mistyped field raises ConfigError naming it, ``units``
+    included although the model does not hold them.
+    """
     if not isinstance(doc, dict) or "mode" not in doc:
         raise ConfigError("model document must be an object with a 'mode' field")
     mode = doc["mode"]
-    if mode not in MODE_TAGS:
+    if not isinstance(mode, str) or mode not in MODE_TAGS:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {sorted(MODE_TAGS)}")
-    density = _density_from_doc(doc.get("density", {}))
-    subdocs = doc.get("submodels", [])
+    _member(doc, "units", dict)
+    density = _density_from_doc(_member(doc, "density", dict))
+    subdocs = _member(doc, "submodels", list)
     expected = 1 if mode == "gpi" else 2
     if len(subdocs) != expected:
         raise ConfigError(f"mode {mode!r} requires {expected} submodel(s), got {len(subdocs)}")
 
-    def bank(sub):
+    def bank(i):
+        sub = subdocs[i]
+        if not isinstance(sub, dict):
+            raise ConfigError(f"submodel {i + 1} must be an object, got {type(sub).__name__}")
         try:
-            return GpiModel(
-                density=density,
-                asc_env=envelope_from_dict(sub["asc_env"]),
-                desc_env=envelope_from_dict(sub["desc_env"]),
-                kappa_asc=float(sub.get("kappa_asc", 1.0)),
-                kappa_desc=float(sub.get("kappa_desc", 1.0)),
-            )
-        except (TypeError, KeyError) as exc:
+            envs = [envelope_from_dict(sub[key]) for key in ("asc_env", "desc_env")]
+        except KeyError as exc:
             raise ConfigError(f"submodel block missing field {exc}") from None
+        kappas = [
+            float(check_number(sub.get(key, 1.0), f"submodel {i + 1} field {key!r}"))
+            for key in ("kappa_asc", "kappa_desc")
+        ]
+        return GpiModel(density, *envs, *kappas)
 
     if mode == "gpi":
-        return bank(subdocs[0])
-    flags = doc.get("flags", {})
-    return EgpiModel(
-        submodels=[bank(subdocs[0]), bank(subdocs[1])],
-        mode=MODE_TAGS[mode],
-        flag_asc=_opt_float(flags.get("v_f_asc")),
-        flag_desc=_opt_float(flags.get("v_f_desc")),
+        return bank(0)
+    flags = _member(doc, "flags", dict)
+    flag_asc, flag_desc = (
+        None if flags.get(key) is None else float(check_number(flags[key], f"flag {key!r}"))
+        for key in ("v_f_asc", "v_f_desc")
     )
-
-
-def _opt_float(x):
-    return None if x is None else float(x)
+    return EgpiModel(
+        submodels=[bank(0), bank(1)],
+        mode=MODE_TAGS[mode],
+        flag_asc=flag_asc,
+        flag_desc=flag_desc,
+    )
 
 
 def save_model(path, model, units=None, source=""):

@@ -30,6 +30,7 @@ from .errors import (
     InputError,
     NumericalError,
     ParameterError,
+    check_number,
 )
 from .metrics import Metrics, compute_metrics
 from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, predict, predict_jacobian
@@ -249,13 +250,18 @@ class FitConfig:
     initial: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        def field(name, integer=False):
+            return check_number(getattr(self, name), f"fit config field {name!r}", integer)
+
+        if field("max_iterations", integer=True) < 1:
             raise ConfigError("max_iterations must be >= 1")
         for name in ("mu0", "mu_up", "mu_down", "mu_max", "loss_tol", "grad_tol"):
-            if getattr(self, name) <= 0:
+            if field(name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        if self.n_operators < 1:
+        if field("n_operators", integer=True) < 1:
             raise ConfigError("n_operators must be >= 1")
+        if self.v_f is not None:
+            field("v_f")
 
 
 @dataclass

@@ -169,10 +169,6 @@ def _init_bank(model: GpiModel, v0: float) -> np.ndarray:
     return w
 
 
-# monotone runs are processed in chunks so temporaries stay cache-sized
-_CHUNK = 2048
-
-
 def _runs(v: np.ndarray):
     """Maximal runs of constant input direction, as (start, end, direction).
 
@@ -188,41 +184,48 @@ def _runs(v: np.ndarray):
             yield start, end, sgn[start]
 
 
-def _run_bank(model: GpiModel, v: np.ndarray, w0: np.ndarray, weights: np.ndarray):
-    """Weighted bank output per sample plus the final bank state.
+# samples per block of a monotone run; temporaries stay O(operators x block)
+_BLOCK = 512
 
-    Updates are applied per maximal run of constant input direction: on a
-    monotone run the recursion collapses to a running extreme of the
-    branch targets, seeded with the entering state.
+
+def _walk(model: GpiModel, v: np.ndarray, w: np.ndarray):
+    """Bank states along ``v``, starting from the state ``w`` at ``v[0]``.
+
+    Yields ``(i, seg, direction, S)`` per block, where ``seg = v[i : i + k]``
+    lies in one run of constant direction and ``S`` holds the states
+    (operators x samples). The first sample and every hold yield the one
+    column ``w[:, None]``, which stands for all ``k`` samples. On a rising
+    run each state is ``max(w_entry, asc_env(v) - kappa_asc*r)``, on a
+    falling run ``min(w_entry, desc_env(v) + kappa_desc*r)``: both envelope
+    families increase, so the targets are monotone along the run and the
+    entering state is the only extreme to take.
     """
     r = model.density.thresholds()
     asc_off = (model.kappa_asc * r)[:, None]
     desc_off = (model.kappa_desc * r)[:, None]
-    y = np.empty(v.size)
-    w = w0
-    y[0] = weights @ w
+    yield 0, v[:1], 0, w[:, None]
     for start, end, direction in _runs(v):
         if direction == 0:
-            y[start + 1 : end + 1] = weights @ w
+            yield start + 1, v[start + 1 : end + 1], 0, w[:, None]
             continue
-        for cs in range(start + 1, end + 1, _CHUNK):
-            ce = min(cs + _CHUNK, end + 1)
-            seg = v[cs:ce]
+        for i in range(start + 1, end + 1, _BLOCK):
+            seg = v[i : min(i + _BLOCK, end + 1)]
             if direction > 0:
-                targets = model.asc_env(seg)[None, :] - asc_off
-                np.maximum.accumulate(targets, axis=1, out=targets)
-                np.maximum(targets, w[:, None], out=targets)
+                S = np.maximum(model.asc_env(seg) - asc_off, w[:, None])
             else:
-                targets = model.desc_env(seg)[None, :] + desc_off
-                np.minimum.accumulate(targets, axis=1, out=targets)
-                np.minimum(targets, w[:, None], out=targets)
-            y[cs:ce] = weights @ targets
-            w = targets[:, -1].copy()
-    return y, w
+                S = np.minimum(model.desc_env(seg) + desc_off, w[:, None])
+            yield i, seg, direction, S
+            # a contiguous copy: a strided view changes the next hold's sum
+            w = S[:, -1].copy()
 
 
-# samples per block of the tangent pass; temporaries stay O(operators x block)
-_TANGENT_BLOCK = 512
+def _run_bank(model: GpiModel, v: np.ndarray, w0: np.ndarray):
+    """Weighted bank output per sample plus the final bank state."""
+    weights = model.density.weights()
+    y = np.empty(v.size)
+    for i, seg, _, S in _walk(model, v, w0):
+        y[i : i + seg.size] = weights @ S
+    return y, S[:, -1]
 
 
 def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
@@ -234,10 +237,9 @@ def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
     ``desc_intercept``, ``lam``, ``sigma``, ``r1``, ``rn``, ``kappa_desc``)
     to columns of ``J``; unnamed parameters are held fixed.
 
-    On a monotone run the branch targets are monotone too (affine
-    envelope, increasing input), so each state is ``T`` where it passes the
-    entering state and the entering state otherwise; its tangent follows
-    the same selection.
+    Along ``_walk`` a state that moved off its entering value sits on the
+    branch target ``T`` and takes its tangent; the others keep the
+    entering tangent.
     """
     P = J.shape[1]
 
@@ -254,52 +256,38 @@ def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
     dr = np.zeros((r.size, P))
     dr[1:] = np.outer(1.0 - frac, unit("r1")) + np.outer(frac, unit("rn"))
     dp = p[:, None] * (unit("lam") / d.lam - np.outer(r, unit("sigma")) - d.sigma * dr)
-    asc_off = model.kappa_asc * r
-    desc_off = model.kappa_desc * r
     # tangents of the branch targets, less the envelope slope term v*a
     dasc = unit("asc_intercept") - model.kappa_asc * dr
     ddesc = unit("desc_intercept") + model.kappa_desc * dr + np.outer(r, unit("kappa_desc"))
     a_asc, a_desc = unit("asc_slope"), unit("desc_slope")
 
-    def put(i, yb, Jb):
-        sel = rows[i : i + yb.size]
-        np.copyto(z[i : i + yb.size], yb, where=sel)
-        np.copyto(J[i : i + yb.size], Jb, where=sel[:, None])
+    def put(i, k, yb, Jb):
+        # a hold's single row is broadcast to its k samples
+        sel = rows[i : i + k]
+        np.copyto(z[i : i + k], yb, where=sel)
+        np.copyto(J[i : i + k], Jb, where=sel[:, None])
 
     # clamped initial state: the tangent of whichever bound is active
     v0 = float(v[0])
     w = _init_bank(model, v0)
-    lo = model.asc_env(v0) - asc_off
-    hi = model.desc_env(v0) + desc_off
+    lo = model.asc_env(v0) - model.kappa_asc * r
+    hi = model.desc_env(v0) + model.kappa_desc * r
     ok = lo <= hi
     dw = np.zeros((r.size, P))
     low, high = ok & (lo > 0.0), ok & (hi < 0.0)
     dw[low] = (v0 * a_asc + dasc)[low]
     dw[high] = (v0 * a_desc + ddesc)[high]
-    put(0, np.array([p @ w]), (w @ dp + p @ dw)[None, :])
 
-    for start, end, direction in _runs(v):
-        if direction == 0:
-            k = end - start
-            put(start + 1, np.full(k, p @ w), np.broadcast_to(w @ dp + p @ dw, (k, P)))
-            continue
-        if direction > 0:
-            env, off, dT, a = model.asc_env, -asc_off, dasc, a_asc
-            passes, extreme = np.greater, np.maximum
-        else:
-            env, off, dT, a = model.desc_env, desc_off, ddesc, a_desc
-            passes, extreme = np.less, np.minimum
-        for cs in range(start + 1, end + 1, _TANGENT_BLOCK):
-            seg = v[cs : min(cs + _TANGENT_BLOCK, end + 1)]
-            T = env(seg)[None, :] + off[:, None]
-            moved = passes(T, w[:, None]).astype(float)
-            S = extreme(T, w[:, None])
-            pm = p @ moved
-            Jb = moved.T @ (p[:, None] * (dT - dw)) + S.T @ dp + p @ dw
-            Jb += np.outer(seg * pm, a)
-            put(cs, p @ S, Jb)
-            dw = np.where(moved[:, -1:] > 0, seg[-1] * a + dT, dw)
-            w = S[:, -1].copy()
+    for i, seg, direction, S in _walk(model, v, w):
+        dT, a = (dasc, a_asc) if direction > 0 else (ddesc, a_desc)
+        u = seg[: S.shape[1]]  # one sample per column of S
+        moved = (S != w[:, None]).astype(float)
+        pm = p @ moved
+        Jb = moved.T @ (p[:, None] * (dT - dw)) + S.T @ dp + p @ dw
+        Jb += np.outer(u * pm, a)
+        put(i, seg.size, p @ S, Jb)
+        dw = np.where(moved[:, -1:] > 0, seg[-1] * a + dT, dw)
+        w = S[:, -1]
 
 
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
@@ -320,7 +308,7 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
         w0 = model.states
         vv = np.concatenate(([model.last_input], v))
         drop = 1
-    y, w_final = _run_bank(model, vv, w0, model.density.weights())
+    y, w_final = _run_bank(model, vv, w0)
     model.states = np.array(w_final, dtype=float)
     model.last_input = float(v[-1])
     return y[drop:]

@@ -5,9 +5,9 @@ import pytest
 
 from fixtures import SWEEP_FLAG, recovery_params, sweep_input
 
-from hystfit import Trajectory, build_model, gen_synthetic, predict
+from hystfit import Trajectory, build_model, gen_synthetic, predict, reference_model
 from hystfit.cli import main
-from hystfit.fileio import load_dataset, load_model, save_dataset, save_model
+from hystfit.fileio import load_dataset, load_model, model_to_doc, save_dataset, save_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -230,6 +230,23 @@ def test_fit_config_rejects_removed_rel_step(tmp_path, small_data, capsys):
     assert "unknown fit config fields: ['rel_step']" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("field,value", [
+    pytest.param("max_iterations", "5", id="max_iterations-str"),
+    pytest.param("mu0", None, id="mu0-null"),
+    pytest.param("n_operators", 2.5, id="n_operators-fraction"),
+    pytest.param("v_f", "6", id="v_f-str"),
+    pytest.param("initial", ["x"] * 11, id="initial-str"),
+])
+def test_fit_config_rejects_wrong_types(tmp_path, small_data, capsys, field, value):
+    # each used to end in a TypeError or ValueError traceback (exit 1)
+    data_path, _, _ = small_data
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert run("fit", "--data", data_path, "--config", cfg, "--out-prefix", tmp_path / "fit") == 2
+    assert f"fit config field {field!r}" in capsys.readouterr().err
+    assert not (tmp_path / "fit.result.json").exists()
+
 def test_full_pipeline_roundtrip_noiseless(tmp_path, small_data, capsys):
     # generate(model, noise 0) -> fit initialized at the truth -> evaluate
     data_path, model_path, params = small_data
@@ -334,6 +351,32 @@ def test_evaluate_unit_mismatch_warns(tmp_path, small_data, capsys):
                "--out", out, "--input-units", "rad") == 0
     assert "unit" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("path,value", [
+    pytest.param(("flags",), [], id="flags-list"),
+    pytest.param(("submodels",), 5, id="submodels-int"),
+    pytest.param(("submodels", 0, "kappa_asc"), "x", id="kappa-str"),
+    pytest.param(("submodels", 1, "asc_env", "c"), "x", id="envelope-field-str"),
+    pytest.param(("flags", "v_f_asc"), "x", id="flag-str"),
+    pytest.param(("units",), [], id="units-list"),
+    pytest.param(("density", "n"), 2.5, id="n-fraction"),
+])
+def test_evaluate_rejects_malformed_model_file(tmp_path, small_data, capsys, path, value):
+    # each used to end in a traceback (exit 1), and n = 2.5 was truncated to 2
+    data_path, _, _ = small_data
+    doc = model_to_doc(reference_model())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "pred.csv"
+    assert run("evaluate", "--data", data_path, "--params", model_path, "--out", out,
+               "--input-units", "count") == 2
+    assert f"{path[-1]!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 # ------------------------------------------------------------ fit-all/report
 

@@ -183,42 +183,63 @@ GPI_COLUMNS = [0, 1, 2, 3, 6, 7, 8, 9]  # gpi layout as a subset of the egpi one
 
 
 def _tangent_cases():
-    """(params, mode, n) over seeded random in-bounds starts plus
-    degenerate banks: a single threshold and a crossed-envelope start."""
+    """(params, mode, n, signal) over seeded random in-bounds starts plus
+    degenerate banks: a single threshold and a crossed-envelope start, all
+    on the sweep input; and one start on the dither input."""
     rng = np.random.default_rng(11)
     cases = []
     for seed in range(4):
         p = project_params(recovery_params(seed) * rng.uniform(0.7, 1.3, 11), "egpi")
-        cases.append(pytest.param(p, "egpi", 30, id=f"egpi{seed}"))
-        cases.append(pytest.param(p[GPI_COLUMNS], "gpi", 30, id=f"gpi{seed}"))
-    cases.append(pytest.param(recovery_params(1), "egpi", 1, id="egpi-n1"))
-    cases.append(pytest.param(recovery_params(2)[GPI_COLUMNS], "gpi", 1, id="gpi-n1"))
+        cases.append(pytest.param(p, "egpi", 30, "sweep", id=f"egpi{seed}"))
+        cases.append(pytest.param(p[GPI_COLUMNS], "gpi", 30, "sweep", id=f"gpi{seed}"))
+        if seed == 0:
+            cases.append(pytest.param(p, "egpi", 30, "dither", id="egpi-dither"))
+            cases.append(pytest.param(p[GPI_COLUMNS], "gpi", 30, "dither", id="gpi-dither"))
+    cases.append(pytest.param(recovery_params(1), "egpi", 1, "sweep", id="egpi-n1"))
+    cases.append(pytest.param(recovery_params(2)[GPI_COLUMNS], "gpi", 1, "sweep", id="gpi-n1"))
     crossed = recovery_params(3)
     crossed[1], crossed[3] = 6.0, -4.0  # ascending envelope above descending at v=0
-    cases.append(pytest.param(crossed, "egpi", 30, id="egpi-crossed"))
-    cases.append(pytest.param(crossed[GPI_COLUMNS], "gpi", 30, id="gpi-crossed"))
+    cases.append(pytest.param(crossed, "egpi", 30, "sweep", id="egpi-crossed"))
+    cases.append(pytest.param(crossed[GPI_COLUMNS], "gpi", 30, "sweep", id="gpi-crossed"))
     return cases
 
 
 TANGENT_CASES = _tangent_cases()
 
 
-@pytest.mark.parametrize("params,mode,n", TANGENT_CASES)
-def test_tangent_residuals_equal_residuals(small_fixture, params, mode, n):
-    _, _, _, noisy = small_fixture
-    e, _ = residuals_and_jacobian(params, noisy, SWEEP_FLAG, mode, n)
-    assert np.array_equal(e, residuals(params, noisy, SWEEP_FLAG, mode, n))
+@pytest.fixture(scope="module")
+def tangent_data(small_fixture):
+    """Noisy data per input signal: the sweep, and a quantized dither.
+
+    The dither is a slow rise-fall with noise, rounded to a 0.1 quantum
+    (1% of the range): most runs last one or two samples and about a
+    third of the steps are exact holds.
+    """
+    n = 1200
+    rng = np.random.default_rng(21)
+    ramp = np.concatenate([np.linspace(0.0, 10.0, n // 2), np.linspace(10.0, 0.0, n - n // 2)])
+    v = np.round((ramp + rng.normal(0.0, 0.1, n)) / 0.1) * 0.1
+    base = Trajectory(t=1e-3 * np.arange(n), v=v)
+    dither = gen_synthetic(build_model(recovery_params(0), "egpi", SWEEP_FLAG), base, 0.1, seed=21)
+    return {"sweep": small_fixture[3], "dither": dither}
 
 
-@pytest.mark.parametrize("params,mode,n", TANGENT_CASES)
-def test_tangent_jacobian_matches_central_differences(small_fixture, params, mode, n):
+@pytest.mark.parametrize("params,mode,n,signal", TANGENT_CASES)
+def test_tangent_residuals_equal_residuals(tangent_data, params, mode, n, signal):
+    data = tangent_data[signal]
+    e, _ = residuals_and_jacobian(params, data, SWEEP_FLAG, mode, n)
+    assert np.array_equal(e, residuals(params, data, SWEEP_FLAG, mode, n))
+
+
+@pytest.mark.parametrize("params,mode,n,signal", TANGENT_CASES)
+def test_tangent_jacobian_matches_central_differences(tangent_data, params, mode, n, signal):
     # rows where two central-difference steps disagree straddle a
     # crossover (a kink of the output); elsewhere the exact columns must
     # match the finite differences
-    _, _, _, noisy = small_fixture
-    _, J = residuals_and_jacobian(params, noisy, SWEEP_FLAG, mode, n)
-    J6 = jacobian_fd(params, noisy, SWEEP_FLAG, mode, n, rel_step=1e-6)
-    J7 = jacobian_fd(params, noisy, SWEEP_FLAG, mode, n, rel_step=1e-7)
+    data = tangent_data[signal]
+    _, J = residuals_and_jacobian(params, data, SWEEP_FLAG, mode, n)
+    J6 = jacobian_fd(params, data, SWEEP_FLAG, mode, n, rel_step=1e-6)
+    J7 = jacobian_fd(params, data, SWEEP_FLAG, mode, n, rel_step=1e-7)
     tol = 1e-6 * np.max(np.abs(J6), axis=0)
     smooth = np.all(np.abs(J6 - J7) <= tol, axis=1)
     assert np.count_nonzero(~smooth) < 0.01 * smooth.size
