@@ -13,13 +13,11 @@ from .envelopes import Envelope, LinearEnvelope, TanhEnvelope, envelope_from_dic
 from .errors import (
     ConfigError,
     DetectionError,
-    DomainError,
     HystError,
     InitializationError,
     InputError,
     NumericalError,
     ParameterError,
-    RangeError,
 )
 from .fitting import (
     EGPI_PARAM_NAMES,
@@ -58,8 +56,6 @@ __all__ = [
     "HystError",
     "InputError",
     "ConfigError",
-    "DomainError",
-    "RangeError",
     "ParameterError",
     "InitializationError",
     "DetectionError",

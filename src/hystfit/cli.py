@@ -20,12 +20,10 @@ from . import __version__
 from .errors import (
     ConfigError,
     DetectionError,
-    DomainError,
     InitializationError,
     InputError,
     NumericalError,
     ParameterError,
-    RangeError,
 )
 from .fileio import (
     load_dataset,
@@ -49,8 +47,6 @@ from .signals import decaying_sinusoid, detect_flag_point, gen_synthetic
 _INPUT_ERRORS = (
     InputError,
     ConfigError,
-    DomainError,
-    RangeError,
     ParameterError,
     InitializationError,
     FileNotFoundError,

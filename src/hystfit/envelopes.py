@@ -2,9 +2,10 @@
 
 Two closed families: affine (``LinearEnvelope``) and scaled/shifted
 hyperbolic tangent (``TanhEnvelope``). Both are strictly increasing by
-construction, which keeps the operator branches monotone; the bank walk
-in ``operators`` relies on that holding in floating point too. Instances
-are immutable and safe to share between evaluation contexts.
+construction, which keeps the operator branches monotone; the bank
+evaluation in ``operators`` relies on that holding in floating point
+too. Instances are immutable and safe to share between evaluation
+contexts.
 """
 
 from __future__ import annotations
@@ -13,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_number
-
-
-def _checked(v):
-    """Validate a scalar or array input and return it as float(s)."""
-    arr = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("envelope input must be finite")
-    return float(arr) if arr.ndim == 0 else arr
+from .errors import ConfigError, check_number
 
 
 @dataclass(frozen=True)
@@ -38,7 +31,7 @@ class LinearEnvelope:
             raise ConfigError(f"linear envelope requires slope a > 0, got a={self.a}")
 
     def __call__(self, v):
-        return self.a * _checked(v) + self.b
+        return self.a * v + self.b
 
     def to_dict(self):
         return {"family": "linear", "a": self.a, "b": self.b}
@@ -66,7 +59,7 @@ class TanhEnvelope:
             )
 
     def __call__(self, v):
-        return self.c * np.tanh(self.d * _checked(v) + self.e) + self.f
+        return self.c * np.tanh(self.d * v + self.e) + self.f
 
     def to_dict(self):
         return {"family": "tanh", "c": self.c, "d": self.d, "e": self.e, "f": self.f}

@@ -29,14 +29,6 @@ class ConfigError(HystError, ValueError):
     """Invalid configuration or construction-time parameters."""
 
 
-class DomainError(HystError, ValueError):
-    """Evaluation requested outside a function's domain."""
-
-
-class RangeError(HystError, ValueError):
-    """Target value outside a function's range."""
-
-
 class ParameterError(HystError, ValueError):
     """Fitting parameter vector violates its bounds."""
 

@@ -33,8 +33,9 @@ from .errors import (
     check_number,
 )
 from .metrics import Metrics, compute_metrics
-from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, predict, predict_jacobian
+from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, predict
 from .signals import Trajectory
+from .tangent import predict_jacobian
 
 EGPI_PARAM_NAMES = (
     "asc_slope",

@@ -19,10 +19,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .envelopes import Envelope, LinearEnvelope, TanhEnvelope
+from .envelopes import Envelope, TanhEnvelope
 from .errors import ConfigError, InputError
 
 
@@ -53,16 +54,24 @@ class DensitySpec:
         if self.n > 1 and self.r1 > self.rn:
             raise ConfigError(f"need r1 <= rn, got r1={self.r1}, rn={self.rn}")
 
-    def thresholds(self) -> np.ndarray:
-        """Backlash values [0, r1, ..., rn], length n+1."""
+    @cached_property
+    def _grid(self):
+        # computed once per instance; read-only, as every caller shares them
         if self.n == 1:
-            return np.array([0.0, self.r1])
-        grid = np.linspace(self.r1, self.rn, self.n)
-        return np.concatenate(([0.0], grid))
+            r = np.array([0.0, self.r1])
+        else:
+            r = np.concatenate(([0.0], np.linspace(self.r1, self.rn, self.n)))
+        p = self.lam * np.exp(-self.sigma * r)
+        r.flags.writeable = p.flags.writeable = False
+        return r, p
+
+    def thresholds(self) -> np.ndarray:
+        """Backlash values [0, r1, ..., rn], length n+1 (read-only)."""
+        return self._grid[0]
 
     def weights(self) -> np.ndarray:
-        """Weight of each threshold, all strictly positive."""
-        return self.lam * np.exp(-self.sigma * self.thresholds())
+        """Weight of each threshold, all strictly positive (read-only)."""
+        return self._grid[1]
 
 
 @dataclass
@@ -169,125 +178,120 @@ def _init_bank(model: GpiModel, v0: float) -> np.ndarray:
     return w
 
 
-def _runs(v: np.ndarray):
-    """Maximal runs of constant input direction, as (start, end, direction).
-
-    A run covers the samples ``v[start + 1 : end + 1]``; its direction is
-    the common sign of their differences (0 for a hold).
-    """
-    sgn = np.sign(np.diff(v))
-    if sgn.size:
-        cuts = np.flatnonzero(sgn[1:] != sgn[:-1]) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [sgn.size]))
-        for start, end in zip(starts, ends):
-            yield start, end, sgn[start]
-
-
-# samples per block of a monotone run; temporaries stay O(operators x block)
+# samples per block; temporaries stay O(operators x block)
 _BLOCK = 512
+# runs at least this long get blocks of their own
+_LONG = 64
 
 
-def _walk(model: GpiModel, v: np.ndarray, w: np.ndarray):
-    """Bank states along ``v``, starting from the state ``w`` at ``v[0]``.
+def _directions(v: np.ndarray) -> np.ndarray:
+    """Sign of each sample's step from its predecessor; the first is at rest."""
+    d = np.zeros(v.size)
+    np.sign(np.subtract(v[1:], v[:-1], out=d[1:]), out=d[1:])
+    return d
 
-    Yields ``(i, seg, direction, S)`` per block, where ``seg = v[i : i + k]``
-    lies in one run of constant direction and ``S`` holds the states
-    (operators x samples). The first sample and every hold yield the one
-    column ``w[:, None]``, which stands for all ``k`` samples. On a rising
-    run each state is ``max(w_entry, asc_env(v) - kappa_asc*r)``, on a
-    falling run ``min(w_entry, desc_env(v) + kappa_desc*r)``: both envelope
-    families increase, so the targets are monotone along the run and the
-    entering state is the only extreme to take.
+
+def _clip(x, lo, hi):
+    y = np.maximum(x, lo)
+    return np.minimum(y, hi, out=y)
+
+
+def _states(model: GpiModel, v: np.ndarray, d: np.ndarray, w: np.ndarray):
+    """Bank states along ``v`` (directions ``d = _directions(v)``),
+    starting from the state ``w`` at ``v[0]``.
+
+    Yields ``(i, j, S, E)`` per block ``v[i:j]`` of at most ``_BLOCK``
+    samples: ``S`` holds the states (operators x samples) and ``E`` the
+    state each one entered its run with, within the block. A block inside
+    one run yields ``E`` as one column, and a block of holds also ``S``:
+    the column ``w[:, None]`` stands for all its samples.
+
+    Each step clamps the state: ``max(w, asc_env(v) - kappa_asc*r)``
+    rising, ``min(w, desc_env(v) + kappa_desc*r)`` falling, the identity
+    on a hold. Both envelope families increase, so along a run the targets
+    are monotone and a sample's state is the run's entering state clamped
+    by the sample's own target. A block inside one run evaluates only its
+    own branch. In any other block a prefix scan over its runs gives their
+    entering states, as two clamps compose to one:
+    ``clip(clip(w, l1, h1), l2, h2) = clip(w, clip(l1, l2, h2), clip(h1, l2, h2))``.
+    Max and min only select values, so the states are exactly those of the
+    sample-by-sample recursion.
     """
     r = model.density.thresholds()
     asc_off = (model.kappa_asc * r)[:, None]
     desc_off = (model.kappa_desc * r)[:, None]
-    yield 0, v[:1], 0, w[:, None]
-    for start, end, direction in _runs(v):
-        if direction == 0:
-            yield start + 1, v[start + 1 : end + 1], 0, w[:, None]
-            continue
-        for i in range(start + 1, end + 1, _BLOCK):
-            seg = v[i : min(i + _BLOCK, end + 1)]
-            if direction > 0:
-                S = np.maximum(model.asc_env(seg) - asc_off, w[:, None])
+    # the first sample of each run after the first, then the end
+    edges = np.append(np.flatnonzero(d[1:] != d[:-1]) + 1, v.size)
+    i = q = 0  # edges[q] is the first run start after sample i
+    while i < v.size:
+        j = min(i + _BLOCK, v.size)
+        mixed = edges[q] < j
+        if mixed:
+            # a run of _LONG or more samples gets blocks of its own; shorter
+            # runs share a block up to the next long run
+            bounds = np.concatenate(([i], edges[q : np.searchsorted(edges, j)], [j]))
+            long = np.flatnonzero(bounds[1:] - bounds[:-1] >= _LONG)
+            k = max(long[0], 1) if long.size else bounds.size - 1
+            j = bounds[k]
+            starts = bounds[1:k] - i  # of the block's runs after the first
+            q += k - 1
+            mixed = k > 1
+        ds = d[i:j]
+        seg = v[i:j]
+        E = w[:, None]
+        if not mixed:
+            if ds[0] > 0:
+                S = model.asc_env(seg) - asc_off
+                np.maximum(S, E, out=S)
+            elif ds[0] < 0:
+                S = model.desc_env(seg) + desc_off
+                np.minimum(S, E, out=S)
             else:
-                S = np.minimum(model.desc_env(seg) + desc_off, w[:, None])
-            yield i, seg, direction, S
-            # a contiguous copy: a strided view changes the next hold's sum
-            w = S[:, -1].copy()
+                S = E
+        else:
+            lo = np.where(ds > 0, model.asc_env(seg), -np.inf) - asc_off
+            hi = np.where(ds < 0, model.desc_env(seg), np.inf) + desc_off
+            # each run's clamp is that of its last sample; a Hillis-Steele
+            # scan composes them in log2(runs) steps
+            ends = np.append(starts, ds.size) - 1
+            L, H = lo[:, ends], hi[:, ends]
+            step = 1
+            while step < ends.size:
+                l2, h2 = L[:, step:], H[:, step:]
+                L[:, step:], H[:, step:] = (_clip(L[:, :-step], l2, h2),
+                                            _clip(H[:, :-step], l2, h2))
+                step *= 2
+            entering = np.concatenate((E, _clip(E, L[:, :-1], H[:, :-1])), axis=1)
+            run = np.zeros(ds.size, dtype=np.intp)
+            run[starts] = 1
+            E = np.take(entering, np.cumsum(run), axis=1)
+            S = _clip(E, lo, hi)
+        yield i, j, S, E
+        # a copy, so that E (a view of w) does not keep this block's S alive
+        w = S[:, -1].copy()
+        i = j
+        q += int(edges[q] == i)
+
+
+def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """``p @ S``, summed over the operators in their order for every column.
+
+    einsum adds row after row of a C-contiguous ``S`` with two or more
+    columns, so the bits of a column do not depend on the others. A single
+    column would be summed as a dot product, so it is doubled first.
+    """
+    k = S.shape[1]
+    S = np.ascontiguousarray(np.repeat(S, 2, axis=1) if k == 1 else S)
+    return np.einsum("m,mn->n", p, S)[:k]
 
 
 def _run_bank(model: GpiModel, v: np.ndarray, w0: np.ndarray):
     """Weighted bank output per sample plus the final bank state."""
-    weights = model.density.weights()
+    p = model.density.weights()
     y = np.empty(v.size)
-    for i, seg, _, S in _walk(model, v, w0):
-        y[i : i + seg.size] = weights @ S
+    for i, j, S, _ in _states(model, v, _directions(v), w0):
+        y[i:j] = _contract(p, S)
     return y, S[:, -1]
-
-
-def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
-    """Forward-mode pass of one fresh bank with linear envelopes.
-
-    Writes the bank output and its exact derivatives into the rows of
-    ``z`` and ``J`` selected by ``rows``. ``slots`` maps bank parameter
-    names (``asc_slope``, ``asc_intercept``, ``desc_slope``,
-    ``desc_intercept``, ``lam``, ``sigma``, ``r1``, ``rn``, ``kappa_desc``)
-    to columns of ``J``; unnamed parameters are held fixed.
-
-    Along ``_walk`` a state that moved off its entering value sits on the
-    branch target ``T`` and takes its tangent; the others keep the
-    entering tangent.
-    """
-    P = J.shape[1]
-
-    def unit(name):
-        u = np.zeros(P)
-        if name in slots:
-            u[slots[name]] = 1.0
-        return u
-
-    d = model.density
-    r = d.thresholds()
-    p = d.weights()
-    frac = np.arange(d.n) / (d.n - 1) if d.n > 1 else np.zeros(1)
-    dr = np.zeros((r.size, P))
-    dr[1:] = np.outer(1.0 - frac, unit("r1")) + np.outer(frac, unit("rn"))
-    dp = p[:, None] * (unit("lam") / d.lam - np.outer(r, unit("sigma")) - d.sigma * dr)
-    # tangents of the branch targets, less the envelope slope term v*a
-    dasc = unit("asc_intercept") - model.kappa_asc * dr
-    ddesc = unit("desc_intercept") + model.kappa_desc * dr + np.outer(r, unit("kappa_desc"))
-    a_asc, a_desc = unit("asc_slope"), unit("desc_slope")
-
-    def put(i, k, yb, Jb):
-        # a hold's single row is broadcast to its k samples
-        sel = rows[i : i + k]
-        np.copyto(z[i : i + k], yb, where=sel)
-        np.copyto(J[i : i + k], Jb, where=sel[:, None])
-
-    # clamped initial state: the tangent of whichever bound is active
-    v0 = float(v[0])
-    w = _init_bank(model, v0)
-    lo = model.asc_env(v0) - model.kappa_asc * r
-    hi = model.desc_env(v0) + model.kappa_desc * r
-    ok = lo <= hi
-    dw = np.zeros((r.size, P))
-    low, high = ok & (lo > 0.0), ok & (hi < 0.0)
-    dw[low] = (v0 * a_asc + dasc)[low]
-    dw[high] = (v0 * a_desc + ddesc)[high]
-
-    for i, seg, direction, S in _walk(model, v, w):
-        dT, a = (dasc, a_asc) if direction > 0 else (ddesc, a_desc)
-        u = seg[: S.shape[1]]  # one sample per column of S
-        moved = (S != w[:, None]).astype(float)
-        pm = p @ moved
-        Jb = moved.T @ (p[:, None] * (dT - dw)) + S.T @ dp + p @ dw
-        Jb += np.outer(u * pm, a)
-        put(i, seg.size, p @ S, Jb)
-        dw = np.where(moved[:, -1:] > 0, seg[-1] * a + dT, dw)
-        w = S[:, -1]
 
 
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
@@ -319,8 +323,7 @@ def _reports_second(model: EgpiModel, v: np.ndarray, prev: float | None) -> np.n
 
     ``prev`` is the input before ``v[0]``, or None on a fresh evaluation.
     """
-    s = np.zeros(v.size)
-    s[1:] = np.sign(np.diff(v))
+    s = _directions(v)
     if prev is not None:
         s[0] = np.sign(v[0] - prev)
     asc = s > 0
@@ -360,30 +363,6 @@ def predict(model, t, v, reset: bool = True) -> np.ndarray:
     if isinstance(model, EgpiModel):
         return egpi_eval(model, t, v, reset=reset)[0]
     return gpi_eval(model, t, v, reset=reset)
-
-
-def predict_jacobian(model, v, slots):
-    """Output of a fresh evaluation and its exact parameter Jacobian.
-
-    One forward-mode tangent pass over either model kind with linear
-    envelopes. ``slots`` holds one dict per bank mapping that bank's
-    parameter names to Jacobian columns (see ``_bank_tangent``); banks may
-    share columns. Returns ``(z, J)`` with ``z`` equal to ``predict(model,
-    t, v)``. Each sample's row is the derivative of the bank it reports.
-    """
-    v = np.asarray(v, dtype=float)
-    banks = model.submodels if isinstance(model, EgpiModel) else [model]
-    if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
-        raise ConfigError("the exact Jacobian needs linear envelopes")
-    z = np.empty(v.size)
-    J = np.empty((v.size, 1 + max(max(s.values()) for s in slots)))
-    if isinstance(model, EgpiModel):
-        use2 = _reports_second(model, v, None)
-        _bank_tangent(banks[0], v, slots[0], z, J, ~use2)
-        _bank_tangent(banks[1], v, slots[1], z, J, use2)
-    else:
-        _bank_tangent(model, v, slots[0], z, J, np.ones(v.size, dtype=bool))
-    return z, J
 
 
 def reference_model() -> EgpiModel:

@@ -3,7 +3,6 @@ import pytest
 
 from hystfit import (
     ConfigError,
-    DomainError,
     LinearEnvelope,
     TanhEnvelope,
     envelope_from_dict,
@@ -30,14 +29,6 @@ def test_eval_accepts_arrays():
     env = LinearEnvelope(a=2.0, b=1.0)
     out = env(np.array([0.0, 1.0, 2.0]))
     assert np.allclose(out, [1.0, 3.0, 5.0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_eval_rejects_nonfinite(bad):
-    with pytest.raises(DomainError):
-        LinearEnvelope(a=1.0, b=0.0)(bad)
-    with pytest.raises(DomainError):
-        TanhEnvelope(c=1.0, d=1.0, e=0.0, f=0.0)(bad)
 
 
 @pytest.mark.parametrize(
@@ -94,7 +85,7 @@ MONOTONE_ENVELOPES = [
 
 @pytest.mark.parametrize("env", MONOTONE_ENVELOPES, ids=repr)
 def test_envelope_is_monotone_in_floating_point(env):
-    # the bank walk takes each state's branch target as already monotone
+    # the bank evaluation takes each state's branch target as already monotone
     # along a monotone input run; a single decreasing step would let a
     # state move against the input
     v = np.sort(np.random.default_rng(13).uniform(-60.0, 60.0, 10**6))

@@ -25,6 +25,7 @@ from hystfit import (
     validate_params,
 )
 from hystfit.fitting import residuals_and_jacobian
+from hystfit.operators import _BLOCK
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -185,7 +186,8 @@ GPI_COLUMNS = [0, 1, 2, 3, 6, 7, 8, 9]  # gpi layout as a subset of the egpi one
 def _tangent_cases():
     """(params, mode, n, signal) over seeded random in-bounds starts plus
     degenerate banks: a single threshold and a crossed-envelope start, all
-    on the sweep input; and one start on the dither input."""
+    on the sweep input; one start on the dither input, and one on the
+    mixed input."""
     rng = np.random.default_rng(11)
     cases = []
     for seed in range(4):
@@ -195,6 +197,9 @@ def _tangent_cases():
         if seed == 0:
             cases.append(pytest.param(p, "egpi", 30, "dither", id="egpi-dither"))
             cases.append(pytest.param(p[GPI_COLUMNS], "gpi", 30, "dither", id="gpi-dither"))
+        if seed == 1:
+            cases.append(pytest.param(p, "egpi", 30, "mixed", id="egpi-mixed"))
+            cases.append(pytest.param(p[GPI_COLUMNS], "gpi", 30, "mixed", id="gpi-mixed"))
     cases.append(pytest.param(recovery_params(1), "egpi", 1, "sweep", id="egpi-n1"))
     cases.append(pytest.param(recovery_params(2)[GPI_COLUMNS], "gpi", 1, "sweep", id="gpi-n1"))
     crossed = recovery_params(3)
@@ -221,7 +226,27 @@ def tangent_data(small_fixture):
     v = np.round((ramp + rng.normal(0.0, 0.1, n)) / 0.1) * 0.1
     base = Trajectory(t=1e-3 * np.arange(n), v=v)
     dither = gen_synthetic(build_model(recovery_params(0), "egpi", SWEEP_FLAG), base, 0.1, seed=21)
-    return {"sweep": small_fixture[3], "dither": dither}
+    return {"sweep": small_fixture[3], "dither": dither, "mixed": _mixed_data()}
+
+
+def _mixed_data():
+    """Long runs across the block edges of the bank evaluation, each
+    followed by a dither: a rise to 10, a dither at the top, a fall
+    through the flag point, a dither around it, and a fall to 0."""
+    rng = np.random.default_rng(22)
+
+    def dither(level, n):
+        return np.round((level + rng.normal(0.0, 0.1, n)) / 0.1) * 0.1
+
+    v = np.concatenate([
+        np.linspace(0.0, 10.0, _BLOCK + 300),
+        dither(10.0, 150),
+        np.linspace(10.0, SWEEP_FLAG, _BLOCK + 100),
+        dither(SWEEP_FLAG, 150),
+        np.linspace(SWEEP_FLAG, 0.0, 400),
+    ])
+    base = Trajectory(t=1e-3 * np.arange(v.size), v=v)
+    return gen_synthetic(build_model(recovery_params(1), "egpi", SWEEP_FLAG), base, 0.1, seed=22)
 
 
 @pytest.mark.parametrize("params,mode,n,signal", TANGENT_CASES)
@@ -248,7 +273,7 @@ def test_tangent_jacobian_matches_central_differences(tangent_data, params, mode
 
 def test_tangent_pass_rejects_tanh_envelopes():
     from hystfit import reference_model
-    from hystfit.operators import predict_jacobian
+    from hystfit.tangent import predict_jacobian
 
     with pytest.raises(ConfigError):
         predict_jacobian(reference_model(), np.linspace(0.0, 1.0, 10), [{"lam": 0}] * 2)

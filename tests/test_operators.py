@@ -18,6 +18,7 @@ from hystfit import (
     predict,
     reference_model,
 )
+from hystfit.operators import _BLOCK
 from hystfit.signals import decaying_sinusoid
 
 IDENTITY = LinearEnvelope(a=1.0, b=0.0)
@@ -196,9 +197,7 @@ def test_gpi_streaming_continuation_matches_batch():
     cut = 700
     y_a = gpi_eval(split, t[:cut], v[:cut])
     y_b = gpi_eval(split, t[cut:], v[cut:], reset=False)
-    # states carry over exactly; the weighted sum may differ by an ulp
-    # because the evaluation slabs have different widths
-    assert np.allclose(np.concatenate([y_a, y_b]), y_all, rtol=0, atol=1e-12)
+    assert np.array_equal(np.concatenate([y_a, y_b]), y_all)
     assert np.array_equal(split.states, whole.states)
 
 
@@ -227,12 +226,16 @@ def _descend_flag_model():
 @pytest.mark.parametrize("signal", ["reference", "dither"])
 def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
     # seeded random splits; each includes 1-sample chunks, and on the
-    # dither input one chunk that lies inside the plateau (all holds)
+    # dither input one chunk that lies inside the plateau (all holds).
+    # The split changes no bit of the output or of the final states, for
+    # the switched model and for its first bank alone.
     if signal == "reference":
         t, v = _demo_input(t_end=10.0)
     else:
         t, v = _dither_input()
-    z_all, active_all = egpi_eval(make_model(), t, v)
+    whole, whole_bank = make_model(), make_model().submodels[0]
+    z_all, active_all = egpi_eval(whole, t, v)
+    y_all = gpi_eval(whole_bank, t, v)
     rng = np.random.default_rng(7)
     for _ in range(10):
         cuts = set(rng.choice(np.arange(1, v.size), size=int(rng.integers(1, 40)), replace=False))
@@ -241,15 +244,19 @@ def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
         if signal == "dither":
             cuts |= {1010, 1090}
         bounds = [0, *sorted(cuts), v.size]
-        model = make_model()
+        model, bank = make_model(), make_model().submodels[0]
         parts = [
             egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
+        y = [gpi_eval(bank, t[a:b], v[a:b], reset=(a == 0)) for a, b in zip(bounds, bounds[1:])]
         z = np.concatenate([part[0] for part in parts])
         active = np.concatenate([part[1] for part in parts])
-        assert np.max(np.abs(z - z_all)) <= 1e-12
+        assert np.array_equal(z, z_all)
         assert np.array_equal(active, active_all)
+        assert np.array_equal(np.concatenate(y), y_all)
+        for got, want in zip([*model.submodels, bank], [*whole.submodels, whole_bank]):
+            assert np.array_equal(got.states, want.states)
 
 
 def test_gpi_states_reflect_final_sample():
@@ -504,3 +511,54 @@ def test_saturated_tanh_matches_bruteforce():
                                  "descend_flag", flag_desc=1.0)
     assert np.max(np.abs(z - np.array(zb))) < 1e-12
     assert np.array_equal(active, np.array(ab))
+
+
+def _crossed_egpi():
+    # the narrow operators of both banks start with an empty band at the
+    # first sample of every input below
+    density = DensitySpec(lam=0.4, sigma=0.3, r1=0.2, rn=1.6, n=8)
+    sub1 = GpiModel(density=density, asc_env=LinearEnvelope(a=1.0, b=2.0),
+                    desc_env=LinearEnvelope(a=1.0, b=0.5))
+    sub2 = GpiModel(density=density, asc_env=LinearEnvelope(a=0.8, b=1.5),
+                    desc_env=LinearEnvelope(a=1.2, b=-0.5), kappa_desc=2.0)
+    return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=0.0)
+
+
+def _long_run_then_dither():
+    """A rise over more than two blocks, then a quantized dither."""
+    rng = np.random.default_rng(3)
+    rise = np.linspace(-5.0, 4.0, 2 * _BLOCK + 37)
+    dither = np.round((4.0 + rng.normal(0.0, 0.03, 700)) / 0.02) * 0.02
+    return np.concatenate([rise, dither])
+
+
+DEGENERATE_INPUTS = {
+    "all-holds": lambda: np.full(40, 1.3),
+    "alternation": lambda: 0.5 + 0.02 * (np.arange(301) % 2),
+    "long-run-then-dither": _long_run_then_dither,
+    "one-sample": lambda: np.array([2.0]),
+}
+
+DEGENERATE_MODELS = {
+    "reference": (reference_model, "two_flag"),
+    "descend-flag": (_descend_flag_model, "descend_flag"),
+    "crossed": (_crossed_egpi, "descend_flag"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make_model,mode", DEGENERATE_MODELS.values(), ids=DEGENERATE_MODELS)
+@pytest.mark.parametrize("make_input", DEGENERATE_INPUTS.values(), ids=DEGENERATE_INPUTS)
+def test_degenerate_inputs_match_bruteforce(make_model, mode, make_input):
+    v = make_input()
+    t = 1e-3 * np.arange(v.size)
+    model = make_model()
+    sub1, sub2 = (oracle_kwargs(sub) for sub in model.submodels)
+    zb, ab = bruteforce.run_egpi(list(v), sub1, sub2, mode,
+                                 flag_asc=model.flag_asc, flag_desc=model.flag_desc)
+    z, active = egpi_eval(model, t, v)
+    assert np.max(np.abs(z - np.array(zb))) < 1e-12
+    assert np.array_equal(active, np.array(ab))
+    for sub, kwargs in zip(make_model().submodels, (sub1, sub2)):
+        y = gpi_eval(sub, t, v)
+        assert np.max(np.abs(y - np.array(bruteforce.run_gpi(list(v), **kwargs)))) < 1e-12
