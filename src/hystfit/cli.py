@@ -41,7 +41,7 @@ from .fileio import (
 )
 from .fitting import FitConfig, lm_fit, param_names, validate_params
 from .metrics import Metrics, compute_metrics
-from .operators import EgpiModel, egpi_outputs, gpi_eval, predict, reference_model
+from .operators import egpi_outputs, predict, reference_model
 from .signals import decaying_sinusoid, detect_flag_point, gen_synthetic
 
 _INPUT_ERRORS = (
@@ -84,12 +84,7 @@ def _cmd_simulate(args):
     else:
         raise ConfigError("simulate needs --params FILE or --reference")
     traj = decaying_sinusoid(t_start=args.t_start, t_end=args.t_end, dt=args.dt)
-    if isinstance(model, EgpiModel):
-        z, active, z1, z2 = egpi_outputs(model, traj.t, traj.v)
-    else:
-        z = gpi_eval(model, traj.t, traj.v)
-        z1 = z2 = z
-        active = np.ones(len(traj), dtype=int)
+    z, active, z1, z2 = egpi_outputs(model, traj.t, traj.v)
     save_simulation(args.out, traj.t, traj.v, z, z1, z2, active)
     print(f"wrote {args.out} ({len(traj)} samples)")
     return 0
@@ -215,11 +210,16 @@ def _fit_all_worker(task):
 
 
 def _cmd_fit_all(args):
-    os.makedirs(args.out_dir, exist_ok=True)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     tasks = [
         (data, mode, _make_config(args, mode), args.eps) for data in args.data for mode in modes
     ]
+    stems = [os.path.splitext(os.path.basename(d))[0] + f".{m}" for d, m, _, _ in tasks]
+    for k, stem in enumerate(stems):
+        if stem in stems[:k]:
+            first = tasks[stems.index(stem)][0]
+            raise ConfigError(f"{first} and {tasks[k][0]} would both write {stem}.*; rename one")
+    os.makedirs(args.out_dir, exist_ok=True)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_fit_all_worker, tasks))
@@ -229,12 +229,11 @@ def _cmd_fit_all(args):
         _print_flag(v_f)
     rows = []
     failures = []
-    for data, mode, _, result in outcomes:
+    for stem, (data, mode, _, result) in zip(stems, outcomes):
         if isinstance(result, Exception):
             print(f"{data} [{mode}]: failed: {result}", file=sys.stderr)
             failures.append(result)
             continue
-        stem = os.path.splitext(os.path.basename(data))[0] + f".{mode}"
         prefix = os.path.join(args.out_dir, stem)
         save_fit_result(prefix + ".result.json", result, dataset=data)
         save_model(prefix + ".model.json", result.model(), source=data)

@@ -22,7 +22,7 @@ from . import __version__
 from .envelopes import envelope_from_dict
 from .errors import ConfigError, InputError, check_number
 from .metrics import Metrics
-from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode
+from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, _banks
 from .signals import Trajectory
 
 MODE_TAGS = {
@@ -163,25 +163,21 @@ def _submodel_doc(m: GpiModel) -> dict:
 def model_to_doc(model, units: dict | None = None, source: str = "") -> dict:
     """Serializable document for a model, schema shared by save/load."""
     if isinstance(model, GpiModel):
-        mode = "gpi"
-        density = model.density
-        submodels = [_submodel_doc(model)]
-        flags = {}
+        mode, flags = "gpi", {}
     elif isinstance(model, EgpiModel):
-        sub1, sub2 = model.submodels
-        if sub1.density != sub2.density:
-            raise ConfigError("model file format requires one density shared by both banks")
-        density = sub1.density
-        submodels = [_submodel_doc(sub1), _submodel_doc(sub2)]
         mode = next(tag for tag, switch in MODE_TAGS.items() if switch is model.mode)
         flags = {"v_f_asc": model.flag_asc, "v_f_desc": model.flag_desc}
         flags = {key: x for key, x in flags.items() if x is not None}
     else:
         raise ConfigError(f"cannot serialize object of type {type(model).__name__}")
+    banks = _banks(model)
+    density = banks[0].density
+    if any(b.density != density for b in banks):
+        raise ConfigError("model file format requires one density shared by both banks")
     return {
         "mode": mode,
         "density": _density_doc(density),
-        "submodels": submodels,
+        "submodels": [_submodel_doc(b) for b in banks],
         "flags": flags,
         "units": dict(units or DEFAULT_UNITS),
         "meta": {"created": _created_stamp(), "tool_version": __version__, "source": source},

@@ -126,31 +126,26 @@ def project_params(params, mode: str) -> np.ndarray:
 
 
 def build_model(params, mode: str, v_f: float | None = None, n: int = 30):
-    """Materialize the model a parameter vector describes."""
+    """Materialize the model a parameter vector describes.
+
+    One bank per ``_bank_slots`` entry, so the model and its Jacobian read
+    one layout. All banks share the density and the ascending envelope.
+    """
     params = validate_params(params, mode)
-    if mode == "gpi":
-        a1, a2, a3, a4, lam, sigma, r1, rn = params
-        density = DensitySpec(lam=lam, sigma=sigma, r1=r1, rn=rn, n=n)
-        return GpiModel(
-            density=density,
-            asc_env=LinearEnvelope(a=a1, b=a2),
-            desc_env=LinearEnvelope(a=a3, b=a4),
-        )
-    if v_f is None:
+    if mode == "egpi" and v_f is None:
         raise ConfigError("egpi mode requires a flag point v_f")
-    a1, a2, a3, a4, a5, a6, lam, sigma, r1, rn, kappa = params
-    density = DensitySpec(lam=lam, sigma=sigma, r1=r1, rn=rn, n=n)
-    asc = LinearEnvelope(a=a1, b=a2)
-    sub1 = GpiModel(density=density, asc_env=asc, desc_env=LinearEnvelope(a=a3, b=a4))
-    sub2 = GpiModel(
-        density=density,
-        asc_env=asc,
-        desc_env=LinearEnvelope(a=a5, b=a6),
-        kappa_desc=kappa,
-    )
-    return EgpiModel(
-        submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=float(v_f)
-    )
+    values = [{name: params[i] for name, i in s.items()} for s in _bank_slots(mode)]
+    shared = values[0]  # the density and the ascending envelope of every bank
+    density = DensitySpec(**{k: shared[k] for k in ("lam", "sigma", "r1", "rn")}, n=n)
+    asc = LinearEnvelope(a=shared["asc_slope"], b=shared["asc_intercept"])
+    banks = [
+        GpiModel(density, asc, LinearEnvelope(a=b["desc_slope"], b=b["desc_intercept"]),
+                 kappa_desc=b.get("kappa_desc", 1.0))
+        for b in values
+    ]
+    if mode == "gpi":
+        return banks[0]
+    return EgpiModel(submodels=banks, mode=SwitchMode.DESCEND_FLAG, flag_desc=float(v_f))
 
 
 def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
@@ -341,7 +336,8 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     shrinks) and retried with larger mu otherwise; every step is projected
     onto the bounds. Stops on relative loss change, gradient norm,
     max_iterations, or when no improving step exists within the damping
-    budget. Returns the best parameters seen.
+    budget. A step is taken only if it lowers the loss, so the last
+    parameters are the best seen.
     """
     config = config or FitConfig()
     if traj.theta is None:
@@ -363,7 +359,6 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     e, J = residuals_and_jacobian(p, traj, v_f, mode, n)
     loss = float(e @ e)
     trace = [loss]
-    best_p, best_loss = p.copy(), loss
     mu = config.mu0
     converged = False
     reason = "max_iterations"
@@ -372,13 +367,12 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     for iterations in range(1, config.max_iterations + 1):
         if iterations > 1:  # p moved on the last accepted step
             _, J = residuals_and_jacobian(p, traj, v_f, mode, n)
-        grad = 2.0 * (J.T @ e)
-        if float(np.max(np.abs(grad))) < config.grad_tol:
+        Jte = J.T @ e
+        if float(np.max(np.abs(2.0 * Jte))) < config.grad_tol:
             converged = True
             reason = "grad_tol"
             break
         JtJ = J.T @ J
-        Jte = J.T @ e
         diag = np.diag(JtJ).copy()
         diag[diag <= 0] = 1e-12  # keep damping effective for dead columns
         stop = None
@@ -403,8 +397,6 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
                 drop = (loss - loss_new) / loss
                 p, e, loss = cand, e_new, loss_new
                 trace.append(loss)
-                if loss < best_loss:
-                    best_p, best_loss = p.copy(), loss
                 mu = max(mu / config.mu_down, 1e-15)
                 if drop < config.loss_tol:
                     stop = ("loss_tol", True)
@@ -417,15 +409,14 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
             reason, converged = stop
             break
 
-    pred = residuals(best_p, traj, v_f, mode, n) + traj.theta
     return FitResult(
-        params=best_p,
+        params=p,
         mode=mode,
         v_f=v_f,
         loss_trace=trace,
         iterations=iterations,
         converged=converged,
         reason=reason,
-        metrics=compute_metrics(traj.theta, pred),
+        metrics=compute_metrics(traj.theta, e + traj.theta),
         n_operators=n,
     )

@@ -318,11 +318,19 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     return y[drop:]
 
 
-def _reports_second(model: EgpiModel, v: np.ndarray, prev: float | None) -> np.ndarray:
+def _banks(model) -> list[GpiModel]:
+    """The banks of either model kind; a ``GpiModel`` is its own one bank."""
+    return model.submodels if isinstance(model, EgpiModel) else [model]
+
+
+def _reports_second(model, v: np.ndarray, prev: float | None) -> np.ndarray:
     """Per-sample flag switching: True where submodel 2 is reported.
 
     ``prev`` is the input before ``v[0]``, or None on a fresh evaluation.
+    A ``GpiModel`` never switches.
     """
+    if isinstance(model, GpiModel):
+        return np.zeros(v.size, dtype=bool)
     s = _directions(v)
     if prev is not None:
         s[0] = np.sign(v[0] - prev)
@@ -332,37 +340,37 @@ def _reports_second(model: EgpiModel, v: np.ndarray, prev: float | None) -> np.n
     return ~asc & (v <= model.flag_desc)
 
 
-def egpi_outputs(model: EgpiModel, t, v, reset: bool = True):
-    """One pass of each submodel: ``(z, active, z1, z2)``.
+def egpi_outputs(model, t, v, reset: bool = True):
+    """One pass of each bank: ``(z, active, z1, z2)``.
 
     ``z1`` and ``z2`` are the submodel outputs; ``z`` and ``active`` are
-    what ``egpi_eval`` returns.
+    what ``egpi_eval`` returns. A ``GpiModel`` gives ``z1 = z2 = z`` and
+    ``active = 1``.
     """
-    sub1, sub2 = model.submodels
-    prev = sub1.last_input if (not reset and sub1.states is not None) else None
-    z1 = gpi_eval(sub1, t, v, reset=reset)
-    z2 = gpi_eval(sub2, t, v, reset=reset)
+    banks = _banks(model)
+    prev = banks[0].last_input if (not reset and banks[0].states is not None) else None
+    outs = [gpi_eval(bank, t, v, reset=reset) for bank in banks]
+    z1, z2 = outs[0], outs[-1]
     use2 = _reports_second(model, np.asarray(v, dtype=float), prev)
     return np.where(use2, z2, z1), np.where(use2, 2, 1), z1, z2
 
 
-def egpi_eval(model: EgpiModel, t, v, reset: bool = True):
-    """Evaluate both submodels and select the reported output per sample.
+def egpi_eval(model, t, v, reset: bool = True):
+    """Evaluate every bank and select the reported output per sample.
 
     Returns ``(z, active)`` where ``active`` is 1 or 2 for the submodel
     whose output is reported. Ascending samples with input at or past the
     ascending flag select submodel 2, as do non-ascending samples at or
     below the descending flag; in descend-flag mode ascending samples
-    always report submodel 1. Holds follow the non-ascending rule.
+    always report submodel 1. Holds follow the non-ascending rule. A
+    ``GpiModel`` is the one-bank case: it always reports its bank.
     """
     return egpi_outputs(model, t, v, reset)[:2]
 
 
 def predict(model, t, v, reset: bool = True) -> np.ndarray:
     """Forward-evaluate either model kind, returning the output series."""
-    if isinstance(model, EgpiModel):
-        return egpi_eval(model, t, v, reset=reset)[0]
-    return gpi_eval(model, t, v, reset=reset)
+    return egpi_eval(model, t, v, reset=reset)[0]
 
 
 def reference_model() -> EgpiModel:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .envelopes import LinearEnvelope
 from .errors import ConfigError
-from .operators import EgpiModel, GpiModel, _contract, _directions, _init_bank, _reports_second, _states
+from .operators import GpiModel, _banks, _contract, _directions, _init_bank, _reports_second, _states
 
 
 def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
@@ -49,14 +49,12 @@ def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
     ddesc = unit("desc_intercept") + model.kappa_desc * dr + np.outer(r, unit("kappa_desc"))
     a_asc, a_desc = unit("asc_slope"), unit("desc_slope")
 
-    # clamped initial state: the tangent of whichever bound is active
+    # clamped initial state: the tangent of whichever bound is active. As
+    # w = clip(0, lo, hi), a state above 0 sits on lo and one below 0 on hi.
     v0 = float(v[0])
     w = _init_bank(model, v0)
-    lo = model.asc_env(v0) - model.kappa_asc * r
-    hi = model.desc_env(v0) + model.kappa_desc * r
-    ok = lo <= hi
     dw = np.zeros((r.size, P))
-    low, high = ok & (lo > 0.0), ok & (hi < 0.0)
+    low, high = w > 0.0, w < 0.0
     dw[low] = (v0 * a_asc + dasc)[low]
     dw[high] = (v0 * a_desc + ddesc)[high]
 
@@ -102,15 +100,12 @@ def predict_jacobian(model, v, slots):
     t, v)``. Each sample's row is the derivative of the bank it reports.
     """
     v = np.asarray(v, dtype=float)
-    banks = model.submodels if isinstance(model, EgpiModel) else [model]
+    banks = _banks(model)
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
     z = np.empty(v.size)
     J = np.empty((v.size, 1 + max(max(s.values()) for s in slots)))
-    if isinstance(model, EgpiModel):
-        use2 = _reports_second(model, v, None)
-        _bank_tangent(banks[0], v, slots[0], z, J, ~use2)
-        _bank_tangent(banks[1], v, slots[1], z, J, use2)
-    else:
-        _bank_tangent(model, v, slots[0], z, J, np.ones(v.size, dtype=bool))
+    use2 = _reports_second(model, v, None)
+    for bank, bank_slots, rows in zip(banks, slots, (~use2, use2)):
+        _bank_tangent(bank, v, bank_slots, z, J, rows)
     return z, J

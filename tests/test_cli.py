@@ -5,7 +5,7 @@ import pytest
 
 from fixtures import SWEEP_FLAG, recovery_params, sweep_input
 
-from hystfit import Trajectory, build_model, gen_synthetic, predict, reference_model
+from hystfit import Trajectory, build_model, gen_synthetic, gpi_eval, predict, reference_model
 from hystfit.cli import main
 from hystfit.fileio import load_dataset, load_model, model_to_doc, save_dataset, save_model
 
@@ -67,7 +67,11 @@ def test_simulate_gpi_model_file(tmp_path, small_data):
     assert run("simulate", "--params", gpi_path, "--t-end", 2.0, "--out", out) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "t,v,z,z1,z2,active"
-    assert lines[1].endswith(",1")
+    rows = np.genfromtxt(out, delimiter=",", names=True)
+    assert np.array_equal(rows["z1"], rows["z"])
+    assert np.array_equal(rows["z2"], rows["z"])
+    assert np.all(rows["active"] == 1)
+    assert np.array_equal(rows["z"], gpi_eval(load_model(gpi_path), rows["t"], rows["v"]))
 
 
 # ---------------------------------------------------------------- generate
@@ -425,6 +429,28 @@ def test_fit_all_parallel_jobs(tmp_path):
     s = json.loads((out_serial / "d.egpi.result.json").read_text())
     p = json.loads((out_par / "d.egpi.result.json").read_text())
     assert s["params"] == p["params"]
+
+
+@pytest.mark.parametrize("names,modes", [
+    (["a/data.csv", "b/data.csv"], "gpi"),
+    (["a.csv", "x/a.txt"], "gpi"),
+    (["a.csv"], "egpi,egpi"),
+])
+def test_fit_all_rejects_shared_output_stem(tmp_path, capsys, names, modes):
+    # two tasks that would write the same <stem>.<mode> files: exit 2 before
+    # any fit runs, naming both inputs, with nothing written
+    paths = [tmp_path / name for name in names]
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("not a dataset\n")
+    out_dir = tmp_path / "out"
+    code = run("fit-all", "--data", *paths, "--modes", modes, "--flag-point", SWEEP_FLAG,
+               "--out-dir", out_dir)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{paths[0]} and {paths[-1]} would both write" in err
+    assert "failed" not in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -14,6 +14,7 @@ from hystfit import (
     ParameterError,
     Trajectory,
     build_model,
+    compute_metrics,
     default_initial_guess,
     gen_synthetic,
     jacobian_fd,
@@ -346,6 +347,14 @@ def test_lm_fit_final_loss_matches_residuals(small_fixture):
     )
     res = residuals(result.params, noisy, SWEEP_FLAG, "egpi")
     assert result.loss_trace[-1] == pytest.approx(float(res @ res), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["egpi", "gpi"])
+def test_lm_fit_metrics_are_those_of_the_returned_model(small_fixture, mode):
+    _, _, _, noisy = small_fixture
+    result = lm_fit(noisy, FitConfig(v_f=SWEEP_FLAG, max_iterations=10), mode=mode)
+    prediction = predict(result.model(), noisy.t, noisy.v)
+    assert result.metrics == compute_metrics(noisy.theta, prediction)
 
 
 def test_lm_fit_rejects_bad_input(small_fixture):

@@ -18,7 +18,7 @@ from hystfit import (
     predict,
     reference_model,
 )
-from hystfit.operators import _BLOCK
+from hystfit.operators import _BLOCK, _banks
 from hystfit.signals import decaying_sinusoid
 
 IDENTITY = LinearEnvelope(a=1.0, b=0.0)
@@ -221,20 +221,28 @@ def _descend_flag_model():
     return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=1.0)
 
 
+def _second_reference_bank():
+    return reference_model().submodels[1]
+
+
 @pytest.mark.filterwarnings("ignore:empty play band")
-@pytest.mark.parametrize("make_model", [reference_model, _descend_flag_model])
+@pytest.mark.parametrize("make_model", [reference_model, _descend_flag_model,
+                                        _second_reference_bank])
 @pytest.mark.parametrize("signal", ["reference", "dither"])
 def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
     # seeded random splits; each includes 1-sample chunks, and on the
     # dither input one chunk that lies inside the plateau (all holds).
     # The split changes no bit of the output or of the final states, for
-    # the switched model and for its first bank alone.
+    # the model (switched, or one bank that always reports itself) and
+    # for its first bank alone.
     if signal == "reference":
         t, v = _demo_input(t_end=10.0)
     else:
         t, v = _dither_input()
-    whole, whole_bank = make_model(), make_model().submodels[0]
+    whole, whole_bank = make_model(), _banks(make_model())[0]
     z_all, active_all = egpi_eval(whole, t, v)
+    if isinstance(whole, GpiModel):
+        assert np.all(active_all == 1)
     y_all = gpi_eval(whole_bank, t, v)
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -244,7 +252,7 @@ def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
         if signal == "dither":
             cuts |= {1010, 1090}
         bounds = [0, *sorted(cuts), v.size]
-        model, bank = make_model(), make_model().submodels[0]
+        model, bank = make_model(), _banks(make_model())[0]
         parts = [
             egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))
             for a, b in zip(bounds[:-1], bounds[1:])
@@ -255,7 +263,7 @@ def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
         assert np.array_equal(z, z_all)
         assert np.array_equal(active, active_all)
         assert np.array_equal(np.concatenate(y), y_all)
-        for got, want in zip([*model.submodels, bank], [*whole.submodels, whole_bank]):
+        for got, want in zip([*_banks(model), bank], [*_banks(whole), whole_bank]):
             assert np.array_equal(got.states, want.states)
 
 

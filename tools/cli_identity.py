@@ -1,0 +1,122 @@
+"""Check that the CLI writes the same bytes as at an earlier revision.
+
+Usage::
+
+    python tools/cli_identity.py BASE_REV
+
+Exports ``git archive BASE_REV src`` to a temporary directory and runs one
+fixed CLI scenario twice: against that tree and against the working tree.
+Each command is a subprocess with ``PYTHONPATH=<tree>/src`` and
+``SOURCE_DATE_EPOCH=0``, run in a fresh directory per tree. The scenario
+writes the model from the README's "Model JSON" section (and its
+one-bank GPI variant), generates its datasets with ``hystfit generate``,
+then runs ``simulate``, ``fit`` (egpi and gpi), ``evaluate``,
+``fit-all --jobs 2`` and ``report``.
+
+Every file the scenario leaves and every command's stdout and exit code
+are compared byte for byte, one line per item. Exits 1 if anything
+differs, 0 otherwise. Needs git and the Python standard library.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the README's model file, descend-flag mode with the flag at 6.0
+README_MODEL = {
+    "mode": "egpi_descend_flag",
+    "density": {"lambda": 0.05, "sigma": 0.2, "r1": 0.3, "rn": 2.5, "n": 30},
+    "submodels": [
+        {"asc_env": {"family": "linear", "a": 3.1, "b": 0.8},
+         "desc_env": {"family": "linear", "a": 3.2, "b": 5.0},
+         "kappa_asc": 1.0, "kappa_desc": 1.0},
+        {"asc_env": {"family": "linear", "a": 3.1, "b": 0.8},
+         "desc_env": {"family": "linear", "a": 2.1, "b": 0.2},
+         "kappa_asc": 1.0, "kappa_desc": 3.0},
+    ],
+    "flags": {"v_f_desc": 6.0},
+    "units": {"input": "count", "output": "deg"},
+}
+GPI_MODEL = {**README_MODEL, "mode": "gpi", "submodels": README_MODEL["submodels"][:1],
+             "flags": {}}
+
+SHORT = ("--t-end", "4", "--dt", "2e-3")
+SCENARIO = (
+    ("simulate", "--reference", *SHORT, "--out", "reference.csv"),
+    ("simulate", "--params", "model.json", *SHORT, "--out", "sim_egpi.csv"),
+    ("simulate", "--params", "gpi.json", *SHORT, "--out", "sim_gpi.csv"),
+    ("generate", "--params", "model.json", *SHORT, "--noise-std", "0.1", "--seed", "3",
+     "--out", "data.csv"),
+    ("generate", "--params", "model.json", *SHORT, "--noise-std", "0.1", "--seed", "4",
+     "--out", "data2.csv"),
+    ("fit", "--data", "data.csv", "--mode", "egpi", "--flag-point", "6.0",
+     "--out-prefix", "fit_egpi"),
+    ("fit", "--data", "data.csv", "--mode", "gpi", "--out-prefix", "fit_gpi"),
+    ("evaluate", "--data", "data.csv", "--params", "fit_egpi.model.json",
+     "--out", "eval_egpi.csv"),
+    ("evaluate", "--data", "data.csv", "--params", "fit_gpi.model.json", "--absolute",
+     "--out", "eval_gpi.csv"),
+    ("fit-all", "--data", "data.csv", "data2.csv", "--flag-point", "6.0", "--jobs", "2",
+     "--out-dir", "fits"),
+    ("report", "--results", "fits/data.egpi.result.json", "fits/data.gpi.result.json",
+     "fits/data2.egpi.result.json", "fits/data2.gpi.result.json", "--out", "summary.json"),
+)
+
+
+def export_src(rev: str, dest: Path) -> None:
+    """Unpack ``src/`` as of ``rev`` into ``dest``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest)
+
+
+def run_scenario(src: Path, work: Path) -> dict[str, bytes]:
+    """Run the scenario in ``work``; returns its outputs by name."""
+    work.mkdir()
+    for name, doc in (("model.json", README_MODEL), ("gpi.json", GPI_MODEL)):
+        (work / name).write_text(json.dumps(doc, indent=2) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0"}
+    outputs = {}
+    for k, argv in enumerate(SCENARIO, start=1):
+        proc = subprocess.run([sys.executable, "-m", "hystfit", *argv], cwd=work, env=env,
+                              capture_output=True)
+        outputs[f"stdout {k:02d} {argv[0]}"] = b"exit %d\n" % proc.returncode + proc.stdout
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            outputs[path.relative_to(work).as_posix()] = path.read_bytes()
+    return outputs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/cli_identity.py BASE_REV", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        export_src(argv[0], tmp / "base")
+        base = run_scenario(tmp / "base" / "src", tmp / "run-base")
+        head = run_scenario(ROOT / "src", tmp / "run-head")
+    differ = 0
+    for name in sorted(base.keys() | head.keys()):
+        if name not in head or name not in base:
+            verdict = "only in " + ("base" if name in base else "working tree")
+        else:
+            verdict = "identical" if base[name] == head[name] else "DIFFERS"
+        differ += verdict != "identical"
+        print(f"{verdict:<18} {name}")
+    print(f"{len(base.keys() | head.keys()) - differ} identical, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
