@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .fileio import (
     save_simulation,
     write_report,
 )
-from .fitting import FitConfig, lm_fit, param_names, validate_params
+from .fitting import FIT_MODES, FitConfig, lm_fit, param_names, validate_params
 from .metrics import Metrics, compute_metrics
 from .operators import egpi_outputs, predict, reference_model
 from .signals import decaying_sinusoid, detect_flag_point, gen_synthetic
@@ -134,14 +135,15 @@ def _make_config(args, mode) -> FitConfig:
 
 
 def _resolve_flag(traj, config, eps, mode):
-    """Detect the flag point an egpi fit lacks; returns it, or None if not detected."""
+    """``(config to fit with, detected flag)``: detects the flag point an egpi
+    fit lacks; the flag is None, and the config the one given, otherwise."""
     if mode != "egpi" or config.v_f is not None:
-        return None
+        return config, None
     try:
-        config.v_f = detect_flag_point(traj, eps=eps)
+        v_f = detect_flag_point(traj, eps=eps)
     except DetectionError as exc:
         raise DetectionError(f"{exc}; rerun with --flag-point VALUE") from None
-    return config.v_f
+    return replace(config, v_f=v_f), v_f
 
 
 def _print_flag(v_f):
@@ -151,8 +153,8 @@ def _print_flag(v_f):
 
 def _cmd_fit(args):
     traj = load_dataset(args.data)
-    config = _make_config(args, args.mode)
-    _print_flag(_resolve_flag(traj, config, args.eps, args.mode))
+    config, v_f = _resolve_flag(traj, _make_config(args, args.mode), args.eps, args.mode)
+    _print_flag(v_f)
     result = lm_fit(traj, config, mode=args.mode)
     prefix = args.out_prefix or os.path.splitext(args.data)[0]
     result_path = prefix + ".result.json"
@@ -203,7 +205,7 @@ def _fit_all_worker(task):
     dataset_path, mode, config, eps = task
     try:
         traj = load_dataset(dataset_path)
-        v_f = _resolve_flag(traj, config, eps, mode)
+        config, v_f = _resolve_flag(traj, config, eps, mode)
         return dataset_path, mode, v_f, lm_fit(traj, config, mode=mode)
     except _HANDLED_ERRORS as exc:
         return dataset_path, mode, None, exc
@@ -211,6 +213,8 @@ def _fit_all_worker(task):
 
 def _cmd_fit_all(args):
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes or not set(modes) <= set(FIT_MODES):
+        raise ConfigError(f"--modes must list fit modes from {FIT_MODES}, got {args.modes!r}")
     tasks = [
         (data, mode, _make_config(args, mode), args.eps) for data in args.data for mode in modes
     ]
@@ -297,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="identify model parameters from a dataset")
     p.add_argument("--data", required=True, help="dataset CSV with theta column")
-    p.add_argument("--mode", choices=("egpi", "gpi"), default="egpi")
+    p.add_argument("--mode", choices=FIT_MODES, default="egpi")
     p.add_argument("--config", help="fit configuration JSON")
     p.add_argument("--flag-point", type=float,
                    help="descending-branch flag point (default: detect from data)")

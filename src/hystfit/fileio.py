@@ -160,7 +160,7 @@ def _submodel_doc(m: GpiModel) -> dict:
     }
 
 
-def model_to_doc(model, units: dict | None = None, source: str = "") -> dict:
+def model_to_doc(model, source: str = "") -> dict:
     """Serializable document for a model, schema shared by save/load."""
     if isinstance(model, GpiModel):
         mode, flags = "gpi", {}
@@ -179,7 +179,7 @@ def model_to_doc(model, units: dict | None = None, source: str = "") -> dict:
         "density": _density_doc(density),
         "submodels": [_submodel_doc(b) for b in banks],
         "flags": flags,
-        "units": dict(units or DEFAULT_UNITS),
+        "units": dict(DEFAULT_UNITS),
         "meta": {"created": _created_stamp(), "tool_version": __version__, "source": source},
     }
 
@@ -240,8 +240,8 @@ def model_from_doc(doc: dict):
     )
 
 
-def save_model(path, model, units=None, source=""):
-    doc = model_to_doc(model, units=units, source=source)
+def save_model(path, model, source=""):
+    doc = model_to_doc(model, source=source)
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
     return doc
 
@@ -268,9 +268,9 @@ def load_model(path):
 
 # ------------------------------------------------------------- fit output
 
-def fit_result_to_doc(result, dataset: str = "", units=None) -> dict:
+def fit_result_to_doc(result, dataset: str = "") -> dict:
     """FitResult document embedding the fitted model's own document."""
-    model_doc = model_to_doc(result.model(), units=units, source=dataset)
+    model_doc = model_to_doc(result.model(), source=dataset)
     return {
         "fit_mode": result.mode,
         "dataset": dataset,
@@ -286,8 +286,8 @@ def fit_result_to_doc(result, dataset: str = "", units=None) -> dict:
     }
 
 
-def save_fit_result(path, result, dataset: str = "", units=None) -> dict:
-    doc = fit_result_to_doc(result, dataset=dataset, units=units)
+def save_fit_result(path, result, dataset: str = "") -> dict:
+    doc = fit_result_to_doc(result, dataset=dataset)
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
     return doc
 

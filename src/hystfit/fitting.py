@@ -65,6 +65,9 @@ FIT_MODES = ("egpi", "gpi")
 
 # open (> 0) constraints are projected onto this floor
 _FLOOR = 1e-6
+# damping: mu falls by _MU_STEP on an accepted step and rises by it on a rejected one
+_MU_STEP = 10.0
+_MU_MAX = 1e12
 
 
 def param_names(mode: str) -> tuple[str, ...]:
@@ -230,15 +233,12 @@ def jacobian_fd(
     return J
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings; every default is an artifact choice."""
 
     max_iterations: int = 200
     mu0: float = 1e-3
-    mu_up: float = 10.0
-    mu_down: float = 10.0
-    mu_max: float = 1e12
     loss_tol: float = 1e-9
     grad_tol: float = 1e-8
     n_operators: int = 30
@@ -251,7 +251,7 @@ class FitConfig:
 
         if field("max_iterations", integer=True) < 1:
             raise ConfigError("max_iterations must be >= 1")
-        for name in ("mu0", "mu_up", "mu_down", "mu_max", "loss_tol", "grad_tol"):
+        for name in ("mu0", "loss_tol", "grad_tol"):
             if field(name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
         if field("n_operators", integer=True) < 1:
@@ -382,10 +382,10 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
             except np.linalg.LinAlgError:
                 delta = None
             if delta is None or not np.all(np.isfinite(delta)):
-                mu *= config.mu_up
-                if mu > config.mu_max:
+                mu *= _MU_STEP
+                if mu > _MU_MAX:
                     err = NumericalError(
-                        "damped normal equations remained singular past mu_max"
+                        f"damped normal equations remained singular past mu={_MU_MAX:g}"
                     )
                     err.loss_trace = trace
                     raise err
@@ -397,12 +397,12 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
                 drop = (loss - loss_new) / loss
                 p, e, loss = cand, e_new, loss_new
                 trace.append(loss)
-                mu = max(mu / config.mu_down, 1e-15)
+                mu = max(mu / _MU_STEP, 1e-15)
                 if drop < config.loss_tol:
                     stop = ("loss_tol", True)
                 break
-            mu *= config.mu_up
-            if mu > config.mu_max:
+            mu *= _MU_STEP
+            if mu > _MU_MAX:
                 stop = ("stalled", False)
                 break
         if stop is not None:

@@ -9,9 +9,9 @@ model; two banks plus flag-point output switching form the two-stage
 model that captures multiple dead zones per monotonic sweep.
 
 Direction is the sign of each sample-to-sample input difference. The
-first sample of a fresh evaluation has no predecessor and is treated as
-at rest. Exact input repeats take the hold branch; there is no epsilon
-band around zero rate.
+first sample steps from the last input seen, or is at rest in a fresh
+evaluation. Exact input repeats take the hold branch; there is no
+epsilon band around zero rate.
 """
 
 from __future__ import annotations
@@ -43,12 +43,15 @@ class DensitySpec:
     n: int
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError(f"density scale lam must be > 0, got {self.lam}")
-        if self.sigma < 0:
-            raise ConfigError(f"density decay sigma must be >= 0, got {self.sigma}")
-        if self.r1 <= 0:
-            raise ConfigError(f"first threshold r1 must be > 0, got {self.r1}")
+        # written so that NaN fails each check
+        if not 0 < self.lam < np.inf:
+            raise ConfigError(f"density scale lam must be finite and > 0, got {self.lam}")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError(f"density decay sigma must be finite and >= 0, got {self.sigma}")
+        if not 0 < self.r1 < np.inf:
+            raise ConfigError(f"first threshold r1 must be finite and > 0, got {self.r1}")
+        if not np.isfinite(self.rn):
+            raise ConfigError(f"last threshold rn must be finite, got {self.rn}")
         if self.n < 1:
             raise ConfigError(f"threshold count n must be >= 1, got {self.n}")
         if self.n > 1 and self.r1 > self.rn:
@@ -88,13 +91,13 @@ class GpiModel:
     desc_env: Envelope
     kappa_asc: float = 1.0
     kappa_desc: float = 1.0
-    states: np.ndarray | None = field(default=None, repr=False, compare=False)
-    last_input: float | None = field(default=None, repr=False, compare=False)
+    states: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    last_input: float | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kappa_asc <= 0 or self.kappa_desc <= 0:
+        if not (0 < self.kappa_asc < np.inf and 0 < self.kappa_desc < np.inf):
             raise ConfigError(
-                f"regulators must be > 0, got kappa_asc={self.kappa_asc}, "
+                f"regulators must be finite and > 0, got kappa_asc={self.kappa_asc}, "
                 f"kappa_desc={self.kappa_desc}"
             )
 
@@ -129,6 +132,8 @@ class EgpiModel:
                 raise ConfigError("two-flag mode requires both flag_asc and flag_desc")
         elif self.flag_desc is None or self.flag_asc is not None:
             raise ConfigError("descend-flag mode requires flag_desc and no flag_asc")
+        if not all(np.isfinite(f) for f in (self.flag_asc, self.flag_desc) if f is not None):
+            raise ConfigError(f"flags must be finite, got {self.flag_asc}, {self.flag_desc}")
 
 
 def _validate_series(t, *series):
@@ -184,10 +189,13 @@ _BLOCK = 512
 _LONG = 64
 
 
-def _directions(v: np.ndarray) -> np.ndarray:
-    """Sign of each sample's step from its predecessor; the first is at rest."""
+def _directions(v: np.ndarray, prev: float | None = None) -> np.ndarray:
+    """Sign of each sample's step from its predecessor; ``v[0]`` steps from
+    ``prev``, and without one (a fresh evaluation) is at rest."""
     d = np.zeros(v.size)
     np.sign(np.subtract(v[1:], v[:-1], out=d[1:]), out=d[1:])
+    if prev is not None:
+        d[0] = np.sign(v[0] - prev)
     return d
 
 
@@ -197,8 +205,8 @@ def _clip(x, lo, hi):
 
 
 def _states(model: GpiModel, v: np.ndarray, d: np.ndarray, w: np.ndarray):
-    """Bank states along ``v`` (directions ``d = _directions(v)``),
-    starting from the state ``w`` at ``v[0]``.
+    """Bank states along ``v`` (directions ``d = _directions(v, prev)``),
+    starting from the state ``w`` before the step to ``v[0]``.
 
     Yields ``(i, j, S, E)`` per block ``v[i:j]`` of at most ``_BLOCK``
     samples: ``S`` holds the states (operators x samples) and ``E`` the
@@ -285,11 +293,12 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def _run_bank(model: GpiModel, v: np.ndarray, w0: np.ndarray):
-    """Weighted bank output per sample plus the final bank state."""
+def _run_bank(model: GpiModel, v: np.ndarray, w0: np.ndarray, prev: float | None):
+    """Weighted bank output per sample plus the final bank state, from the
+    state ``w0`` reached at ``prev``, the input before ``v[0]`` (or None)."""
     p = model.density.weights()
     y = np.empty(v.size)
-    for i, j, S, _ in _states(model, v, _directions(v), w0):
+    for i, j, S, _ in _states(model, v, _directions(v, prev), w0):
         y[i:j] = _contract(p, S)
     return y, S[:, -1]
 
@@ -304,18 +313,12 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     either way.
     """
     t, v = _validate_series(t, v)
-    if reset or model.states is None:
-        w0 = _init_bank(model, v[0])
-        vv = v
-        drop = 0
-    else:
-        w0 = model.states
-        vv = np.concatenate(([model.last_input], v))
-        drop = 1
-    y, w_final = _run_bank(model, vv, w0)
+    fresh = reset or model.states is None
+    w0, prev = (_init_bank(model, v[0]), None) if fresh else (model.states, model.last_input)
+    y, w_final = _run_bank(model, v, w0, prev)
     model.states = np.array(w_final, dtype=float)
     model.last_input = float(v[-1])
-    return y[drop:]
+    return y
 
 
 def _banks(model) -> list[GpiModel]:
@@ -331,10 +334,7 @@ def _reports_second(model, v: np.ndarray, prev: float | None) -> np.ndarray:
     """
     if isinstance(model, GpiModel):
         return np.zeros(v.size, dtype=bool)
-    s = _directions(v)
-    if prev is not None:
-        s[0] = np.sign(v[0] - prev)
-    asc = s > 0
+    asc = _directions(v, prev) > 0
     if model.mode is SwitchMode.TWO_FLAG:
         return np.where(asc, v >= model.flag_asc, v <= model.flag_desc)
     return ~asc & (v <= model.flag_desc)
@@ -368,9 +368,9 @@ def egpi_eval(model, t, v, reset: bool = True):
     return egpi_outputs(model, t, v, reset)[:2]
 
 
-def predict(model, t, v, reset: bool = True) -> np.ndarray:
-    """Forward-evaluate either model kind, returning the output series."""
-    return egpi_eval(model, t, v, reset=reset)[0]
+def predict(model, t, v) -> np.ndarray:
+    """Output series of a fresh evaluation of either model kind."""
+    return egpi_eval(model, t, v)[0]
 
 
 def reference_model() -> EgpiModel:

@@ -32,18 +32,10 @@ class Trajectory:
         return self.t.size
 
 
-def decaying_sinusoid(
-    t_start: float = 0.0,
-    t_end: float = 10.0,
-    dt: float = 1e-3,
-    amplitude: float = 8.0,
-    decay: float = 0.04,
-    frequency: float = 1.0,
-    phase: float = np.pi / 4,
-) -> Trajectory:
+def decaying_sinusoid(t_start: float = 0.0, t_end: float = 10.0, dt: float = 1e-3) -> Trajectory:
     """Uniformly sampled decaying sinusoid, the stock simulation input.
 
-    v(t) = amplitude * exp(-decay*t) * sin(2*pi*frequency*t + phase)
+    v(t) = 8 * exp(-0.04*t) * sin(2*pi*t + pi/4)
     """
     if not (t_start < t_end):
         raise ConfigError(f"need t_start < t_end, got [{t_start}, {t_end}]")
@@ -51,7 +43,7 @@ def decaying_sinusoid(
         raise ConfigError(f"need 0 < dt < t_end - t_start, got dt={dt}")
     n = int(np.floor((t_end - t_start) / dt + 1e-9))
     t = t_start + dt * np.arange(n + 1)
-    v = amplitude * np.exp(-decay * t) * np.sin(2 * np.pi * frequency * t + phase)
+    v = 8.0 * np.exp(-0.04 * t) * np.sin(2 * np.pi * t + np.pi / 4)
     return Trajectory(t=t, v=v)
 
 

@@ -223,15 +223,17 @@ def test_fit_config_rejects_unknown_fields(tmp_path, small_data):
                "--flag-point", SWEEP_FLAG) == 2
 
 
-def test_fit_config_rejects_removed_rel_step(tmp_path, small_data, capsys):
+@pytest.mark.parametrize("field", ["rel_step", "mu_up", "mu_down", "mu_max"])
+def test_fit_config_rejects_removed_fields(tmp_path, small_data, capsys, field):
     # fits use the exact Jacobian, so FitConfig has no finite-difference
-    # step; a config that sets one fails loudly rather than being ignored
+    # step, and the damping schedule is fixed; a config that sets one of
+    # these fails loudly rather than being ignored
     data_path, _, _ = small_data
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rel_step": 1e-6}))
+    cfg.write_text(json.dumps({field: 10.0}))
     assert run("fit", "--data", data_path, "--config", cfg,
                "--flag-point", SWEEP_FLAG) == 2
-    assert "unknown fit config fields: ['rel_step']" in capsys.readouterr().err
+    assert f"unknown fit config fields: [{field!r}]" in capsys.readouterr().err
 
 
 
@@ -449,6 +451,20 @@ def test_fit_all_rejects_shared_output_stem(tmp_path, capsys, names, modes):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{paths[0]} and {paths[-1]} would both write" in err
+    assert "failed" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("modes", ["bogus", "egpi,bogus", ","])
+def test_fit_all_rejects_bad_modes(tmp_path, capsys, modes):
+    # an unknown or empty mode list: exit 2 before any dataset is read or
+    # fit runs, with nothing written
+    data = tmp_path / "data.csv"
+    data.write_text("not a dataset\n")
+    out_dir = tmp_path / "out"
+    assert run("fit-all", "--data", data, "--modes", modes, "--out-dir", out_dir) == 2
+    err = capsys.readouterr().err
+    assert "--modes must list fit modes" in err and repr(modes) in err
     assert "failed" not in err
     assert not out_dir.exists()
 

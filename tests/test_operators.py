@@ -144,6 +144,18 @@ def test_density_validation():
         DensitySpec(lam=0.1, sigma=0.1, r1=2.0, rn=1.0, n=3)
     with pytest.raises(ConfigError):
         DensitySpec(lam=0.1, sigma=0.1, r1=0.1, rn=1.0, n=0)
+    # non-finite values, NaN included, fail too
+    for name in ("lam", "sigma", "r1", "rn"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                DensitySpec(**{"lam": 0.1, "sigma": 0.1, "r1": 0.1, "rn": 1.0, "n": 3, name: bad})
+
+
+@pytest.mark.parametrize("kappas", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0)])
+def test_gpi_regulator_validation(kappas):
+    density = DensitySpec(lam=0.2, sigma=0.0, r1=0.5, rn=1.5, n=2)
+    with pytest.raises(ConfigError):
+        GpiModel(density, IDENTITY, IDENTITY, *kappas)
 
 
 # ----------------------------------------------------------------- gpi_eval
@@ -385,6 +397,12 @@ def test_egpi_flag_consistency_enforced():
     with pytest.raises(ConfigError):
         b = bank()
         EgpiModel(submodels=[b, b], mode=SwitchMode.DESCEND_FLAG, flag_desc=0.0)
+    for flags in ({"flag_desc": np.nan}, {"flag_desc": -np.inf}):
+        with pytest.raises(ConfigError):
+            EgpiModel(submodels=[bank(), bank()], mode=SwitchMode.DESCEND_FLAG, **flags)
+    for flags in ({"flag_asc": np.nan, "flag_desc": 0.0}, {"flag_asc": 1.0, "flag_desc": np.inf}):
+        with pytest.raises(ConfigError):
+            EgpiModel(submodels=[bank(), bank()], mode=SwitchMode.TWO_FLAG, **flags)
 
 
 def test_memory_persists_over_constant_suffix():

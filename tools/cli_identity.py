@@ -9,9 +9,10 @@ fixed CLI scenario twice: against that tree and against the working tree.
 Each command is a subprocess with ``PYTHONPATH=<tree>/src`` and
 ``SOURCE_DATE_EPOCH=0``, run in a fresh directory per tree. The scenario
 writes the model from the README's "Model JSON" section (and its
-one-bank GPI variant), generates its datasets with ``hystfit generate``,
-then runs ``simulate``, ``fit`` (egpi and gpi), ``evaluate``,
-``fit-all --jobs 2`` and ``report``.
+one-bank GPI variant) and a fit config, generates its datasets with
+``hystfit generate``, then runs ``simulate``, ``fit`` (egpi and gpi, and
+one egpi fit that reads the config and detects its flag point),
+``evaluate``, ``fit-all --jobs 2`` and ``report``.
 
 Every file the scenario leaves and every command's stdout and exit code
 are compared byte for byte, one line per item. Exits 1 if anything
@@ -48,6 +49,7 @@ README_MODEL = {
 }
 GPI_MODEL = {**README_MODEL, "mode": "gpi", "submodels": README_MODEL["submodels"][:1],
              "flags": {}}
+FIT_CONFIG = {"max_iterations": 20, "mu0": 0.01}
 
 SHORT = ("--t-end", "4", "--dt", "2e-3")
 SCENARIO = (
@@ -61,6 +63,7 @@ SCENARIO = (
     ("fit", "--data", "data.csv", "--mode", "egpi", "--flag-point", "6.0",
      "--out-prefix", "fit_egpi"),
     ("fit", "--data", "data.csv", "--mode", "gpi", "--out-prefix", "fit_gpi"),
+    ("fit", "--data", "data.csv", "--mode", "egpi", "--config", "cfg.json", "--eps", "10"),
     ("evaluate", "--data", "data.csv", "--params", "fit_egpi.model.json",
      "--out", "eval_egpi.csv"),
     ("evaluate", "--data", "data.csv", "--params", "fit_gpi.model.json", "--absolute",
@@ -83,7 +86,8 @@ def export_src(rev: str, dest: Path) -> None:
 def run_scenario(src: Path, work: Path) -> dict[str, bytes]:
     """Run the scenario in ``work``; returns its outputs by name."""
     work.mkdir()
-    for name, doc in (("model.json", README_MODEL), ("gpi.json", GPI_MODEL)):
+    for name, doc in (("model.json", README_MODEL), ("gpi.json", GPI_MODEL),
+                      ("cfg.json", FIT_CONFIG)):
         (work / name).write_text(json.dumps(doc, indent=2) + "\n")
     env = {**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0"}
     outputs = {}
