@@ -45,6 +45,14 @@ def test_simulate_requires_model_source(tmp_path):
     assert run("simulate", "--out", tmp_path / "x.csv") == 2
 
 
+@pytest.mark.parametrize("bound", [("--dt", "nan"), ("--t-end", "inf")])
+def test_simulate_non_finite_bounds_exit_2(tmp_path, capsys, bound):
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--reference", *bound, "--out", out) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_descend_flag_model_file(tmp_path, small_data):
     _, model_path, _ = small_data
     out = tmp_path / "sim.csv"
@@ -115,6 +123,15 @@ def test_generate_seed_behaviour(tmp_path, small_data):
     assert not np.array_equal(da.theta, dc.theta)
 
 
+def test_generate_nan_noise_is_config_error(tmp_path, small_data, capsys):
+    data_path, model_path, _ = small_data
+    out = tmp_path / "gen.csv"
+    assert run("generate", "--params", model_path, "--input", data_path,
+               "--noise-std", "nan", "--out", out) == 2
+    assert "noise_std must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- fit
 
 def test_fit_writes_results_and_prints_metrics(tmp_path, small_data, capsys):
@@ -168,6 +185,14 @@ def test_fit_explicit_eps_controls_detection(tmp_path, small_data, capsys):
     capsys.readouterr()
     assert run("fit", "--data", data_path, "--eps", 0.5, "--out-prefix", prefix) == 0
     assert f"v_f={SWEEP_FLAG:g}" in capsys.readouterr().out
+
+
+def test_fit_nan_eps_is_config_error(tmp_path, small_data, capsys):
+    data_path, _, _ = small_data
+    prefix = tmp_path / "eps"
+    assert run("fit", "--data", data_path, "--mode", "egpi", "--eps", "nan",
+               "--out-prefix", prefix) == 2
+    assert "eps must be" in capsys.readouterr().err
 
 
 def test_fit_without_theta_is_input_error(tmp_path, capsys):

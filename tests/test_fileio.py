@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -19,6 +21,7 @@ from hystfit import (
     build_model,
     reference_model,
 )
+from hystfit import fileio
 from hystfit.fileio import (
     load_dataset,
     load_model,
@@ -26,6 +29,7 @@ from hystfit.fileio import (
     model_to_doc,
     save_dataset,
     save_model,
+    save_simulation,
     write_report,
 )
 
@@ -114,6 +118,141 @@ def test_no_temp_residue_after_write(tmp_path):
     path = tmp_path / "d.csv"
     save_dataset(path, Trajectory(t=[0.0, 1.0], v=[0.0, 1.0]))
     assert os.listdir(tmp_path) == ["d.csv"]
+
+
+def test_failed_write_removes_temp_and_keeps_target(tmp_path):
+    # the bad value sits in the second block of rows, so the first block
+    # is already in the temp file when formatting raises
+    path = tmp_path / "sim.csv"
+    path.write_text("old\n")
+    n = 5000
+    z = np.zeros(n, dtype=object)
+    z[4500] = "not a number"
+    t = np.arange(n, dtype=float)
+    with pytest.raises(ValueError):
+        save_simulation(path, t, t, z, t, t, np.ones(n, dtype=int))
+    assert os.listdir(tmp_path) == ["sim.csv"]
+    assert path.read_text() == "old\n"
+
+
+# ------------------------------------------------------- block-wise CSV I/O
+
+def _reference_text(header, columns):
+    """Dataset text as written one value at a time through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    fmts = [
+        (lambda x: str(int(x))) if np.issubdtype(np.asarray(c).dtype, np.integer)
+        else (lambda x: repr(float(x)))
+        for c in columns
+    ]
+    for row in zip(*columns):
+        writer.writerow([fmt(x) for fmt, x in zip(fmts, row)])
+    return buf.getvalue()
+
+
+def _reference_values(path):
+    """Data rows of a dataset CSV parsed one row at a time with ``csv``."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    return np.array([[float(x) for x in row] for row in rows])
+
+
+SPECIAL = [-0.0, 5e-324, 1e16, 9.999999999999999e-05, np.nan, np.inf, -np.inf, 0.1]
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10001])
+def test_writer_bytes_match_csv_writer_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = [
+        np.arange(n) * 1e-4,
+        np.resize(SPECIAL, n),
+        rng.normal(size=n) > 0,  # bool: written as 0.0 / 1.0
+        rng.normal(size=n).astype(np.float32),
+        rng.normal(0, 1e3, n),
+        rng.integers(1, 3, n),  # int: written as 1 / 2
+    ]
+    path = tmp_path / "sim.csv"
+    save_simulation(path, *columns)
+    header = ["t", "v", "z", "z1", "z2", "active"]
+    assert path.read_bytes() == _reference_text(header, columns).encode()
+
+
+def _dataset_lines(n, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.1, 1.0, n))
+    v, theta = rng.normal(0, 3, n), rng.normal(0, 20, n)
+    return [f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(t.tolist(), v.tolist(), theta.tolist())]
+
+
+@pytest.fixture()
+def row_parses(monkeypatch):
+    """Count the files that fall back to the row-by-row parser."""
+    calls = []
+    read_rows = fileio._read_rows
+
+    def spy(path, width):
+        calls.append(path)
+        return read_rows(path, width)
+
+    monkeypatch.setattr(fileio, "_read_rows", spy)
+    return calls
+
+
+def _check_loads_like_reference(path):
+    traj = load_dataset(path)
+    ref = _reference_values(path)
+    assert np.array_equal(np.column_stack([traj.t, traj.v, traj.theta]), ref)
+    return len(traj)
+
+
+def test_reader_blank_lines_at_block_edges(tmp_path, row_parses):
+    lines = _dataset_lines(10000)
+    # blank lines end the first block of lines and start the second, and
+    # a run of them fills the third block entirely
+    lines[4094:4094] = ["\n", "\r\n", "\n"]
+    lines[8190:8190] = ["\n"] * fileio._ROWS
+    path = tmp_path / "d.csv"
+    path.write_text("t,v,theta\n" + "".join(lines), newline="")
+    assert _check_loads_like_reference(path) == 10000
+    assert row_parses == []
+
+
+def test_reader_crlf_and_missing_final_newline(tmp_path, row_parses):
+    lines = [line.replace("\n", "\r\n") for line in _dataset_lines(5000)]
+    lines[-1] = lines[-1].rstrip("\r\n")
+    path = tmp_path / "d.csv"
+    path.write_text("t,v,theta\r\n" + "".join(lines), newline="")
+    assert _check_loads_like_reference(path) == 5000
+    assert row_parses == []
+
+
+def test_reader_quoted_fields_take_row_parser(tmp_path, row_parses):
+    lines = _dataset_lines(5000)
+    t, v, theta = lines[4500].split(",")
+    lines[4500] = f'{t},"{v}",{theta}'
+    path = tmp_path / "d.csv"
+    path.write_text("t,v,theta\n" + "".join(lines), newline="")
+    assert _check_loads_like_reference(path) == 5000
+    assert row_parses == [str(path)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["1e3,oops,2\n"], "malformed row"),
+    (["1e3,2\n"], "expected 3 columns, got 2"),
+    # a short row and a long one hold as many fields as two good rows
+    (["1e3,2\n", "1e3,2,3,4\n"], "expected 3 columns, got 2"),
+])
+def test_reader_error_in_second_block_names_file_line(tmp_path, bad, message):
+    lines = _dataset_lines(6000)
+    lines[10:10] = ["\n"] * 3
+    # from data row 4997 on, after the header and 3 blank lines
+    lines[5000 : 5000 + len(bad)] = bad
+    path = tmp_path / "d.csv"
+    path.write_text("t,v,theta\n" + "".join(lines), newline="")
+    with pytest.raises(InputError, match=rf"d\.csv:5002: {message}"):
+        load_dataset(path)
 
 
 # -------------------------------------------------------------- model files

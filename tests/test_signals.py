@@ -65,6 +65,15 @@ def test_decaying_sinusoid_validates_config():
         decaying_sinusoid(t_start=0.0, t_end=1.0, dt=2.0)
 
 
+@pytest.mark.parametrize("bounds", [
+    {"dt": np.nan}, {"dt": np.inf}, {"t_end": np.inf}, {"t_end": np.nan},
+    {"t_start": -np.inf}, {"t_start": np.nan},
+])
+def test_decaying_sinusoid_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ConfigError, match="finite"):
+        decaying_sinusoid(**bounds)
+
+
 # ----------------------------------------------------------- flag detection
 
 def test_detect_flag_at_turning_plateau():
@@ -108,6 +117,13 @@ def test_detect_flag_time_rescaling_invariance():
     f1 = detect_flag_point(Trajectory(t=t, v=v), eps=0.2)
     f2 = detect_flag_point(Trajectory(t=10.0 * t, v=v), eps=0.02)
     assert f1 == f2
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+def test_detect_flag_rejects_bad_eps(eps):
+    traj = Trajectory(t=np.arange(5.0), v=np.array([0.0, 1.0, 2.0, 2.0, 1.0]))
+    with pytest.raises(ConfigError, match="eps"):
+        detect_flag_point(traj, eps=eps)
 
 
 def test_detect_flag_needs_three_samples():
@@ -155,3 +171,9 @@ def test_gen_synthetic_noise_standard_deviation():
 def test_gen_synthetic_rejects_negative_noise():
     with pytest.raises(ConfigError):
         gen_synthetic(reference_model(), decaying_sinusoid(t_end=1.0), noise_std=-0.1)
+
+
+@pytest.mark.parametrize("noise_std", [np.nan, np.inf])
+def test_gen_synthetic_rejects_non_finite_noise(noise_std):
+    with pytest.raises(ConfigError, match="noise_std"):
+        gen_synthetic(reference_model(), decaying_sinusoid(t_end=1.0), noise_std=noise_std)

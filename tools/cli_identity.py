@@ -12,7 +12,12 @@ writes the model from the README's "Model JSON" section (and its
 one-bank GPI variant) and a fit config, generates its datasets with
 ``hystfit generate``, then runs ``simulate``, ``fit`` (egpi and gpi, and
 one egpi fit that reads the config and detects its flag point),
-``evaluate``, ``fit-all --jobs 2`` and ``report``.
+``evaluate``, ``fit-all --jobs 2`` and ``report``. Its last steps cross
+the 4,096-row blocks of the dataset CSV reader and writer: a
+``simulate --reference`` at the default ``--dt`` (10,001 rows), and
+``evaluate`` on a 10,001-row dataset rewritten twice, once with CRLF line
+endings and blank lines (read block by block) and once with a quoted
+field in its second block (read row by row).
 
 Every file the scenario leaves and every command's stdout and exit code
 are compared byte for byte, one line per item. Exits 1 if anything
@@ -72,7 +77,32 @@ SCENARIO = (
      "--out-dir", "fits"),
     ("report", "--results", "fits/data.egpi.result.json", "fits/data.gpi.result.json",
      "fits/data2.egpi.result.json", "fits/data2.gpi.result.json", "--out", "summary.json"),
+    ("simulate", "--reference", "--out", "reference_long.csv"),
+    ("generate", "--params", "model.json", "--noise-std", "0.1", "--seed", "5",
+     "--out", "long.csv"),
+    ("rewrite_crlf", "long.csv", "long_crlf.csv"),
+    ("evaluate", "--data", "long_crlf.csv", "--params", "fit_egpi.model.json",
+     "--out", "eval_long_crlf.csv"),
+    ("rewrite_quoted", "long.csv", "long_quoted.csv"),
+    ("evaluate", "--data", "long_quoted.csv", "--params", "fit_egpi.model.json",
+     "--out", "eval_long_quoted.csv"),
 )
+
+
+def rewrite_crlf(lines: list[str]) -> list[str]:
+    """CRLF line endings, with blank lines on both sides of the block edge."""
+    lines = lines[:4096] + ["", ""] + lines[4096:]
+    return [line + "\r\n" for line in lines]
+
+
+def rewrite_quoted(lines: list[str]) -> list[str]:
+    """The ``v`` field of file line 5,000 in quotes."""
+    t, v, theta = lines[4999].split(",")
+    lines[4999] = f'{t},"{v}",{theta}'
+    return [line + "\n" for line in lines]
+
+
+REWRITES = {"rewrite_crlf": rewrite_crlf, "rewrite_quoted": rewrite_quoted}
 
 
 def export_src(rev: str, dest: Path) -> None:
@@ -92,6 +122,11 @@ def run_scenario(src: Path, work: Path) -> dict[str, bytes]:
     env = {**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0"}
     outputs = {}
     for k, argv in enumerate(SCENARIO, start=1):
+        if argv[0] in REWRITES:
+            source, dest = argv[1:]
+            lines = REWRITES[argv[0]]((work / source).read_text().splitlines())
+            (work / dest).write_text("".join(lines), newline="")
+            continue
         proc = subprocess.run([sys.executable, "-m", "hystfit", *argv], cwd=work, env=env,
                               capture_output=True)
         outputs[f"stdout {k:02d} {argv[0]}"] = b"exit %d\n" % proc.returncode + proc.stdout
