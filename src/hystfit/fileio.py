@@ -81,19 +81,23 @@ def load_dataset(path) -> Trajectory:
     names the line of a bad row.
     """
     path = os.fspath(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError(f"{path}: file is empty, expected header 't,v[,theta]'")
-        cols = [c.strip() for c in header]
-        if cols not in (["t", "v"], ["t", "v", "theta"]):
-            raise InputError(
-                f"{path}:1: expected header 't,v' or 't,v,theta', got {','.join(cols)!r}"
-            )
-        data = _read_blocks(fh, len(cols))
-    if data is None:
-        data = _read_rows(path, len(cols))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: file is empty, expected header 't,v[,theta]'")
+            cols = [c.strip() for c in header]
+            if cols not in (["t", "v"], ["t", "v", "theta"]):
+                raise InputError(
+                    f"{path}:1: expected header 't,v' or 't,v,theta', got {','.join(cols)!r}"
+                )
+            data = _read_blocks(fh, len(cols))
+        if data is None:
+            data = _read_rows(path, len(cols))
+    except UnicodeDecodeError:
+        # the decoder's byte offset counts from its current chunk, not the file
+        raise InputError(f"{path}: not UTF-8 text") from None
     if not data.size:
         raise InputError(f"{path}: no data rows")
     try:
@@ -128,7 +132,7 @@ def _read_blocks(fh, width: int) -> np.ndarray | None:
 def _read_rows(path, width: int) -> np.ndarray:
     """Row-by-row parse of the data rows; an InputError names a bad line."""
     values = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
@@ -145,7 +149,7 @@ def _read_rows(path, width: int) -> np.ndarray:
 
 def _data_lines(path) -> list[int]:
     """File line number of each data row; blank lines hold no row."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return [lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row][1:]
 
 
@@ -304,11 +308,13 @@ def save_model(path, model, source=""):
 
 def load_json(path) -> dict:
     """Parse a JSON file that must hold one object; errors name the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc

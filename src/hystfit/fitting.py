@@ -35,7 +35,7 @@ from .errors import (
 from .metrics import Metrics, compute_metrics
 from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, predict
 from .signals import Trajectory
-from .tangent import predict_jacobian
+from .tangent import model_jacobian
 
 EGPI_PARAM_NAMES = (
     "asc_slope",
@@ -176,18 +176,15 @@ def _bank_slots(mode: str) -> list[dict]:
     ]
 
 
-def residuals_and_jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
-    """Residuals and their exact Jacobian from one forward-mode tangent pass.
+def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
+    """Exact residual Jacobian from one forward-mode tangent pass.
 
-    The residuals equal ``residuals()`` exactly. Where the output is not
-    differentiable (an operator state exactly at its crossover) the
-    Jacobian takes the one-sided derivative of the branch the state is on.
+    Where the output is not differentiable (an operator state exactly at
+    its crossover) it takes the one-sided derivative of the branch the
+    state is on. The measured angles do not enter it.
     """
-    if traj.theta is None:
-        raise InputError("trajectory has no measured angles to fit against")
     model = build_model(params, mode, v_f, n)
-    z, J = predict_jacobian(model, traj.v, _bank_slots(mode))
-    return z - traj.theta, J
+    return model_jacobian(model, traj.v, _bank_slots(mode))
 
 
 def jacobian_fd(
@@ -330,11 +327,12 @@ def default_initial_guess(traj: Trajectory, v_f=None, mode: str = "egpi") -> np.
 def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi") -> FitResult:
     """Damped normal-equation least squares over the parameter vector.
 
-    J is the exact Jacobian from one tangent pass per iteration
-    (``residuals_and_jacobian``). Steps solve (J'J + mu*diag(J'J)) delta =
-    -J'e and are accepted only when the objective strictly decreases (mu
-    shrinks) and retried with larger mu otherwise; every step is projected
-    onto the bounds. Stops on relative loss change, gradient norm,
+    Each iteration takes J from one tangent pass (``jacobian``); e comes
+    from ``residuals``, before the loop and then from the accepted trial.
+    Steps solve (J'J + mu*diag(J'J)) delta = -J'e and are accepted only
+    when the objective strictly decreases (mu shrinks) and retried with
+    larger mu otherwise; every step is projected onto the bounds. Stops
+    on relative loss change, gradient norm,
     max_iterations, or when no improving step exists within the damping
     budget. A step is taken only if it lowers the loss, so the last
     parameters are the best seen.
@@ -356,7 +354,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     else:
         p = default_initial_guess(traj, v_f, mode)
 
-    e, J = residuals_and_jacobian(p, traj, v_f, mode, n)
+    e = residuals(p, traj, v_f, mode, n)
     loss = float(e @ e)
     trace = [loss]
     mu = config.mu0
@@ -365,8 +363,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     iterations = 0
 
     for iterations in range(1, config.max_iterations + 1):
-        if iterations > 1:  # p moved on the last accepted step
-            _, J = residuals_and_jacobian(p, traj, v_f, mode, n)
+        J = jacobian(p, traj, v_f, mode, n)
         Jte = J.T @ e
         if float(np.max(np.abs(2.0 * Jte))) < config.grad_tol:
             converged = True

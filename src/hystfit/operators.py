@@ -293,16 +293,6 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def _run_bank(model: GpiModel, v: np.ndarray, w0: np.ndarray, prev: float | None):
-    """Weighted bank output per sample plus the final bank state, from the
-    state ``w0`` reached at ``prev``, the input before ``v[0]`` (or None)."""
-    p = model.density.weights()
-    y = np.empty(v.size)
-    for i, j, S, _ in _states(model, v, _directions(v, prev), w0):
-        y[i:j] = _contract(p, S)
-    return y, S[:, -1]
-
-
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     """Evaluate the bank over a sampled input, returning the output series.
 
@@ -314,9 +304,12 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     """
     t, v = _validate_series(t, v)
     fresh = reset or model.states is None
-    w0, prev = (_init_bank(model, v[0]), None) if fresh else (model.states, model.last_input)
-    y, w_final = _run_bank(model, v, w0, prev)
-    model.states = np.array(w_final, dtype=float)
+    w, prev = (_init_bank(model, v[0]), None) if fresh else (model.states, model.last_input)
+    p = model.density.weights()
+    y = np.empty(v.size)
+    for i, j, S, _ in _states(model, v, _directions(v, prev), w):
+        y[i:j] = _contract(p, S)
+    model.states = S[:, -1].copy()
     model.last_input = float(v[-1])
     return y
 

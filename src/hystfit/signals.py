@@ -91,6 +91,8 @@ def gen_synthetic(
     """
     if not 0 <= noise_std < np.inf:
         raise ConfigError(f"noise_std must be a finite number >= 0, got {noise_std}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     theta = predict(model, traj.t, traj.v)
     if noise_std > 0:
         rng = np.random.default_rng(seed)

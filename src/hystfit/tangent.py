@@ -1,8 +1,8 @@
 """Exact forward-mode tangent pass of a fresh model evaluation.
 
 The fit's Jacobian: the bank states come from ``operators._states``, the
-same block evaluator as the forward pass, so the output written next to
-the Jacobian equals ``predict`` bit for bit. Linear envelopes only.
+same block evaluator as the forward pass, so the Jacobian is taken at
+exactly the states ``predict`` reports. Linear envelopes only.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ import numpy as np
 
 from .envelopes import LinearEnvelope
 from .errors import ConfigError
-from .operators import GpiModel, _banks, _contract, _directions, _init_bank, _reports_second, _states
+from .operators import GpiModel, _banks, _directions, _init_bank, _reports_second, _states
 
 
-def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
+def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, J, rows):
     """Forward-mode pass of one fresh bank with linear envelopes.
 
-    Writes the bank output and its exact derivatives into the rows of
-    ``z`` and ``J`` selected by ``rows``. ``slots`` maps bank parameter
+    Writes the exact derivatives of the bank output into the rows of
+    ``J`` selected by ``rows``. ``slots`` maps bank parameter
     names (``asc_slope``, ``asc_intercept``, ``desc_slope``,
     ``desc_intercept``, ``lam``, ``sigma``, ``r1``, ``rn``, ``kappa_desc``)
     to columns of ``J``; unnamed parameters are held fixed.
@@ -84,28 +84,26 @@ def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, z, J, rows):
             s, x = ds[:, -1:], vs[:, -1:]
             dw = np.where(s > 0, x * a_asc + dasc, np.where(s < 0, x * a_desc + ddesc, dw))
         if sel.all():  # a plain copy is several times faster than a masked one
-            z[i:j], J[i:j] = _contract(p, S), Jb
+            J[i:j] = Jb
         elif report:
-            np.copyto(z[i:j], _contract(p, S), where=sel)
             np.copyto(J[i:j], Jb, where=sel[:, None])
 
 
-def predict_jacobian(model, v, slots):
-    """Output of a fresh evaluation and its exact parameter Jacobian.
+def model_jacobian(model, v, slots):
+    """Exact parameter Jacobian of the output of a fresh evaluation.
 
     One forward-mode tangent pass over either model kind with linear
     envelopes. ``slots`` holds one dict per bank mapping that bank's
     parameter names to Jacobian columns (see ``_bank_tangent``); banks may
-    share columns. Returns ``(z, J)`` with ``z`` equal to ``predict(model,
-    t, v)``. Each sample's row is the derivative of the bank it reports.
+    share columns. Each sample's row is the derivative of the bank that
+    ``predict(model, t, v)`` reports there.
     """
     v = np.asarray(v, dtype=float)
     banks = _banks(model)
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
-    z = np.empty(v.size)
     J = np.empty((v.size, 1 + max(max(s.values()) for s in slots)))
     use2 = _reports_second(model, v, None)
     for bank, bank_slots, rows in zip(banks, slots, (~use2, use2)):
-        _bank_tangent(bank, v, bank_slots, z, J, rows)
-    return z, J
+        _bank_tangent(bank, v, bank_slots, J, rows)
+    return J

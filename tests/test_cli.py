@@ -121,6 +121,11 @@ def test_generate_seed_behaviour(tmp_path, small_data):
     da, dc = load_dataset(a), load_dataset(c)
     assert np.array_equal(da.v, dc.v)
     assert not np.array_equal(da.theta, dc.theta)
+    # a negative seed is rejected whether or not noise is drawn
+    for noise_std in (0.1, 0):
+        assert run("generate", "--params", model_path, "--input", data_path,
+                   "--noise-std", noise_std, "--seed", -1, "--out", tmp_path / "d.csv") == 2
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_generate_nan_noise_is_config_error(tmp_path, small_data, capsys):
@@ -129,6 +134,34 @@ def test_generate_nan_noise_is_config_error(tmp_path, small_data, capsys):
     assert run("generate", "--params", model_path, "--input", data_path,
                "--noise-std", "nan", "--out", out) == 2
     assert "noise_std must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# -------------------------------------------------------------- input files
+
+@pytest.mark.parametrize("entry", ["evaluate-data", "fit-config", "evaluate-params", "report"])
+def test_non_utf8_input_file_is_input_error(tmp_path, small_data, capsys, entry):
+    # a latin-1 byte 0xE9: at the end of the dataset, past the decoder's
+    # first chunk, or inside a JSON string
+    data_path, model_path, _ = small_data
+    if entry == "evaluate-data":
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(data_path.read_bytes() + b"caf\xe9\n")
+    else:
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(model_path.read_bytes().replace(b'"mode"', b'"caf\xe9"', 1))
+    out = tmp_path / "out.csv"
+    argv = {
+        "evaluate-data": ("evaluate", "--data", bad, "--params", model_path, "--out", out),
+        "fit-config": ("fit", "--data", data_path, "--config", bad,
+                       "--out-prefix", tmp_path / "fit"),
+        "evaluate-params": ("evaluate", "--data", data_path, "--params", bad, "--out", out),
+        "report": ("report", "--results", bad, "--out", out),
+    }[entry]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -25,7 +25,7 @@ from hystfit import (
     residuals,
     validate_params,
 )
-from hystfit.fitting import residuals_and_jacobian
+from hystfit.fitting import jacobian
 from hystfit.operators import _BLOCK
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -187,8 +187,8 @@ GPI_COLUMNS = [0, 1, 2, 3, 6, 7, 8, 9]  # gpi layout as a subset of the egpi one
 def _tangent_cases():
     """(params, mode, n, signal) over seeded random in-bounds starts plus
     degenerate banks: a single threshold and a crossed-envelope start, all
-    on the sweep input; one start on the dither input, and one on the
-    mixed input."""
+    on the sweep input; one start on the dither input, one on the mixed
+    input, and one on each input with long holds."""
     rng = np.random.default_rng(11)
     cases = []
     for seed in range(4):
@@ -201,6 +201,10 @@ def _tangent_cases():
         if seed == 1:
             cases.append(pytest.param(p, "egpi", 30, "mixed", id="egpi-mixed"))
             cases.append(pytest.param(p[GPI_COLUMNS], "gpi", 30, "mixed", id="gpi-mixed"))
+        if seed == 2:
+            for signal in ("holds", "const3", "const8"):
+                cases.append(pytest.param(p, "egpi", 30, signal, id=f"egpi-{signal}"))
+                cases.append(pytest.param(p[GPI_COLUMNS], "gpi", 30, signal, id=f"gpi-{signal}"))
     cases.append(pytest.param(recovery_params(1), "egpi", 1, "sweep", id="egpi-n1"))
     cases.append(pytest.param(recovery_params(2)[GPI_COLUMNS], "gpi", 1, "sweep", id="gpi-n1"))
     crossed = recovery_params(3)
@@ -215,11 +219,15 @@ TANGENT_CASES = _tangent_cases()
 
 @pytest.fixture(scope="module")
 def tangent_data(small_fixture):
-    """Noisy data per input signal: the sweep, and a quantized dither.
+    """Noisy data per input signal: the sweep, a quantized dither, the
+    mixed input, and three inputs with long holds.
 
     The dither is a slow rise-fall with noise, rounded to a 0.1 quantum
     (1% of the range): most runs last one or two samples and about a
-    third of the steps are exact holds.
+    third of the steps are exact holds. Holds of ``_LONG`` samples or more
+    get blocks of their own: ``holds`` rests at 9 and, across a block
+    edge, at 3; ``const3`` and ``const8`` never move, and report bank 2
+    and bank 1 of an egpi model (flag 6).
     """
     n = 1200
     rng = np.random.default_rng(21)
@@ -227,7 +235,21 @@ def tangent_data(small_fixture):
     v = np.round((ramp + rng.normal(0.0, 0.1, n)) / 0.1) * 0.1
     base = Trajectory(t=1e-3 * np.arange(n), v=v)
     dither = gen_synthetic(build_model(recovery_params(0), "egpi", SWEEP_FLAG), base, 0.1, seed=21)
-    return {"sweep": small_fixture[3], "dither": dither, "mixed": _mixed_data()}
+    holds = np.concatenate([
+        np.linspace(0.0, 9.0, 300),
+        np.full(200, 9.0),
+        np.linspace(9.0, 3.0, 300),
+        np.full(700, 3.0),
+        np.linspace(3.0, 0.0, 200),
+    ])
+    data = {"sweep": small_fixture[3], "dither": dither, "mixed": _mixed_data()}
+    model = build_model(recovery_params(2), "egpi", SWEEP_FLAG)
+    for seed, (name, v) in enumerate(
+        [("holds", holds), ("const3", np.full(n, 3.0)), ("const8", np.full(n, 8.0))], start=23
+    ):
+        base = Trajectory(t=1e-3 * np.arange(v.size), v=v)
+        data[name] = gen_synthetic(model, base, 0.1, seed=seed)
+    return data
 
 
 def _mixed_data():
@@ -251,19 +273,12 @@ def _mixed_data():
 
 
 @pytest.mark.parametrize("params,mode,n,signal", TANGENT_CASES)
-def test_tangent_residuals_equal_residuals(tangent_data, params, mode, n, signal):
-    data = tangent_data[signal]
-    e, _ = residuals_and_jacobian(params, data, SWEEP_FLAG, mode, n)
-    assert np.array_equal(e, residuals(params, data, SWEEP_FLAG, mode, n))
-
-
-@pytest.mark.parametrize("params,mode,n,signal", TANGENT_CASES)
 def test_tangent_jacobian_matches_central_differences(tangent_data, params, mode, n, signal):
     # rows where two central-difference steps disagree straddle a
     # crossover (a kink of the output); elsewhere the exact columns must
     # match the finite differences
     data = tangent_data[signal]
-    _, J = residuals_and_jacobian(params, data, SWEEP_FLAG, mode, n)
+    J = jacobian(params, data, SWEEP_FLAG, mode, n)
     J6 = jacobian_fd(params, data, SWEEP_FLAG, mode, n, rel_step=1e-6)
     J7 = jacobian_fd(params, data, SWEEP_FLAG, mode, n, rel_step=1e-7)
     tol = 1e-6 * np.max(np.abs(J6), axis=0)
@@ -274,10 +289,10 @@ def test_tangent_jacobian_matches_central_differences(tangent_data, params, mode
 
 def test_tangent_pass_rejects_tanh_envelopes():
     from hystfit import reference_model
-    from hystfit.tangent import predict_jacobian
+    from hystfit.tangent import model_jacobian
 
     with pytest.raises(ConfigError):
-        predict_jacobian(reference_model(), np.linspace(0.0, 1.0, 10), [{"lam": 0}] * 2)
+        model_jacobian(reference_model(), np.linspace(0.0, 1.0, 10), [{"lam": 0}] * 2)
 
 
 # ------------------------------------------------------------------- lm_fit

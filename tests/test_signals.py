@@ -177,3 +177,9 @@ def test_gen_synthetic_rejects_negative_noise():
 def test_gen_synthetic_rejects_non_finite_noise(noise_std):
     with pytest.raises(ConfigError, match="noise_std"):
         gen_synthetic(reference_model(), decaying_sinusoid(t_end=1.0), noise_std=noise_std)
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+def test_gen_synthetic_rejects_negative_seed(noise_std):
+    with pytest.raises(ConfigError, match="seed"):
+        gen_synthetic(reference_model(), decaying_sinusoid(t_end=1.0), noise_std, seed=-1)

@@ -20,8 +20,10 @@ endings and blank lines (read block by block) and once with a quoted
 field in its second block (read row by row).
 
 Every file the scenario leaves and every command's stdout and exit code
-are compared byte for byte, one line per item. Exits 1 if anything
-differs, 0 otherwise. Needs git and the Python standard library.
+are compared byte for byte, one line per item. A closing line gives the
+line count of ``src/**/*.py`` in both trees, every line counted as
+``wc -l`` counts it: ``src lines: <base> -> <working tree>``. Exits 1 if
+anything differs, 0 otherwise. Needs git and the Python standard library.
 """
 
 from __future__ import annotations
@@ -113,6 +115,11 @@ def export_src(rev: str, dest: Path) -> None:
         archive.extractall(dest)
 
 
+def src_lines(src: Path) -> int:
+    """Lines of the Python files under ``src``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+
+
 def run_scenario(src: Path, work: Path) -> dict[str, bytes]:
     """Run the scenario in ``work``; returns its outputs by name."""
     work.mkdir()
@@ -145,6 +152,7 @@ def main(argv: list[str]) -> int:
         export_src(argv[0], tmp / "base")
         base = run_scenario(tmp / "base" / "src", tmp / "run-base")
         head = run_scenario(ROOT / "src", tmp / "run-head")
+        lines = src_lines(tmp / "base" / "src"), src_lines(ROOT / "src")
     differ = 0
     for name in sorted(base.keys() | head.keys()):
         if name not in head or name not in base:
@@ -154,6 +162,7 @@ def main(argv: list[str]) -> int:
         differ += verdict != "identical"
         print(f"{verdict:<18} {name}")
     print(f"{len(base.keys() | head.keys()) - differ} identical, {differ} differ")
+    print(f"src lines: {lines[0]} -> {lines[1]}")
     return 1 if differ else 0
 
 
