@@ -212,6 +212,8 @@ def _fit_all_worker(task):
 
 
 def _cmd_fit_all(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes or not set(modes) <= set(FIT_MODES):
         raise ConfigError(f"--modes must list fit modes from {FIT_MODES}, got {args.modes!r}")

@@ -527,6 +527,19 @@ def test_fit_all_rejects_bad_modes(tmp_path, capsys, modes):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_fit_all_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    # exit 2 before any dataset is read, directory made or process started
+    data = tmp_path / "data.csv"
+    data.write_text("not a dataset\n")
+    out_dir = tmp_path / "out"
+    assert run("fit-all", "--data", data, "--jobs", jobs, "--out-dir", out_dir) == 2
+    err = capsys.readouterr().err
+    assert f"--jobs must be >= 1, got {jobs}" in err
+    assert "failed" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_fit_all_isolates_failed_tasks(tmp_path, monkeypatch, capsys, jobs):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")

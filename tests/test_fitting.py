@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fixtures import SWEEP_FLAG, recovery_params, sweep_input
+from fixtures import SWEEP_FLAG, recovery_dataset, recovery_params, sweep_input
 
 from hystfit import (
     ConfigError,
@@ -370,6 +370,50 @@ def test_lm_fit_metrics_are_those_of_the_returned_model(small_fixture, mode):
     result = lm_fit(noisy, FitConfig(v_f=SWEEP_FLAG, max_iterations=10), mode=mode)
     prediction = predict(result.model(), noisy.t, noisy.v)
     assert result.metrics == compute_metrics(noisy.theta, prediction)
+
+
+@pytest.mark.parametrize("seed, mode, loss_bound", [
+    (1, "egpi", 49.9857),  # plain LM: 200 iterations, stopped on max_iterations
+    (8, "gpi", 33922.8722),  # plain LM: 200 iterations, stopped on max_iterations
+])
+def test_lm_fit_converges_where_plain_damping_crawled(seed, mode, loss_bound):
+    # full recovery sweeps on which diagonal-damped LM with a x10 schedule
+    # crawls at relative drops of 1e-8..1e-6 per step until max_iterations
+    noisy, _, _ = recovery_dataset(seed)
+    result = lm_fit(noisy, FitConfig(v_f=SWEEP_FLAG), mode=mode)
+    assert result.reason == "loss_tol"
+    assert result.iterations <= 60
+    assert result.loss_trace[-1] <= loss_bound
+
+
+def _scaled(params, mode, c):
+    """Slopes, intercepts, r1 and rn times c; lam and sigma over c."""
+    scaled = params.copy()
+    for i, name in enumerate(param_names(mode)):
+        if name.endswith(("slope", "intercept")) or name in ("r1", "rn"):
+            scaled[i] *= c
+        elif name in ("lam", "sigma"):
+            scaled[i] /= c
+    return scaled
+
+
+@pytest.mark.parametrize("mode", ["egpi", "gpi"])
+@pytest.mark.parametrize("c", [0.5, 2.0, 7.3])
+def test_scale_symmetry_leaves_output_unchanged(mode, c):
+    # the play states scale by c and every weight by 1/c, so the output
+    # does not move: the layout carries one redundant direction and J'J
+    # is rank-deficient at every point
+    n = 20_000
+    rng = np.random.default_rng(31)
+    ramp = np.concatenate([np.linspace(0.0, 10.0, n // 2), np.linspace(10.0, 0.0, n - n // 2)])
+    v = np.round((ramp + rng.normal(0.0, 0.1, n)) / 0.1) * 0.1
+    t = 1e-3 * np.arange(n)
+    params = recovery_params(0)
+    if mode == "gpi":
+        params = params[GPI_COLUMNS]
+    z = predict(build_model(params, mode, SWEEP_FLAG), t, v)
+    z_scaled = predict(build_model(_scaled(params, mode, c), mode, SWEEP_FLAG), t, v)
+    assert np.max(np.abs(z_scaled - z)) <= 1e-12
 
 
 def test_lm_fit_rejects_bad_input(small_fixture):
