@@ -199,20 +199,29 @@ def _directions(v: np.ndarray, prev: float | None = None) -> np.ndarray:
     return d
 
 
+def _run_edges(d: np.ndarray) -> np.ndarray:
+    """The first sample of each run of constant direction after the first,
+    then the end."""
+    return np.append(np.flatnonzero(d[1:] != d[:-1]) + 1, d.size)
+
+
 def _clip(x, lo, hi):
     y = np.maximum(x, lo)
     return np.minimum(y, hi, out=y)
 
 
-def _states(model: GpiModel, v: np.ndarray, d: np.ndarray, w: np.ndarray):
-    """Bank states along ``v`` (directions ``d = _directions(v, prev)``),
-    starting from the state ``w`` before the step to ``v[0]``.
+def _states(model: GpiModel, v, d, edges, w, need=None, whole=False):
+    """Bank states along ``v`` (directions ``d = _directions(v, prev)``,
+    run edges ``_run_edges(d)``), starting from the state ``w`` before the
+    step to ``v[0]``.
 
-    Yields ``(i, j, S, E)`` per block ``v[i:j]`` of at most ``_BLOCK``
-    samples: ``S`` holds the states (operators x samples) and ``E`` the
-    state each one entered its run with, within the block. A block inside
+    Yields ``(i, j, S, E, cols)`` per block ``v[i:j]`` of at most
+    ``_BLOCK`` samples: ``S`` holds the states (operators x samples) and
+    ``E`` the state each one entered its run with, within the block. With
+    ``cols`` None, ``S`` covers every sample of the block; a block inside
     one run yields ``E`` as one column, and a block of holds also ``S``:
-    the column ``w[:, None]`` stands for all its samples.
+    the column ``w[:, None]`` stands for all its samples. Otherwise ``S``
+    holds only the states at the samples ``i + cols``.
 
     Each step clamps the state: ``max(w, asc_env(v) - kappa_asc*r)``
     rising, ``min(w, desc_env(v) + kappa_desc*r)`` falling, the identity
@@ -224,12 +233,27 @@ def _states(model: GpiModel, v: np.ndarray, d: np.ndarray, w: np.ndarray):
     ``clip(clip(w, l1, h1), l2, h2) = clip(w, clip(l1, l2, h2), clip(h1, l2, h2))``.
     Max and min only select values, so the states are exactly those of the
     sample-by-sample recursion.
+
+    ``need`` (a mask over the samples, or None for all) names the samples
+    whose states the caller reads; the state after the last sample is
+    always computed. Blocks over several runs are computed in full. A
+    block inside one run that needs
+    - no sample is crossed, together with the blocks of its run after it
+      that need none: by monotonicity the state at the end of the crossing
+      is the entering state clamped by the last target alone. It is
+      yielded as one column, with ``(i, j)`` spanning the crossed blocks
+      and ``cols`` naming the last sample;
+    - some samples yields the states at them and at the last sample, or at
+      every sample if ``whole`` is set. The tangent pass sets it: its
+      block products go through BLAS, whose bits depend on the shape.
+    A target is still taken from the envelope evaluated on the same
+    segment as without ``need``, so that no bit depends on the length of
+    the array an envelope sees. Every block that is computed has the
+    bounds and the entering state it has without ``need``.
     """
     r = model.density.thresholds()
     asc_off = (model.kappa_asc * r)[:, None]
     desc_off = (model.kappa_desc * r)[:, None]
-    # the first sample of each run after the first, then the end
-    edges = np.append(np.flatnonzero(d[1:] != d[:-1]) + 1, v.size)
     i = q = 0  # edges[q] is the first run start after sample i
     while i < v.size:
         j = min(i + _BLOCK, v.size)
@@ -245,18 +269,45 @@ def _states(model: GpiModel, v: np.ndarray, d: np.ndarray, w: np.ndarray):
             q += k - 1
             mixed = k > 1
         ds = d[i:j]
-        seg = v[i:j]
         E = w[:, None]
-        if not mixed:
+        cols = None
+        if not mixed and ds[0] != 0:
+            seg = v[i:j]
+            if need is not None:
+                cols = np.flatnonzero(need[i:j])
+                if cols.size == 0:
+                    # the blocks of this run after this one that need nothing
+                    # are crossed in the same step; its last _LONG or more
+                    # samples are a block of their own
+                    while j < v.size:
+                        k = min(j + _BLOCK, v.size)
+                        if edges[q] < k:
+                            if edges[q] - j < _LONG:
+                                break
+                            k = edges[q]
+                        if need[j:k].any():
+                            break
+                        seg, j = v[j:k], k
+                    cols = np.array([j - 1 - i])
+                elif whole or cols.size == j - i:
+                    cols = None
+                elif cols[-1] != j - 1 - i:
+                    cols = np.append(cols, j - 1 - i)
+            target = model.asc_env(seg) if ds[0] > 0 else model.desc_env(seg)
+            if cols is not None:
+                target = target[cols - (j - i - seg.size)]  # seg ends at sample j
+            S = np.empty((r.size, target.size))
+            S[:] = target
             if ds[0] > 0:
-                S = model.asc_env(seg) - asc_off
+                S -= asc_off
                 np.maximum(S, E, out=S)
-            elif ds[0] < 0:
-                S = model.desc_env(seg) + desc_off
-                np.minimum(S, E, out=S)
             else:
-                S = E
+                S += desc_off
+                np.minimum(S, E, out=S)
+        elif not mixed:
+            S = E
         else:
+            seg = v[i:j]
             lo = np.where(ds > 0, model.asc_env(seg), -np.inf) - asc_off
             hi = np.where(ds < 0, model.desc_env(seg), np.inf) + desc_off
             # each run's clamp is that of its last sample; a Hillis-Steele
@@ -274,7 +325,7 @@ def _states(model: GpiModel, v: np.ndarray, d: np.ndarray, w: np.ndarray):
             run[starts] = 1
             E = np.take(entering, np.cumsum(run), axis=1)
             S = _clip(E, lo, hi)
-        yield i, j, S, E
+        yield i, j, S, E, cols
         # a copy, so that E (a view of w) does not keep this block's S alive
         w = S[:, -1].copy()
         i = j
@@ -293,22 +344,19 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
-    """Evaluate the bank over a sampled input, returning the output series.
+def _bank_pass(model: GpiModel, v, d, edges, w, need=None) -> np.ndarray:
+    """One bank's output along ``v`` from the state ``w`` (see ``_states``).
 
-    With ``reset`` (the default) all operator states are initialized at
-    the first sample. ``reset=False`` continues from the model's stored
-    states for streaming use; the first new sample is then compared
-    against the last input seen. Model states reflect the final sample
-    either way.
+    Only the samples ``need`` selects are set, all of them without it.
+    The bank's ``states`` and ``last_input`` reflect the final sample.
     """
-    t, v = _validate_series(t, v)
-    fresh = reset or model.states is None
-    w, prev = (_init_bank(model, v[0]), None) if fresh else (model.states, model.last_input)
     p = model.density.weights()
     y = np.empty(v.size)
-    for i, j, S, _ in _states(model, v, _directions(v, prev), w):
-        y[i:j] = _contract(p, S)
+    for i, j, S, _, cols in _states(model, v, d, edges, w, need):
+        if cols is None:
+            y[i:j] = _contract(p, S)
+        else:
+            y[i + cols] = _contract(p, S)
     model.states = S[:, -1].copy()
     model.last_input = float(v[-1])
     return y
@@ -319,32 +367,66 @@ def _banks(model) -> list[GpiModel]:
     return model.submodels if isinstance(model, EgpiModel) else [model]
 
 
-def _reports_second(model, v: np.ndarray, prev: float | None) -> np.ndarray:
+def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Per-sample flag switching: True where submodel 2 is reported.
 
-    ``prev`` is the input before ``v[0]``, or None on a fresh evaluation.
-    A ``GpiModel`` never switches.
+    ``d`` holds the directions of ``v`` (``_directions``). A ``GpiModel``
+    never switches.
     """
     if isinstance(model, GpiModel):
         return np.zeros(v.size, dtype=bool)
-    asc = _directions(v, prev) > 0
+    asc = d > 0
     if model.mode is SwitchMode.TWO_FLAG:
         return np.where(asc, v >= model.flag_asc, v <= model.flag_desc)
     return ~asc & (v <= model.flag_desc)
 
 
+def _evaluate(model, t, v, reset: bool, every: bool):
+    """One pass of each bank over one validated input: ``(use2, outputs)``.
+
+    The input is validated, and its directions, run edges and flag mask
+    computed, once for all banks. With ``every`` each output covers every
+    sample; without it a bank of a switched model evaluates only what it
+    reports (``~use2`` for bank 1, ``use2`` for bank 2), and the rest of
+    its output is left unset.
+    """
+    t, v = _validate_series(t, v)
+    banks = _banks(model)
+    fresh = reset or any(bank.states is None for bank in banks)
+    prev = None if fresh else banks[0].last_input
+    d = _directions(v, prev)
+    edges = _run_edges(d)
+    use2 = _reports_second(model, v, d)
+    needs = (None, None) if every or len(banks) == 1 else (~use2, use2)
+    outs = []
+    for bank, need in zip(banks, needs):
+        w = _init_bank(bank, v[0]) if fresh else bank.states
+        outs.append(_bank_pass(bank, v, d, edges, w, need))
+    return use2, outs
+
+
+def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
+    """Evaluate the bank over a sampled input, returning the output series.
+
+    With ``reset`` (the default) all operator states are initialized at
+    the first sample. ``reset=False`` continues from the model's stored
+    states for streaming use; the first new sample is then compared
+    against the last input seen. Model states reflect the final sample
+    either way.
+    """
+    _, (y,) = _evaluate(model, t, v, reset, every=True)
+    return y
+
+
 def egpi_outputs(model, t, v, reset: bool = True):
-    """One pass of each bank: ``(z, active, z1, z2)``.
+    """One pass of each bank over every sample: ``(z, active, z1, z2)``.
 
     ``z1`` and ``z2`` are the submodel outputs; ``z`` and ``active`` are
     what ``egpi_eval`` returns. A ``GpiModel`` gives ``z1 = z2 = z`` and
     ``active = 1``.
     """
-    banks = _banks(model)
-    prev = banks[0].last_input if (not reset and banks[0].states is not None) else None
-    outs = [gpi_eval(bank, t, v, reset=reset) for bank in banks]
+    use2, outs = _evaluate(model, t, v, reset, every=True)
     z1, z2 = outs[0], outs[-1]
-    use2 = _reports_second(model, np.asarray(v, dtype=float), prev)
     return np.where(use2, z2, z1), np.where(use2, 2, 1), z1, z2
 
 
@@ -357,12 +439,21 @@ def egpi_eval(model, t, v, reset: bool = True):
     below the descending flag; in descend-flag mode ascending samples
     always report submodel 1. Holds follow the non-ascending rule. A
     ``GpiModel`` is the one-bank case: it always reports its bank.
+
+    Each bank evaluates only the samples it reports (see ``_states``);
+    ``z``, and the banks' ``states`` and ``last_input``, keep the bits of a
+    pass over every sample (``egpi_outputs``).
     """
-    return egpi_outputs(model, t, v, reset)[:2]
+    use2, outs = _evaluate(model, t, v, reset, every=False)
+    return np.where(use2, outs[-1], outs[0]), np.where(use2, 2, 1)
 
 
 def predict(model, t, v) -> np.ndarray:
-    """Output series of a fresh evaluation of either model kind."""
+    """Output series of a fresh evaluation of either model kind.
+
+    Each bank evaluates only the samples it reports, and crosses the
+    blocks of a run that it does not report in one step (``_states``).
+    """
     return egpi_eval(model, t, v)[0]
 
 

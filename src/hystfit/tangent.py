@@ -1,8 +1,8 @@
 """Exact forward-mode tangent pass of a fresh model evaluation.
 
 The fit's Jacobian: the bank states come from ``operators._states``, the
-same block evaluator as the forward pass, so the Jacobian is taken at
-exactly the states ``predict`` reports. Linear envelopes only.
+same block walk as the forward pass, so the Jacobian is taken at exactly
+the states ``predict`` reports. Linear envelopes only.
 """
 
 from __future__ import annotations
@@ -11,14 +11,17 @@ import numpy as np
 
 from .envelopes import LinearEnvelope
 from .errors import ConfigError
-from .operators import GpiModel, _banks, _directions, _init_bank, _reports_second, _states
+from .operators import (GpiModel, _banks, _directions, _init_bank, _reports_second, _run_edges,
+                        _states)
 
 
-def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, J, rows):
+def _bank_tangent(model: GpiModel, v, d, edges, slots: dict, J, rows=None):
     """Forward-mode pass of one fresh bank with linear envelopes.
 
-    Writes the exact derivatives of the bank output into the rows of
-    ``J`` selected by ``rows``. ``slots`` maps bank parameter
+    ``d`` and ``edges`` are the directions and run edges of ``v`` (see
+    ``operators._states``). Writes the exact derivatives of the bank output
+    into the rows of ``J`` selected by the mask ``rows``, or into every row
+    without one. ``slots`` maps bank parameter
     names (``asc_slope``, ``asc_intercept``, ``desc_slope``,
     ``desc_intercept``, ``lam``, ``sigma``, ``r1``, ``rn``, ``kappa_desc``)
     to columns of ``J``; unnamed parameters are held fixed.
@@ -28,6 +31,12 @@ def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, J, rows):
     again. So a state takes the target's tangent at the last sample where
     it moved, or, if it has not moved in this block, the tangent it
     entered the block with (at first that of the initial state).
+
+    A block with a selected row is computed whole, as BLAS bits depend on
+    the matrix shape. Blocks of one run with none are crossed: a state
+    that moved over the crossing takes the last target's tangent. That is
+    the block-by-block result whenever the target changes between block
+    ends.
     """
     P = J.shape[1]
 
@@ -37,13 +46,13 @@ def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, J, rows):
             u[slots[name]] = 1.0
         return u
 
-    d = model.density
-    r = d.thresholds()
-    p = d.weights()
-    frac = np.arange(d.n) / (d.n - 1) if d.n > 1 else np.zeros(1)
+    density = model.density
+    r = density.thresholds()
+    p = density.weights()
+    frac = np.arange(density.n) / (density.n - 1) if density.n > 1 else np.zeros(1)
     dr = np.zeros((r.size, P))
     dr[1:] = np.outer(1.0 - frac, unit("r1")) + np.outer(frac, unit("rn"))
-    dp = p[:, None] * (unit("lam") / d.lam - np.outer(r, unit("sigma")) - d.sigma * dr)
+    dp = p[:, None] * (unit("lam") / density.lam - np.outer(r, unit("sigma")) - density.sigma * dr)
     # tangents of the branch targets, less the envelope slope term v*a
     dasc = unit("asc_intercept") - model.kappa_asc * dr
     ddesc = unit("desc_intercept") + model.kappa_desc * dr + np.outer(r, unit("kappa_desc"))
@@ -58,11 +67,10 @@ def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, J, rows):
     dw[low] = (v0 * a_asc + dasc)[low]
     dw[high] = (v0 * a_desc + ddesc)[high]
 
-    d = _directions(v)
     pcol = p[:, None]
-    for i, j, S, E in _states(model, v, d, w):
-        sel = rows[i:j]  # samples this bank reports; a hold's one row stands for all
-        report = sel.any()
+    for i, j, S, E, _ in _states(model, v, d, edges, w, rows, whole=True):
+        sel = None if rows is None else rows[i:j]  # a hold's one row stands for all
+        report = sel is None or sel.any()
         if E.shape[1] == 1:
             # inside one run a state that moved sits on its own sample's target
             dT, a = (dasc, a_asc) if d[i] > 0 else (ddesc, a_desc)
@@ -83,7 +91,7 @@ def _bank_tangent(model: GpiModel, v: np.ndarray, slots: dict, J, rows):
                 Jb += (pd * vs).sum(axis=0)[:, None] * a_desc
             s, x = ds[:, -1:], vs[:, -1:]
             dw = np.where(s > 0, x * a_asc + dasc, np.where(s < 0, x * a_desc + ddesc, dw))
-        if sel.all():  # a plain copy is several times faster than a masked one
+        if sel is None or sel.all():  # a plain copy is several times faster than a masked one
             J[i:j] = Jb
         elif report:
             np.copyto(J[i:j], Jb, where=sel[:, None])
@@ -103,7 +111,10 @@ def model_jacobian(model, v, slots):
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
     J = np.empty((v.size, 1 + max(max(s.values()) for s in slots)))
-    use2 = _reports_second(model, v, None)
-    for bank, bank_slots, rows in zip(banks, slots, (~use2, use2)):
-        _bank_tangent(bank, v, bank_slots, J, rows)
+    d = _directions(v)
+    edges = _run_edges(d)
+    use2 = _reports_second(model, v, d)
+    rows = (None,) if len(banks) == 1 else (~use2, use2)
+    for bank, bank_slots, bank_rows in zip(banks, slots, rows):
+        _bank_tangent(bank, v, d, edges, bank_slots, J, bank_rows)
     return J

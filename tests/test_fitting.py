@@ -287,6 +287,30 @@ def test_tangent_jacobian_matches_central_differences(tangent_data, params, mode
     assert np.all(np.abs(J - J6)[smooth] <= tol)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_tangent_rows_equal_passes_over_every_row(seed):
+    # model_jacobian computes a bank's block only if the bank reports one
+    # of its rows, and crosses the rest of a run; every row keeps the bits
+    # of a pass of that bank that computes every row
+    from hystfit.fitting import _bank_slots
+    from hystfit.operators import _directions, _reports_second, _run_edges
+    from hystfit.tangent import _bank_tangent, model_jacobian
+
+    model = build_model(recovery_params(seed), "egpi", SWEEP_FLAG)
+    v = sweep_input().v
+    slots = _bank_slots("egpi")
+    J = model_jacobian(model, v, slots)
+    d = _directions(v)
+    edges = _run_edges(d)
+    every = []
+    for bank, bank_slots in zip(model.submodels, slots):
+        Jb = np.full(J.shape, np.nan)
+        _bank_tangent(bank, v, d, edges, bank_slots, Jb, np.ones(v.size, dtype=bool))
+        every.append(Jb)
+    use2 = _reports_second(model, v, d)
+    assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))
+
+
 def test_tangent_pass_rejects_tanh_envelopes():
     from hystfit import reference_model
     from hystfit.tangent import model_jacobian

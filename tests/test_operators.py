@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bruteforce
-from fixtures import oracle_kwargs
+from fixtures import SWEEP_FLAG, oracle_kwargs, recovery_params, sweep_input
 
 from hystfit import (
     ConfigError,
@@ -13,12 +13,13 @@ from hystfit import (
     LinearEnvelope,
     SwitchMode,
     TanhEnvelope,
+    build_model,
     egpi_eval,
     gpi_eval,
     predict,
     reference_model,
 )
-from hystfit.operators import _BLOCK, _banks
+from hystfit.operators import _BLOCK, _banks, _directions, _run_edges, egpi_outputs
 from hystfit.signals import decaying_sinusoid
 
 IDENTITY = LinearEnvelope(a=1.0, b=0.0)
@@ -277,6 +278,83 @@ def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
         assert np.array_equal(np.concatenate(y), y_all)
         for got, want in zip([*_banks(model), bank], [*_banks(whole), whole_bank]):
             assert np.array_equal(got.states, want.states)
+
+
+def _recovery_model():
+    """The linear descend-flag model of recovery seed 0 (flag 6)."""
+    return build_model(recovery_params(0), "egpi", SWEEP_FLAG)
+
+
+def _recovery_sweep():
+    sweep = sweep_input()
+    return sweep.t, sweep.v
+
+
+def _long_sinusoid():
+    """The stock input at 200,001 samples: the flags fall mid-run and
+    mid-block, inside runs of several blocks."""
+    traj = decaying_sinusoid(t_end=20.0, dt=1e-4)
+    return traj.t, traj.v
+
+
+def _triangle():
+    """Rises and falls of 300 samples between 0 and 10: each run is a
+    block of its own, and each fall crosses the flag, so a bank's block
+    can end a run on a sample it does not report."""
+    v = np.concatenate([np.linspace(0.0, 10.0, 300, endpoint=False),
+                        np.linspace(10.0, 0.0, 300, endpoint=False)] * 3)
+    return 1e-3 * np.arange(v.size), v
+
+
+REPORTED_CASES = {
+    "reference-sinusoid": (reference_model, _long_sinusoid),
+    "reference-dither": (reference_model, _dither_input),
+    "descend-flag-sweep": (_recovery_model, _recovery_sweep),
+    "descend-flag-triangle": (_recovery_model, _triangle),
+}
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make_model,make_input", REPORTED_CASES.values(), ids=REPORTED_CASES)
+def test_reported_samples_only_keeps_every_bit(make_model, make_input):
+    # predict and egpi_eval evaluate each bank only where it is reported;
+    # the output and the final bank states keep the bits of a pass of both
+    # banks over every sample
+    t, v = make_input()
+    full = make_model()
+    _, active_full, z1, z2 = egpi_outputs(full, t, v)
+    want = np.where(active_full == 2, z2, z1)
+    partial = make_model()
+    assert np.array_equal(predict(partial, t, v), want)
+    streamed = make_model()
+    z, active = egpi_eval(streamed, t, v)
+    assert np.array_equal(z, want)
+    assert np.array_equal(active, active_full)
+    for model in (partial, streamed):
+        for got, ref in zip(_banks(model), _banks(full)):
+            assert np.array_equal(got.states, ref.states)
+            assert got.last_input == ref.last_input
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+def test_streaming_cuts_inside_unreported_stretches():
+    # on the recovery sweep bank 2 reports nothing of the rise and bank 1
+    # nothing of the last descent; the chunks cut both stretches, and one
+    # cut falls exactly on the run edge where the rise turns into the fall
+    t, v = _recovery_sweep()
+    edges = _run_edges(_directions(v))
+    assert v[edges[1]] < v[edges[1] - 1]  # the first falling sample
+    whole = _recovery_model()
+    z_all, active_all = egpi_eval(whole, t, v)
+    bounds = [0, 700, 1900, int(edges[1]), 3000, 4300, 4301, v.size]
+    model = _recovery_model()
+    parts = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    assert np.array_equal(np.concatenate([z for z, _ in parts]), z_all)
+    assert np.array_equal(np.concatenate([a for _, a in parts]), active_all)
+    for got, want in zip(_banks(model), _banks(whole)):
+        assert np.array_equal(got.states, want.states)
+        assert got.last_input == want.last_input
 
 
 def test_gpi_states_reflect_final_sample():
