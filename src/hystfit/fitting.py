@@ -84,23 +84,22 @@ def param_names(mode: str) -> tuple[str, ...]:
     raise ConfigError(f"unknown fit mode {mode!r}; expected one of {FIT_MODES}")
 
 
-def param_bounds(mode: str):
-    """Elementwise lower/upper bounds; the r1 <= rn coupling is separate."""
+def param_bounds(mode: str) -> np.ndarray:
+    """Elementwise lower bounds; no parameter has an upper bound, and the
+    r1 <= rn coupling is separate."""
     names = param_names(mode)
     lo = np.full(len(names), -np.inf)
-    hi = np.full(len(names), np.inf)
     for i, name in enumerate(names):
         if name.endswith("slope") or name in ("lam", "r1", "rn", "kappa"):
             lo[i] = _FLOOR
         elif name == "sigma":
             lo[i] = 0.0
-    return lo, hi
+    return lo
 
 
 def _within_bounds(params, mode) -> bool:
-    lo, hi = param_bounds(mode)
     names = param_names(mode)
-    if np.any(params < lo) or np.any(params > hi):
+    if np.any(params < param_bounds(mode)):
         return False
     idx = {n: i for i, n in enumerate(names)}
     return params[idx["r1"]] <= params[idx["rn"]]
@@ -124,8 +123,7 @@ def validate_params(params, mode: str) -> np.ndarray:
 
 def project_params(params, mode: str) -> np.ndarray:
     """Nearest in-bounds parameter vector (clip, then mend r1 <= rn)."""
-    lo, hi = param_bounds(mode)
-    p = np.clip(np.asarray(params, dtype=float), lo, hi)
+    p = np.maximum(np.asarray(params, dtype=float), param_bounds(mode))
     names = param_names(mode)
     i1, i2 = names.index("r1"), names.index("rn")
     if p[i1] > p[i2]:

@@ -16,6 +16,8 @@ epsilon band around zero rate.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -178,9 +180,20 @@ def _init_bank(model: GpiModel, v0: float) -> np.ndarray:
             f"empty play band at v0={v0} for {int((~ok).sum())} operator(s); "
             "left at 0",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=_caller_level(),
         )
     return w
+
+
+def _caller_level() -> int:
+    """The ``stacklevel`` at which a warning issued by this function's caller
+    names the innermost frame outside the package (``skip_file_prefixes``
+    does this from Python 3.12 on)."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # samples per block; temporaries stay O(operators x block)
@@ -210,18 +223,17 @@ def _clip(x, lo, hi):
     return np.minimum(y, hi, out=y)
 
 
-def _states(model: GpiModel, v, d, edges, w, need=None, whole=False):
+def _states(model: GpiModel, v, d, edges, w, need=None):
     """Bank states along ``v`` (directions ``d = _directions(v, prev)``,
     run edges ``_run_edges(d)``), starting from the state ``w`` before the
     step to ``v[0]``.
 
-    Yields ``(i, j, S, E, cols)`` per block ``v[i:j]`` of at most
-    ``_BLOCK`` samples: ``S`` holds the states (operators x samples) and
-    ``E`` the state each one entered its run with, within the block. With
-    ``cols`` None, ``S`` covers every sample of the block; a block inside
-    one run yields ``E`` as one column, and a block of holds also ``S``:
-    the column ``w[:, None]`` stands for all its samples. Otherwise ``S``
-    holds only the states at the samples ``i + cols``.
+    Yields ``(i, j, S, E)`` per block ``v[i:j]`` of at most ``_BLOCK``
+    samples: ``S`` holds the states (operators x samples) and ``E`` the
+    state each one entered its run with, within the block. A block inside
+    one run yields ``E`` as one column. A one-column ``S`` stands for
+    every sample of the block: the block is a run of holds, or a crossed
+    stretch (below) whose column is the state at its last sample.
 
     Each step clamps the state: ``max(w, asc_env(v) - kappa_asc*r)``
     rising, ``min(w, desc_env(v) + kappa_desc*r)`` falling, the identity
@@ -235,21 +247,15 @@ def _states(model: GpiModel, v, d, edges, w, need=None, whole=False):
     sample-by-sample recursion.
 
     ``need`` (a mask over the samples, or None for all) names the samples
-    whose states the caller reads; the state after the last sample is
-    always computed. Blocks over several runs are computed in full. A
-    block inside one run that needs
-    - no sample is crossed, together with the blocks of its run after it
-      that need none: by monotonicity the state at the end of the crossing
-      is the entering state clamped by the last target alone. It is
-      yielded as one column, with ``(i, j)`` spanning the crossed blocks
-      and ``cols`` naming the last sample;
-    - some samples yields the states at them and at the last sample, or at
-      every sample if ``whole`` is set. The tangent pass sets it: its
-      block products go through BLAS, whose bits depend on the shape.
-    A target is still taken from the envelope evaluated on the same
-    segment as without ``need``, so that no bit depends on the length of
-    the array an envelope sees. Every block that is computed has the
-    bounds and the entering state it has without ``need``.
+    whose states the caller reads. A block inside one run that needs none
+    is crossed, together with the blocks of its run after it that need
+    none: by monotonicity the state at the end of the crossing is the
+    entering state clamped by the last target alone. ``(i, j)`` then spans
+    the crossed blocks. Every other block is computed in full. The last
+    target is still taken from the envelope evaluated on the same segment
+    as without ``need``, so that no bit depends on the length of the array
+    an envelope sees. Every block that is computed has the bounds and the
+    entering state it has without ``need``.
     """
     r = model.density.thresholds()
     asc_off = (model.kappa_asc * r)[:, None]
@@ -270,32 +276,25 @@ def _states(model: GpiModel, v, d, edges, w, need=None, whole=False):
             mixed = k > 1
         ds = d[i:j]
         E = w[:, None]
-        cols = None
         if not mixed and ds[0] != 0:
             seg = v[i:j]
-            if need is not None:
-                cols = np.flatnonzero(need[i:j])
-                if cols.size == 0:
-                    # the blocks of this run after this one that need nothing
-                    # are crossed in the same step; its last _LONG or more
-                    # samples are a block of their own
-                    while j < v.size:
-                        k = min(j + _BLOCK, v.size)
-                        if edges[q] < k:
-                            if edges[q] - j < _LONG:
-                                break
-                            k = edges[q]
-                        if need[j:k].any():
+            crossed = need is not None and not need[i:j].any()
+            if crossed:
+                # the blocks of this run after this one that need nothing
+                # are crossed in the same step; its last _LONG or more
+                # samples are a block of their own
+                while j < v.size:
+                    k = min(j + _BLOCK, v.size)
+                    if edges[q] < k:
+                        if edges[q] - j < _LONG:
                             break
-                        seg, j = v[j:k], k
-                    cols = np.array([j - 1 - i])
-                elif whole or cols.size == j - i:
-                    cols = None
-                elif cols[-1] != j - 1 - i:
-                    cols = np.append(cols, j - 1 - i)
+                        k = edges[q]
+                    if need[j:k].any():
+                        break
+                    seg, j = v[j:k], k
             target = model.asc_env(seg) if ds[0] > 0 else model.desc_env(seg)
-            if cols is not None:
-                target = target[cols - (j - i - seg.size)]  # seg ends at sample j
+            if crossed:
+                target = target[-1:]  # seg ends at sample j
             S = np.empty((r.size, target.size))
             S[:] = target
             if ds[0] > 0:
@@ -325,7 +324,7 @@ def _states(model: GpiModel, v, d, edges, w, need=None, whole=False):
             run[starts] = 1
             E = np.take(entering, np.cumsum(run), axis=1)
             S = _clip(E, lo, hi)
-        yield i, j, S, E, cols
+        yield i, j, S, E
         # a copy, so that E (a view of w) does not keep this block's S alive
         w = S[:, -1].copy()
         i = j
@@ -347,16 +346,14 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
 def _bank_pass(model: GpiModel, v, d, edges, w, need=None) -> np.ndarray:
     """One bank's output along ``v`` from the state ``w`` (see ``_states``).
 
-    Only the samples ``need`` selects are set, all of them without it.
+    A crossed stretch (no sample in ``need``) gets its last sample's output,
+    which no caller reads: ``egpi_eval`` keeps only the reported bank's.
     The bank's ``states`` and ``last_input`` reflect the final sample.
     """
     p = model.density.weights()
     y = np.empty(v.size)
-    for i, j, S, _, cols in _states(model, v, d, edges, w, need):
-        if cols is None:
-            y[i:j] = _contract(p, S)
-        else:
-            y[i + cols] = _contract(p, S)
+    for i, j, S, _ in _states(model, v, d, edges, w, need):
+        y[i:j] = _contract(p, S)
     model.states = S[:, -1].copy()
     model.last_input = float(v[-1])
     return y
@@ -381,23 +378,31 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ~asc & (v <= model.flag_desc)
 
 
+def _plan(model, v, prev=None, every=False):
+    """Directions, run edges, flag mask and each bank's ``need`` for
+    ``_states`` over ``v``: ``(d, edges, use2, needs)``.
+
+    A bank of a switched model needs the samples it reports, unless
+    ``every`` is set; a lone bank needs every sample.
+    """
+    d = _directions(v, prev)
+    use2 = _reports_second(model, v, d)
+    banks = _banks(model)
+    needs = [None] * len(banks) if every or len(banks) == 1 else [~use2, use2]
+    return d, _run_edges(d), use2, needs
+
+
 def _evaluate(model, t, v, reset: bool, every: bool):
     """One pass of each bank over one validated input: ``(use2, outputs)``.
 
-    The input is validated, and its directions, run edges and flag mask
-    computed, once for all banks. With ``every`` each output covers every
-    sample; without it a bank of a switched model evaluates only what it
-    reports (``~use2`` for bank 1, ``use2`` for bank 2), and the rest of
-    its output is left unset.
+    The input is validated, and its walk planned (``_plan``), once for all
+    banks.
     """
     t, v = _validate_series(t, v)
     banks = _banks(model)
     fresh = reset or any(bank.states is None for bank in banks)
     prev = None if fresh else banks[0].last_input
-    d = _directions(v, prev)
-    edges = _run_edges(d)
-    use2 = _reports_second(model, v, d)
-    needs = (None, None) if every or len(banks) == 1 else (~use2, use2)
+    d, edges, use2, needs = _plan(model, v, prev, every)
     outs = []
     for bank, need in zip(banks, needs):
         w = _init_bank(bank, v[0]) if fresh else bank.states
@@ -418,14 +423,14 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     return y
 
 
-def egpi_outputs(model, t, v, reset: bool = True):
-    """One pass of each bank over every sample: ``(z, active, z1, z2)``.
+def egpi_outputs(model, t, v):
+    """One fresh pass of each bank over every sample: ``(z, active, z1, z2)``.
 
     ``z1`` and ``z2`` are the submodel outputs; ``z`` and ``active`` are
     what ``egpi_eval`` returns. A ``GpiModel`` gives ``z1 = z2 = z`` and
     ``active = 1``.
     """
-    use2, outs = _evaluate(model, t, v, reset, every=True)
+    use2, outs = _evaluate(model, t, v, reset=True, every=True)
     z1, z2 = outs[0], outs[-1]
     return np.where(use2, z2, z1), np.where(use2, 2, 1), z1, z2
 
@@ -440,20 +445,17 @@ def egpi_eval(model, t, v, reset: bool = True):
     always report submodel 1. Holds follow the non-ascending rule. A
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
-    Each bank evaluates only the samples it reports (see ``_states``);
-    ``z``, and the banks' ``states`` and ``last_input``, keep the bits of a
-    pass over every sample (``egpi_outputs``).
+    Each bank crosses the stretches of a run it does not report (see
+    ``_states``), as the tangent pass does. ``z``, and the banks'
+    ``states`` and ``last_input``, keep the bits of a pass over every
+    sample (``egpi_outputs``).
     """
     use2, outs = _evaluate(model, t, v, reset, every=False)
     return np.where(use2, outs[-1], outs[0]), np.where(use2, 2, 1)
 
 
 def predict(model, t, v) -> np.ndarray:
-    """Output series of a fresh evaluation of either model kind.
-
-    Each bank evaluates only the samples it reports, and crosses the
-    blocks of a run that it does not report in one step (``_states``).
-    """
+    """Output series of a fresh ``egpi_eval`` of either model kind."""
     return egpi_eval(model, t, v)[0]
 
 

@@ -11,8 +11,7 @@ import numpy as np
 
 from .envelopes import LinearEnvelope
 from .errors import ConfigError
-from .operators import (GpiModel, _banks, _directions, _init_bank, _reports_second, _run_edges,
-                        _states)
+from .operators import GpiModel, _banks, _init_bank, _plan, _states
 
 
 def _bank_tangent(model: GpiModel, v, d, edges, slots: dict, J, rows=None):
@@ -32,11 +31,12 @@ def _bank_tangent(model: GpiModel, v, d, edges, slots: dict, J, rows=None):
     it moved, or, if it has not moved in this block, the tangent it
     entered the block with (at first that of the initial state).
 
-    A block with a selected row is computed whole, as BLAS bits depend on
-    the matrix shape. Blocks of one run with none are crossed: a state
-    that moved over the crossing takes the last target's tangent. That is
-    the block-by-block result whenever the target changes between block
-    ends.
+    ``rows`` is the ``need`` of ``_states``, so this pass reads the blocks
+    the forward pass reads. A block is computed whole (BLAS bits depend on
+    the matrix shape) or, within one run and with no selected row, crossed:
+    a state that moved over the crossing takes the last target's tangent.
+    That is the block-by-block result whenever the target changes between
+    block ends.
     """
     P = J.shape[1]
 
@@ -68,7 +68,7 @@ def _bank_tangent(model: GpiModel, v, d, edges, slots: dict, J, rows=None):
     dw[high] = (v0 * a_desc + ddesc)[high]
 
     pcol = p[:, None]
-    for i, j, S, E, _ in _states(model, v, d, edges, w, rows, whole=True):
+    for i, j, S, E in _states(model, v, d, edges, w, rows):
         sel = None if rows is None else rows[i:j]  # a hold's one row stands for all
         report = sel is None or sel.any()
         if E.shape[1] == 1:
@@ -111,10 +111,7 @@ def model_jacobian(model, v, slots):
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
     J = np.empty((v.size, 1 + max(max(s.values()) for s in slots)))
-    d = _directions(v)
-    edges = _run_edges(d)
-    use2 = _reports_second(model, v, d)
-    rows = (None,) if len(banks) == 1 else (~use2, use2)
+    d, edges, _, rows = _plan(model, v)
     for bank, bank_slots, bank_rows in zip(banks, slots, rows):
         _bank_tangent(bank, v, d, edges, bank_slots, J, bank_rows)
     return J

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import bruteforce
-from fixtures import SWEEP_FLAG, oracle_kwargs, recovery_params, sweep_input
+from fixtures import SWEEP_FLAG, oracle_kwargs, recovery_dataset, recovery_params, sweep_input
 
 from hystfit import (
     ConfigError,
@@ -19,6 +21,7 @@ from hystfit import (
     predict,
     reference_model,
 )
+from hystfit.fitting import jacobian, residuals
 from hystfit.operators import _BLOCK, _banks, _directions, _run_edges, egpi_outputs
 from hystfit.signals import decaying_sinusoid
 
@@ -95,6 +98,26 @@ def test_init_state_warns_on_empty_band():
     with pytest.warns(RuntimeWarning, match="empty play band"):
         states = _states_after(model, [0.0])
     assert np.array_equal(states, [0.0, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("call", ["predict", "gpi_eval", "egpi_eval", "residuals", "jacobian"])
+def test_empty_band_warning_names_the_callers_line(call):
+    # bank 2 of the recovery-seed-0 model has crossed envelopes at v0; the
+    # warning names the line below that called the package, whichever
+    # internal path (forward or tangent pass) initialized the bank
+    traj, _, params = recovery_dataset(0)
+    model = _recovery_model()
+    calls = {
+        "predict": lambda: predict(model, traj.t, traj.v),
+        "gpi_eval": lambda: gpi_eval(model.submodels[1], traj.t, traj.v),
+        "egpi_eval": lambda: egpi_eval(model, traj.t, traj.v),
+        "residuals": lambda: residuals(params, traj, SWEEP_FLAG),
+        "jacobian": lambda: jacobian(params, traj, SWEEP_FLAG),
+    }
+    with pytest.warns(RuntimeWarning, match="empty play band") as record:
+        calls[call]()
+    assert [w.filename for w in record] == [__file__]
 
 
 # ------------------------------------------------------------------ density
@@ -224,14 +247,13 @@ def _dither_input(n=3000, seed=0):
     return 1e-3 * np.arange(n), v
 
 
-def _descend_flag_model():
+def _descend_flag_model(desc1=LinearEnvelope(a=3.2, b=5.0), desc2=LinearEnvelope(a=2.1, b=0.2),
+                        flag=1.0):
     density = DensitySpec(lam=0.06, sigma=0.15, r1=0.25, rn=2.2, n=30)
     asc = LinearEnvelope(a=3.1, b=0.8)
-    sub1 = GpiModel(density=density, asc_env=asc, desc_env=LinearEnvelope(a=3.2, b=5.0))
-    sub2 = GpiModel(
-        density=density, asc_env=asc, desc_env=LinearEnvelope(a=2.1, b=0.2), kappa_desc=3.0
-    )
-    return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=1.0)
+    sub1 = GpiModel(density=density, asc_env=asc, desc_env=desc1)
+    sub2 = GpiModel(density=density, asc_env=asc, desc_env=desc2, kappa_desc=3.0)
+    return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=flag)
 
 
 def _second_reference_bank():
@@ -306,11 +328,31 @@ def _triangle():
     return 1e-3 * np.arange(v.size), v
 
 
+def _saturated_reference_model():
+    """The reference model with tanh slope d = 5: on the stock input the
+    envelopes saturate, so many consecutive samples share one target."""
+    model = reference_model()
+    for bank in model.submodels:
+        bank.asc_env = replace(bank.asc_env, d=5.0)
+        bank.desc_env = replace(bank.desc_env, d=5.0)
+    return model
+
+
+def _crossed_descend_flag_model():
+    """Descend-flag banks whose descending envelopes cross the ascending
+    one near v = 1.5: below that the play band of the narrow operators is
+    empty, at v0 = 0 too."""
+    return _descend_flag_model(LinearEnvelope(a=3.5, b=0.2), LinearEnvelope(a=4.0, b=-0.5),
+                               SWEEP_FLAG)
+
+
 REPORTED_CASES = {
     "reference-sinusoid": (reference_model, _long_sinusoid),
     "reference-dither": (reference_model, _dither_input),
     "descend-flag-sweep": (_recovery_model, _recovery_sweep),
     "descend-flag-triangle": (_recovery_model, _triangle),
+    "saturated-tanh-sinusoid": (_saturated_reference_model, _long_sinusoid),
+    "crossed-envelopes-sweep": (_crossed_descend_flag_model, _recovery_sweep),
 }
 
 

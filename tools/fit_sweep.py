@@ -14,13 +14,17 @@ the default ``FitConfig``, in one subprocess per tree with
 
 One line per (seed, mode) puts both trees side by side: iterations, stop
 reason, final loss, RMSE of the fitted model to the clean signal (deg),
-and the median wall time of ``lm_fit`` over ``--repeat`` runs (default
-3). Needs git, numpy and the Python standard library; exits 0.
+the median wall time of ``lm_fit`` over ``--repeat`` runs (default 3),
+and ``bits``: ``same`` when the fitted params and the loss trace of both
+trees are equal byte for byte, ``DIFF`` otherwise. A closing line counts
+the bit-identical fits. Needs git, numpy and the Python standard library;
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -75,6 +79,9 @@ def fit_all(data_path: str, repeat: int) -> list[dict]:
                 "reason": result.reason, "loss": result.loss_trace[-1],
                 "rmse": float(np.sqrt(np.mean((z - data[f"clean{seed}"]) ** 2))),
                 "seconds": statistics.median(times),
+                "digest": hashlib.sha256(
+                    result.params.tobytes() + np.array(result.loss_trace).tobytes()
+                ).hexdigest(),
             })
     return rows
 
@@ -113,9 +120,13 @@ def main(argv: list[str]) -> int:
         base = run_tree(tmp / "base" / "src", tmp / "data.npz", args.repeat)
         head = run_tree(ROOT / "src", tmp / "data.npz", args.repeat)
     columns = f"{'iter':>4} {'reason':<14} {'loss':>14} {'rmse':>8} {'s':>7}"
-    print(f"{'seed':>4} {'mode':<4} | base: {columns} | working tree: {columns}")
+    print(f"{'seed':>4} {'mode':<4} | base: {columns} | working tree: {columns} | bits")
+    same = 0
     for b, h in zip(base, head):
-        print(f"{b['seed']:>4} {b['mode']:<4} | {describe(b)} | {describe(h)}")
+        bits = "same" if b["digest"] == h["digest"] else "DIFF"
+        same += bits == "same"
+        print(f"{b['seed']:>4} {b['mode']:<4} | {describe(b)} | {describe(h)} | {bits}")
+    print(f"bit-identical fits: {same} of {len(base)}")
     return 0
 
 
