@@ -94,7 +94,7 @@ def load_dataset(path) -> Trajectory:
                 )
             data = _read_blocks(fh, len(cols))
         if data is None:
-            data = _read_rows(path, len(cols))
+            data, _ = _read_rows(path, len(cols))
     except UnicodeDecodeError:
         # the decoder's byte offset counts from its current chunk, not the file
         raise InputError(f"{path}: not UTF-8 text") from None
@@ -106,7 +106,7 @@ def load_dataset(path) -> Trajectory:
         if exc.sample is None:
             raise
         # name file lines, not sample indices
-        lines = _data_lines(path)
+        _, lines = _read_rows(path, data.shape[1])
         where = re.sub(r"sample (\d+)", lambda m: f"line {lines[int(m[1])]}", str(exc))
         raise InputError(f"{path}:{lines[exc.sample]}: {where}") from None
 
@@ -129,28 +129,25 @@ def _read_blocks(fh, width: int) -> np.ndarray | None:
     return np.concatenate(blocks or [np.empty(0)]).reshape(-1, width)
 
 
-def _read_rows(path, width: int) -> np.ndarray:
-    """Row-by-row parse of the data rows; an InputError names a bad line."""
-    values = []
+def _read_rows(path, width: int) -> tuple[np.ndarray, list[int]]:
+    """Row-by-row parse of the data rows: ``(data, lines)``, where ``lines``
+    holds the file line of each row (blank lines hold no row). An
+    InputError names a bad line."""
+    values, lines = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            lines.append(lineno)
             if len(row) != width:
                 raise InputError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
             try:
                 values.extend([float(x) for x in row])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: malformed row {row!r}") from None
-    return np.array(values).reshape(-1, width)
-
-
-def _data_lines(path) -> list[int]:
-    """File line number of each data row; blank lines hold no row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row][1:]
+    return np.array(values).reshape(-1, width), lines
 
 
 def _write_rows(path, header, columns):

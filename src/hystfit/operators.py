@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .envelopes import Envelope, TanhEnvelope
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_number
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class DensitySpec:
             raise ConfigError(f"first threshold r1 must be finite and > 0, got {self.r1}")
         if not np.isfinite(self.rn):
             raise ConfigError(f"last threshold rn must be finite, got {self.rn}")
-        if self.n < 1:
+        if check_number(self.n, "threshold count n", integer=True) < 1:
             raise ConfigError(f"threshold count n must be >= 1, got {self.n}")
         if self.n > 1 and self.r1 > self.rn:
             raise ConfigError(f"need r1 <= rn, got r1={self.r1}, rn={self.rn}")
@@ -212,10 +212,32 @@ def _directions(v: np.ndarray, prev: float | None = None) -> np.ndarray:
     return d
 
 
-def _run_edges(d: np.ndarray) -> np.ndarray:
-    """The first sample of each run of constant direction after the first,
-    then the end."""
-    return np.append(np.flatnonzero(d[1:] != d[:-1]) + 1, d.size)
+def _blocks(d: np.ndarray) -> list:
+    """The blocks ``(i, j, starts)`` that tile the samples of directions ``d``.
+
+    A block ``v[i:j]`` holds at most ``_BLOCK`` samples. A stretch of one
+    run of constant direction with ``_LONG`` or more samples in the window
+    ``v[i:i + _BLOCK]`` gets a block of its own; shorter stretches share
+    one. ``starts`` holds the offsets from ``i`` of the block's run edges,
+    none in a one-run block.
+    """
+    edges = np.append(np.flatnonzero(d[1:] != d[:-1]) + 1, d.size)
+    blocks = []
+    i = q = 0  # edges[q] is the first run start after sample i
+    while i < d.size:
+        j = min(i + _BLOCK, d.size)
+        starts = edges[:0]
+        if edges[q] < j:
+            bounds = np.concatenate(([i], edges[q : np.searchsorted(edges, j)], [j]))
+            long = np.flatnonzero(bounds[1:] - bounds[:-1] >= _LONG)
+            k = max(long[0], 1) if long.size else bounds.size - 1
+            j = bounds[k]
+            starts = bounds[1:k] - i
+            q += k - 1
+        blocks.append((i, j, starts))
+        i = j
+        q += int(edges[q] == i)
+    return blocks
 
 
 def _clip(x, lo, hi):
@@ -223,17 +245,17 @@ def _clip(x, lo, hi):
     return np.minimum(y, hi, out=y)
 
 
-def _states(model: GpiModel, v, d, edges, w, need=None):
+def _states(model: GpiModel, v, d, blocks, w, need):
     """Bank states along ``v`` (directions ``d = _directions(v, prev)``,
-    run edges ``_run_edges(d)``), starting from the state ``w`` before the
+    block layout ``_blocks(d)``), starting from the state ``w`` before the
     step to ``v[0]``.
 
-    Yields ``(i, j, S, E)`` per block ``v[i:j]`` of at most ``_BLOCK``
-    samples: ``S`` holds the states (operators x samples) and ``E`` the
-    state each one entered its run with, within the block. A block inside
-    one run yields ``E`` as one column. A one-column ``S`` stands for
-    every sample of the block: the block is a run of holds, or a crossed
-    stretch (below) whose column is the state at its last sample.
+    Yields ``(i, j, S, E)`` per block ``v[i:j]``: ``S`` holds the states
+    (operators x samples) and ``E`` the state each one entered its run
+    with, within the block. A block inside one run yields ``E`` as one
+    column. A one-column ``S`` stands for every sample of the block: the
+    block is a run of holds, or a crossed stretch (below) whose column is
+    the state at its last sample.
 
     Each step clamps the state: ``max(w, asc_env(v) - kappa_asc*r)``
     rising, ``min(w, desc_env(v) + kappa_desc*r)`` falling, the identity
@@ -246,67 +268,47 @@ def _states(model: GpiModel, v, d, edges, w, need=None):
     Max and min only select values, so the states are exactly those of the
     sample-by-sample recursion.
 
-    ``need`` (a mask over the samples, or None for all) names the samples
-    whose states the caller reads. A block inside one run that needs none
-    is crossed, together with the blocks of its run after it that need
-    none: by monotonicity the state at the end of the crossing is the
-    entering state clamped by the last target alone. ``(i, j)`` then spans
-    the crossed blocks. Every other block is computed in full. The last
-    target is still taken from the envelope evaluated on the same segment
-    as without ``need``, so that no bit depends on the length of the array
-    an envelope sees. Every block that is computed has the bounds and the
-    entering state it has without ``need``.
+    ``need`` is a mask of the samples whose states the caller reads. A
+    block inside one run that needs none is crossed, joined by the blocks
+    after it in ``blocks`` that continue its run and need none: by
+    monotonicity the state at the end of the crossing is the entering
+    state clamped by the last target alone. ``(i, j)`` then spans the
+    crossed blocks. Every other block is computed in full. The last target
+    is still taken from the envelope evaluated on the last crossed block,
+    so that no bit depends on the length of the array an envelope sees.
     """
     r = model.density.thresholds()
     asc_off = (model.kappa_asc * r)[:, None]
     desc_off = (model.kappa_desc * r)[:, None]
-    i = q = 0  # edges[q] is the first run start after sample i
-    while i < v.size:
-        j = min(i + _BLOCK, v.size)
-        mixed = edges[q] < j
-        if mixed:
-            # a run of _LONG or more samples gets blocks of its own; shorter
-            # runs share a block up to the next long run
-            bounds = np.concatenate(([i], edges[q : np.searchsorted(edges, j)], [j]))
-            long = np.flatnonzero(bounds[1:] - bounds[:-1] >= _LONG)
-            k = max(long[0], 1) if long.size else bounds.size - 1
-            j = bounds[k]
-            starts = bounds[1:k] - i  # of the block's runs after the first
-            q += k - 1
-            mixed = k > 1
-        ds = d[i:j]
+    n = 0
+    while n < len(blocks):
+        i, j, starts = blocks[n]
+        n += 1
         E = w[:, None]
-        if not mixed and ds[0] != 0:
+        if not starts.size and d[i] != 0:
             seg = v[i:j]
-            crossed = need is not None and not need[i:j].any()
-            if crossed:
-                # the blocks of this run after this one that need nothing
-                # are crossed in the same step; its last _LONG or more
-                # samples are a block of their own
-                while j < v.size:
-                    k = min(j + _BLOCK, v.size)
-                    if edges[q] < k:
-                        if edges[q] - j < _LONG:
-                            break
-                        k = edges[q]
-                    if need[j:k].any():
-                        break
-                    seg, j = v[j:k], k
-            target = model.asc_env(seg) if ds[0] > 0 else model.desc_env(seg)
+            crossed = not need[i:j].any()
+            while crossed and n < len(blocks):
+                a, b, more = blocks[n]
+                if more.size or d[a] != d[i] or need[a:b].any():
+                    break
+                seg, j = v[a:b], b
+                n += 1
+            target = model.asc_env(seg) if d[i] > 0 else model.desc_env(seg)
             if crossed:
                 target = target[-1:]  # seg ends at sample j
             S = np.empty((r.size, target.size))
             S[:] = target
-            if ds[0] > 0:
+            if d[i] > 0:
                 S -= asc_off
                 np.maximum(S, E, out=S)
             else:
                 S += desc_off
                 np.minimum(S, E, out=S)
-        elif not mixed:
+        elif not starts.size:
             S = E
         else:
-            seg = v[i:j]
+            seg, ds = v[i:j], d[i:j]
             lo = np.where(ds > 0, model.asc_env(seg), -np.inf) - asc_off
             hi = np.where(ds < 0, model.desc_env(seg), np.inf) + desc_off
             # each run's clamp is that of its last sample; a Hillis-Steele
@@ -327,8 +329,6 @@ def _states(model: GpiModel, v, d, edges, w, need=None):
         yield i, j, S, E
         # a copy, so that E (a view of w) does not keep this block's S alive
         w = S[:, -1].copy()
-        i = j
-        q += int(edges[q] == i)
 
 
 def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -343,7 +343,7 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def _bank_pass(model: GpiModel, v, d, edges, w, need=None) -> np.ndarray:
+def _bank_pass(model: GpiModel, v, d, blocks, w, need) -> np.ndarray:
     """One bank's output along ``v`` from the state ``w`` (see ``_states``).
 
     A crossed stretch (no sample in ``need``) gets its last sample's output,
@@ -352,7 +352,7 @@ def _bank_pass(model: GpiModel, v, d, edges, w, need=None) -> np.ndarray:
     """
     p = model.density.weights()
     y = np.empty(v.size)
-    for i, j, S, _ in _states(model, v, d, edges, w, need):
+    for i, j, S, _ in _states(model, v, d, blocks, w, need):
         y[i:j] = _contract(p, S)
     model.states = S[:, -1].copy()
     model.last_input = float(v[-1])
@@ -379,17 +379,19 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _plan(model, v, prev=None, every=False):
-    """Directions, run edges, flag mask and each bank's ``need`` for
-    ``_states`` over ``v``: ``(d, edges, use2, needs)``.
+    """Directions, block layout, flag mask and each bank's ``need`` for
+    ``_states`` over ``v``: ``(d, blocks, use2, needs)``.
 
-    A bank of a switched model needs the samples it reports, unless
-    ``every`` is set; a lone bank needs every sample.
+    The blocks are cut here (``_blocks``), once per evaluation; every bank
+    pass of the evaluation, forward or tangent, walks them. A bank of a
+    switched model needs the samples it reports, unless ``every`` is set;
+    a lone bank needs every sample.
     """
     d = _directions(v, prev)
     use2 = _reports_second(model, v, d)
     banks = _banks(model)
-    needs = [None] * len(banks) if every or len(banks) == 1 else [~use2, use2]
-    return d, _run_edges(d), use2, needs
+    needs = [np.ones_like(use2)] * len(banks) if every or len(banks) == 1 else [~use2, use2]
+    return d, _blocks(d), use2, needs
 
 
 def _evaluate(model, t, v, reset: bool, every: bool):
@@ -402,11 +404,11 @@ def _evaluate(model, t, v, reset: bool, every: bool):
     banks = _banks(model)
     fresh = reset or any(bank.states is None for bank in banks)
     prev = None if fresh else banks[0].last_input
-    d, edges, use2, needs = _plan(model, v, prev, every)
+    d, blocks, use2, needs = _plan(model, v, prev, every)
     outs = []
     for bank, need in zip(banks, needs):
         w = _init_bank(bank, v[0]) if fresh else bank.states
-        outs.append(_bank_pass(bank, v, d, edges, w, need))
+        outs.append(_bank_pass(bank, v, d, blocks, w, need))
     return use2, outs
 
 

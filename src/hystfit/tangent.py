@@ -14,16 +14,16 @@ from .errors import ConfigError
 from .operators import GpiModel, _banks, _init_bank, _plan, _states
 
 
-def _bank_tangent(model: GpiModel, v, d, edges, slots: dict, J, rows=None):
-    """Forward-mode pass of one fresh bank with linear envelopes.
+def _bank_tangent(model: GpiModel, v, d, blocks, slots: dict, P: int, rows):
+    """Forward-mode pass of one fresh bank with linear envelopes: the bank's
+    Jacobian ``J``, one row per sample and ``P`` columns.
 
-    ``d`` and ``edges`` are the directions and run edges of ``v`` (see
-    ``operators._states``). Writes the exact derivatives of the bank output
-    into the rows of ``J`` selected by the mask ``rows``, or into every row
-    without one. ``slots`` maps bank parameter
-    names (``asc_slope``, ``asc_intercept``, ``desc_slope``,
-    ``desc_intercept``, ``lam``, ``sigma``, ``r1``, ``rn``, ``kappa_desc``)
-    to columns of ``J``; unnamed parameters are held fixed.
+    ``d`` and ``blocks`` are the directions and the block layout of ``v``
+    (see ``operators._plan``). The rows in the mask ``rows`` hold the exact
+    derivatives of the bank output; the others are left unset. ``slots``
+    maps bank parameter names (``asc_slope``, ``asc_intercept``,
+    ``desc_slope``, ``desc_intercept``, ``lam``, ``sigma``, ``r1``, ``rn``,
+    ``kappa_desc``) to columns of ``J``; unnamed parameters are held fixed.
 
     Along ``_states`` a state that moved off its entering value sits on
     the branch target of that sample, and stays there until it moves
@@ -36,9 +36,8 @@ def _bank_tangent(model: GpiModel, v, d, edges, slots: dict, J, rows=None):
     the matrix shape) or, within one run and with no selected row, crossed:
     a state that moved over the crossing takes the last target's tangent.
     That is the block-by-block result whenever the target changes between
-    block ends.
+    block ends. A block with no selected row writes no row of ``J``.
     """
-    P = J.shape[1]
 
     def unit(name):
         u = np.zeros(P)
@@ -67,10 +66,10 @@ def _bank_tangent(model: GpiModel, v, d, edges, slots: dict, J, rows=None):
     dw[low] = (v0 * a_asc + dasc)[low]
     dw[high] = (v0 * a_desc + ddesc)[high]
 
+    J = np.empty((v.size, P))
     pcol = p[:, None]
-    for i, j, S, E in _states(model, v, d, edges, w, rows):
-        sel = None if rows is None else rows[i:j]  # a hold's one row stands for all
-        report = sel is None or sel.any()
+    for i, j, S, E in _states(model, v, d, blocks, w, rows):
+        report = rows[i:j].any()
         if E.shape[1] == 1:
             # inside one run a state that moved sits on its own sample's target
             dT, a = (dasc, a_asc) if d[i] > 0 else (ddesc, a_desc)
@@ -91,10 +90,9 @@ def _bank_tangent(model: GpiModel, v, d, edges, slots: dict, J, rows=None):
                 Jb += (pd * vs).sum(axis=0)[:, None] * a_desc
             s, x = ds[:, -1:], vs[:, -1:]
             dw = np.where(s > 0, x * a_asc + dasc, np.where(s < 0, x * a_desc + ddesc, dw))
-        if sel is None or sel.all():  # a plain copy is several times faster than a masked one
-            J[i:j] = Jb
-        elif report:
-            np.copyto(J[i:j], Jb, where=sel[:, None])
+        if report:
+            J[i:j] = Jb  # a hold's one row stands for all
+    return J
 
 
 def model_jacobian(model, v, slots):
@@ -103,15 +101,16 @@ def model_jacobian(model, v, slots):
     One forward-mode tangent pass over either model kind with linear
     envelopes. ``slots`` holds one dict per bank mapping that bank's
     parameter names to Jacobian columns (see ``_bank_tangent``); banks may
-    share columns. Each sample's row is the derivative of the bank that
-    ``predict(model, t, v)`` reports there.
+    share columns. Each bank's pass walks the blocks of ``_plan`` and
+    computes the rows it reports; each sample's row is then picked from the
+    bank that ``predict(model, t, v)`` reports there, as outputs are.
     """
     v = np.asarray(v, dtype=float)
     banks = _banks(model)
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
-    J = np.empty((v.size, 1 + max(max(s.values()) for s in slots)))
-    d, edges, _, rows = _plan(model, v)
-    for bank, bank_slots, bank_rows in zip(banks, slots, rows):
-        _bank_tangent(bank, v, d, edges, bank_slots, J, bank_rows)
-    return J
+    P = 1 + max(max(s.values()) for s in slots)
+    d, blocks, use2, rows = _plan(model, v)
+    Js = [_bank_tangent(bank, v, d, blocks, bank_slots, P, bank_rows)
+          for bank, bank_slots, bank_rows in zip(banks, slots, rows)]
+    return np.where(use2[:, None], Js[-1], Js[0])

@@ -11,7 +11,7 @@ two-staged descending branch.
 import numpy as np
 
 from hystfit import Trajectory, build_model, gen_synthetic
-from hystfit.operators import GpiModel
+from hystfit.operators import _BLOCK, GpiModel
 
 SWEEP_N = 5000
 SWEEP_DT = 1e-3
@@ -34,6 +34,18 @@ def sweep_input(n=SWEEP_N, dt=SWEEP_DT, peak=SWEEP_PEAK, flag=SWEEP_FLAG):
         ]
     )
     return Trajectory(t=dt * np.arange(n), v=v)
+
+
+def short_tail_input(dt=SWEEP_DT, peak=SWEEP_PEAK):
+    """Rise 0 -> peak over ``3 * _BLOCK + 30`` samples, then fall to 0 over
+    1,500. The rise's last block window holds only its last 29 samples,
+    fewer than ``_LONG``: descend-flag bank 2, which reports none of the
+    rise, crosses it into that short closing block."""
+    v = np.concatenate([
+        np.linspace(0.0, peak, 3 * _BLOCK + 30),
+        np.linspace(peak, 0.0, 1501)[1:],
+    ])
+    return Trajectory(t=dt * np.arange(v.size), v=v)
 
 
 def recovery_params(seed):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fixtures import SWEEP_FLAG, recovery_dataset, recovery_params, sweep_input
+from fixtures import SWEEP_FLAG, recovery_dataset, recovery_params, short_tail_input, sweep_input
 
 from hystfit import (
     ConfigError,
@@ -291,24 +291,20 @@ def test_tangent_jacobian_matches_central_differences(tangent_data, params, mode
 def test_tangent_rows_equal_passes_over_every_row(seed):
     # model_jacobian computes a bank's block only if the bank reports one
     # of its rows, and crosses the rest of a run; every row keeps the bits
-    # of a pass of that bank that computes every row
+    # of a pass of that bank that computes every row. The short-tail input
+    # makes bank 2 cross its rise into a closing block shorter than _LONG.
     from hystfit.fitting import _bank_slots
-    from hystfit.operators import _directions, _reports_second, _run_edges
+    from hystfit.operators import _plan
     from hystfit.tangent import _bank_tangent, model_jacobian
 
     model = build_model(recovery_params(seed), "egpi", SWEEP_FLAG)
-    v = sweep_input().v
     slots = _bank_slots("egpi")
-    J = model_jacobian(model, v, slots)
-    d = _directions(v)
-    edges = _run_edges(d)
-    every = []
-    for bank, bank_slots in zip(model.submodels, slots):
-        Jb = np.full(J.shape, np.nan)
-        _bank_tangent(bank, v, d, edges, bank_slots, Jb, np.ones(v.size, dtype=bool))
-        every.append(Jb)
-    use2 = _reports_second(model, v, d)
-    assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))
+    for v in (sweep_input().v, short_tail_input().v):
+        J = model_jacobian(model, v, slots)
+        d, blocks, use2, _ = _plan(model, v)
+        every = [_bank_tangent(bank, v, d, blocks, bank_slots, J.shape[1], np.ones(v.size, bool))
+                 for bank, bank_slots in zip(model.submodels, slots)]
+        assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))
 
 
 def test_tangent_pass_rejects_tanh_envelopes():

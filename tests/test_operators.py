@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import bruteforce
-from fixtures import SWEEP_FLAG, oracle_kwargs, recovery_dataset, recovery_params, sweep_input
+from fixtures import (
+    SWEEP_FLAG,
+    oracle_kwargs,
+    recovery_dataset,
+    recovery_params,
+    short_tail_input,
+    sweep_input,
+)
 
 from hystfit import (
     ConfigError,
@@ -22,7 +29,7 @@ from hystfit import (
     reference_model,
 )
 from hystfit.fitting import jacobian, residuals
-from hystfit.operators import _BLOCK, _banks, _directions, _run_edges, egpi_outputs
+from hystfit.operators import _BLOCK, _LONG, _banks, _blocks, _directions, egpi_outputs
 from hystfit.signals import decaying_sinusoid
 
 IDENTITY = LinearEnvelope(a=1.0, b=0.0)
@@ -175,6 +182,19 @@ def test_density_validation():
                 DensitySpec(**{"lam": 0.1, "sigma": 0.1, "r1": 0.1, "rn": 1.0, "n": 3, name: bad})
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+def test_density_count_must_be_an_integer(n):
+    # a float or bool count used to pass, and fail later in np.linspace
+    # or stand for 1
+    with pytest.raises(ConfigError, match="threshold count n must be an integer"):
+        DensitySpec(lam=0.1, sigma=0.1, r1=0.1, rn=1.0, n=n)
+
+
+def test_density_count_accepts_numpy_integers():
+    d = DensitySpec(lam=0.1, sigma=0.1, r1=0.1, rn=1.0, n=np.int64(3))
+    assert np.array_equal(d.thresholds(), [0.0, 0.1, 0.55, 1.0])
+
+
 @pytest.mark.parametrize("kappas", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0)])
 def test_gpi_regulator_validation(kappas):
     density = DensitySpec(lam=0.2, sigma=0.0, r1=0.5, rn=1.5, n=2)
@@ -312,6 +332,11 @@ def _recovery_sweep():
     return sweep.t, sweep.v
 
 
+def _short_tail_sweep():
+    traj = short_tail_input()
+    return traj.t, traj.v
+
+
 def _long_sinusoid():
     """The stock input at 200,001 samples: the flags fall mid-run and
     mid-block, inside runs of several blocks."""
@@ -351,6 +376,7 @@ REPORTED_CASES = {
     "reference-dither": (reference_model, _dither_input),
     "descend-flag-sweep": (_recovery_model, _recovery_sweep),
     "descend-flag-triangle": (_recovery_model, _triangle),
+    "descend-flag-short-tail": (_recovery_model, _short_tail_sweep),
     "saturated-tanh-sinusoid": (_saturated_reference_model, _long_sinusoid),
     "crossed-envelopes-sweep": (_crossed_descend_flag_model, _recovery_sweep),
 }
@@ -384,11 +410,11 @@ def test_streaming_cuts_inside_unreported_stretches():
     # nothing of the last descent; the chunks cut both stretches, and one
     # cut falls exactly on the run edge where the rise turns into the fall
     t, v = _recovery_sweep()
-    edges = _run_edges(_directions(v))
-    assert v[edges[1]] < v[edges[1] - 1]  # the first falling sample
+    fall = int(np.argmax(_directions(v) < 0))
+    assert v[fall] < v[fall - 1]  # the first falling sample
     whole = _recovery_model()
     z_all, active_all = egpi_eval(whole, t, v)
-    bounds = [0, 700, 1900, int(edges[1]), 3000, 4300, 4301, v.size]
+    bounds = [0, 700, 1900, fall, 3000, 4300, 4301, v.size]
     model = _recovery_model()
     parts = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))
              for a, b in zip(bounds[:-1], bounds[1:])]
@@ -397,6 +423,25 @@ def test_streaming_cuts_inside_unreported_stretches():
     for got, want in zip(_banks(model), _banks(whole)):
         assert np.array_equal(got.states, want.states)
         assert got.last_input == want.last_input
+
+
+@pytest.mark.parametrize("make_input", [_dither_input, _recovery_sweep])
+def test_block_layout_follows_the_cut_rule(make_input):
+    # the blocks tile the samples, none is longer than _BLOCK, a block
+    # that holds several runs holds fewer than _LONG samples of each, and
+    # its starts are exactly the run edges inside it
+    _, v = make_input()
+    d = _directions(v)
+    edges = np.flatnonzero(d[1:] != d[:-1]) + 1
+    blocks = _blocks(d)
+    assert blocks[0][0] == 0 and blocks[-1][1] == v.size
+    for (_, j, _), (i, _, _) in zip(blocks, blocks[1:]):
+        assert i == j
+    for i, j, starts in blocks:
+        assert 0 < j - i <= _BLOCK
+        assert np.array_equal(i + starts, edges[(edges > i) & (edges < j)])
+        if starts.size:
+            assert np.diff(np.concatenate(([0], starts, [j - i]))).max() < _LONG
 
 
 def test_gpi_states_reflect_final_sample():

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/fit_sweep.py BASE_REV [--repeat N]
+    python tools/fit_sweep.py BASE_REV
 
 Exports ``git archive BASE_REV src`` to a temporary directory, as
 ``tools/cli_identity.py`` does. The datasets are built once, from the
@@ -14,11 +14,12 @@ the default ``FitConfig``, in one subprocess per tree with
 
 One line per (seed, mode) puts both trees side by side: iterations, stop
 reason, final loss, RMSE of the fitted model to the clean signal (deg),
-the median wall time of ``lm_fit`` over ``--repeat`` runs (default 3),
 and ``bits``: ``same`` when the fitted params and the loss trace of both
 trees are equal byte for byte, ``DIFF`` otherwise. A closing line counts
-the bit-identical fits. Needs git, numpy and the Python standard library;
-exits 0.
+the bit-identical fits. It times nothing: the trees run minutes apart, so
+their wall times would compare machine drift; the benchmark
+(``bench/run.py``) is where speed is measured. Needs git, numpy and the
+Python standard library; exits 0.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import argparse
 import hashlib
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
-import time
 import warnings
 from pathlib import Path
 
@@ -59,7 +58,7 @@ def write_datasets(path: Path) -> None:
     np.savez(path, **arrays)
 
 
-def fit_all(data_path: str, repeat: int) -> list[dict]:
+def fit_all(data_path: str) -> list[dict]:
     """Fit every (seed, mode) with the ``hystfit`` on ``sys.path``."""
     from hystfit import FitConfig, Trajectory, lm_fit, predict
 
@@ -68,17 +67,12 @@ def fit_all(data_path: str, repeat: int) -> list[dict]:
     for seed in SEEDS:
         traj = Trajectory(t=data[f"t{seed}"], v=data[f"v{seed}"], theta=data[f"theta{seed}"])
         for mode in MODES:
-            times = []
-            for _ in range(repeat):
-                start = time.perf_counter()
-                result = lm_fit(traj, FitConfig(v_f=FLAG), mode=mode)
-                times.append(time.perf_counter() - start)
+            result = lm_fit(traj, FitConfig(v_f=FLAG), mode=mode)
             z = predict(result.model(), traj.t, traj.v)
             rows.append({
                 "seed": seed, "mode": mode, "iterations": result.iterations,
                 "reason": result.reason, "loss": result.loss_trace[-1],
                 "rmse": float(np.sqrt(np.mean((z - data[f"clean{seed}"]) ** 2))),
-                "seconds": statistics.median(times),
                 "digest": hashlib.sha256(
                     result.params.tobytes() + np.array(result.loss_trace).tobytes()
                 ).hexdigest(),
@@ -86,30 +80,26 @@ def fit_all(data_path: str, repeat: int) -> list[dict]:
     return rows
 
 
-def run_tree(src: Path, data_path: Path, repeat: int) -> list[dict]:
+def run_tree(src: Path, data_path: Path) -> list[dict]:
     """``fit_all`` in a subprocess that imports ``hystfit`` from ``src``."""
     argv = [sys.executable, "-W", "ignore::RuntimeWarning", __file__, "--worker",
-            str(data_path), "--repeat", str(repeat)]
+            str(data_path)]
     proc = subprocess.run(argv, check=True, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     return json.loads(proc.stdout)
 
 
 def describe(row: dict) -> str:
-    return (f"{row['iterations']:>4} {row['reason']:<14} {row['loss']:>14.4f} "
-            f"{row['rmse']:>8.4f} {row['seconds']:>7.3f}")
+    return f"{row['iterations']:>4} {row['reason']:<14} {row['loss']:>14.4f} {row['rmse']:>8.4f}"
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_rev", nargs="?")
-    parser.add_argument("--repeat", type=int, default=3, help="timed fits per (seed, mode)")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
     if args.worker:
-        print(json.dumps(fit_all(args.worker, args.repeat)))
+        print(json.dumps(fit_all(args.worker)))
         return 0
     if args.base_rev is None:
         parser.error("BASE_REV is required")
@@ -117,9 +107,9 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         export_src(args.base_rev, tmp / "base")
         write_datasets(tmp / "data.npz")
-        base = run_tree(tmp / "base" / "src", tmp / "data.npz", args.repeat)
-        head = run_tree(ROOT / "src", tmp / "data.npz", args.repeat)
-    columns = f"{'iter':>4} {'reason':<14} {'loss':>14} {'rmse':>8} {'s':>7}"
+        base = run_tree(tmp / "base" / "src", tmp / "data.npz")
+        head = run_tree(ROOT / "src", tmp / "data.npz")
+    columns = f"{'iter':>4} {'reason':<14} {'loss':>14} {'rmse':>8}"
     print(f"{'seed':>4} {'mode':<4} | base: {columns} | working tree: {columns} | bits")
     same = 0
     for b, h in zip(base, head):
