@@ -25,8 +25,8 @@ class LinearEnvelope:
     b: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ConfigError("linear envelope parameters must be finite")
+        for name in "ab":
+            check_number(getattr(self, name), f"linear envelope field {name!r}")
         if self.a <= 0:
             raise ConfigError(f"linear envelope requires slope a > 0, got a={self.a}")
 
@@ -50,9 +50,8 @@ class TanhEnvelope:
     f: float
 
     def __post_init__(self):
-        vals = (self.c, self.d, self.e, self.f)
-        if not all(np.isfinite(x) for x in vals):
-            raise ConfigError("tanh envelope parameters must be finite")
+        for name in "cdef":
+            check_number(getattr(self, name), f"tanh envelope field {name!r}")
         if self.c <= 0 or self.d <= 0:
             raise ConfigError(
                 f"tanh envelope requires c > 0 and d > 0, got c={self.c}, d={self.d}"
@@ -81,6 +80,6 @@ def envelope_from_dict(doc: dict) -> Envelope:
     else:
         raise ConfigError(f"unknown envelope family {family!r}")
     try:
-        return cls(*(float(check_number(doc[k], f"{family} envelope field {k!r}")) for k in keys))
+        return cls(*(doc[k] for k in keys))
     except KeyError as exc:
         raise ConfigError(f"envelope document missing field {exc}") from None

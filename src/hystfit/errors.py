@@ -48,15 +48,17 @@ class NumericalError(HystError, RuntimeError):
 def check_number(value, name: str, integer: bool = False):
     """``value`` itself if it is a finite number (an integer if ``integer``).
 
-    Anything else, a bool included, raises ConfigError naming the field
-    ``name``.
+    Anything else, a bool or an int too large for a float included, raises
+    ConfigError naming the field ``name``.
     """
     kind = numbers.Integral if integer else numbers.Real
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, kind)
-        or not (isinstance(value, numbers.Integral) or math.isfinite(value))
-    ):
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, kind) and (
+            integer or math.isfinite(value)
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
         what = "an integer" if integer else "a finite number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value

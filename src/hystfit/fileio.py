@@ -198,14 +198,12 @@ def _density_doc(d: DensitySpec) -> dict:
 
 def _density_from_doc(doc: dict) -> DensitySpec:
     try:
-        lam, sigma, r1, rn = (
-            float(check_number(doc[key], f"density field {key!r}"))
-            for key in ("lambda", "sigma", "r1", "rn")
-        )
-        n = check_number(doc["n"], "density field 'n'", integer=True)
+        values = [doc[key] for key in ("lambda", "sigma", "r1", "rn", "n")]
     except KeyError as exc:
         raise ConfigError(f"density block missing field {exc}") from None
-    return DensitySpec(lam=lam, sigma=sigma, r1=r1, rn=rn, n=int(n))
+    # the file key, which DensitySpec's own message does not name
+    check_number(values[-1], "density field 'n'", integer=True)
+    return DensitySpec(*values)
 
 
 def _submodel_doc(m: GpiModel) -> dict:
@@ -254,7 +252,9 @@ def model_from_doc(doc: dict):
     """Rebuild a model from its document, enforcing mode/flag consistency.
 
     A missing or mistyped field raises ConfigError naming it, ``units``
-    included although the model does not hold them.
+    included although the model does not hold them. The model constructors
+    check the values, so the density scale ``lambda`` is named by its
+    field ``lam``.
     """
     if not isinstance(doc, dict) or "mode" not in doc:
         raise ConfigError("model document must be an object with a 'mode' field")
@@ -276,17 +276,14 @@ def model_from_doc(doc: dict):
             envs = [envelope_from_dict(sub[key]) for key in ("asc_env", "desc_env")]
         except KeyError as exc:
             raise ConfigError(f"submodel block missing field {exc}") from None
-        kappas = [
-            float(check_number(sub.get(key, 1.0), f"submodel {i + 1} field {key!r}"))
-            for key in ("kappa_asc", "kappa_desc")
-        ]
-        return GpiModel(density, *envs, *kappas)
+        return GpiModel(density, *envs, sub.get("kappa_asc", 1.0), sub.get("kappa_desc", 1.0))
 
     if mode == "gpi":
         return bank(0)
     flags = _member(doc, "flags", dict)
+    # the file keys, which EgpiModel's own messages do not name
     flag_asc, flag_desc = (
-        None if flags.get(key) is None else float(check_number(flags[key], f"flag {key!r}"))
+        None if flags.get(key) is None else check_number(flags[key], f"flag {key!r}")
         for key in ("v_f_asc", "v_f_desc")
     )
     return EgpiModel(

@@ -97,14 +97,6 @@ def param_bounds(mode: str) -> np.ndarray:
     return lo
 
 
-def _within_bounds(params, mode) -> bool:
-    names = param_names(mode)
-    if np.any(params < param_bounds(mode)):
-        return False
-    idx = {n: i for i, n in enumerate(names)}
-    return params[idx["r1"]] <= params[idx["rn"]]
-
-
 def validate_params(params, mode: str) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     names = param_names(mode)
@@ -114,7 +106,7 @@ def validate_params(params, mode: str) -> np.ndarray:
         )
     if not np.all(np.isfinite(params)):
         raise ParameterError("parameters must be finite")
-    if not _within_bounds(params, mode):
+    if not np.array_equal(project_params(params, mode), params):
         raise ParameterError(
             f"parameters violate bounds: {dict(zip(names, params.tolist()))}"
         )
@@ -122,7 +114,10 @@ def validate_params(params, mode: str) -> np.ndarray:
 
 
 def project_params(params, mode: str) -> np.ndarray:
-    """Nearest in-bounds parameter vector (clip, then mend r1 <= rn)."""
+    """Nearest in-bounds parameter vector (clip, then mend r1 <= rn).
+
+    A vector is in bounds exactly when this leaves it unchanged.
+    """
     p = np.maximum(np.asarray(params, dtype=float), param_bounds(mode))
     names = param_names(mode)
     i1, i2 = names.index("r1"), names.index("rn")
@@ -216,8 +211,8 @@ def jacobian_fd(
         plus[k] += h
         minus = params.copy()
         minus[k] -= h
-        plus_ok = _within_bounds(plus, mode)
-        minus_ok = _within_bounds(minus, mode)
+        plus_ok = np.array_equal(project_params(plus, mode), plus)
+        minus_ok = np.array_equal(project_params(minus, mode), minus)
         if scheme == "central" and plus_ok and minus_ok:
             col = (residuals(plus, traj, v_f, mode, n) - residuals(minus, traj, v_f, mode, n)) / (
                 2 * h

@@ -45,15 +45,14 @@ class DensitySpec:
     n: int
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not 0 < self.lam < np.inf:
-            raise ConfigError(f"density scale lam must be finite and > 0, got {self.lam}")
-        if not 0 <= self.sigma < np.inf:
-            raise ConfigError(f"density decay sigma must be finite and >= 0, got {self.sigma}")
-        if not 0 < self.r1 < np.inf:
-            raise ConfigError(f"first threshold r1 must be finite and > 0, got {self.r1}")
-        if not np.isfinite(self.rn):
-            raise ConfigError(f"last threshold rn must be finite, got {self.rn}")
+        for name in ("lam", "sigma", "r1", "rn"):
+            check_number(getattr(self, name), f"density field {name!r}")
+        if self.lam <= 0:
+            raise ConfigError(f"density scale lam must be > 0, got {self.lam}")
+        if self.sigma < 0:
+            raise ConfigError(f"density decay sigma must be >= 0, got {self.sigma}")
+        if self.r1 <= 0:
+            raise ConfigError(f"first threshold r1 must be > 0, got {self.r1}")
         if check_number(self.n, "threshold count n", integer=True) < 1:
             raise ConfigError(f"threshold count n must be >= 1, got {self.n}")
         if self.n > 1 and self.r1 > self.rn:
@@ -97,11 +96,10 @@ class GpiModel:
     last_input: float | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0 < self.kappa_asc < np.inf and 0 < self.kappa_desc < np.inf):
-            raise ConfigError(
-                f"regulators must be finite and > 0, got kappa_asc={self.kappa_asc}, "
-                f"kappa_desc={self.kappa_desc}"
-            )
+        for name in ("kappa_asc", "kappa_desc"):
+            kappa = check_number(getattr(self, name), f"regulator {name!r}")
+            if kappa <= 0:
+                raise ConfigError(f"regulator {name!r} must be > 0, got {kappa}")
 
 
 class SwitchMode(Enum):
@@ -131,11 +129,12 @@ class EgpiModel:
             raise ConfigError("submodels must be distinct instances (state is per-bank)")
         if self.mode is SwitchMode.TWO_FLAG:
             if self.flag_asc is None or self.flag_desc is None:
-                raise ConfigError("two-flag mode requires both flag_asc and flag_desc")
+                raise ConfigError("two-flag mode requires both 'flag_asc' and 'flag_desc'")
         elif self.flag_desc is None or self.flag_asc is not None:
-            raise ConfigError("descend-flag mode requires flag_desc and no flag_asc")
-        if not all(np.isfinite(f) for f in (self.flag_asc, self.flag_desc) if f is not None):
-            raise ConfigError(f"flags must be finite, got {self.flag_asc}, {self.flag_desc}")
+            raise ConfigError("descend-flag mode requires 'flag_desc' and no 'flag_asc'")
+        for name in ("flag_asc", "flag_desc"):
+            if (flag := getattr(self, name)) is not None:
+                check_number(flag, f"flag {name!r}")
 
 
 def _validate_series(t, *series):
@@ -384,13 +383,13 @@ def _plan(model, v, prev=None, every=False):
 
     The blocks are cut here (``_blocks``), once per evaluation; every bank
     pass of the evaluation, forward or tangent, walks them. A bank of a
-    switched model needs the samples it reports, unless ``every`` is set;
-    a lone bank needs every sample.
+    switched model needs the samples it reports, unless ``every`` is set.
+    A lone bank takes the first ``need``: it reports every sample, as
+    ``use2`` is all false.
     """
     d = _directions(v, prev)
     use2 = _reports_second(model, v, d)
-    banks = _banks(model)
-    needs = [np.ones_like(use2)] * len(banks) if every or len(banks) == 1 else [~use2, use2]
+    needs = [np.ones_like(use2)] * 2 if every else [~use2, use2]
     return d, _blocks(d), use2, needs
 
 
@@ -419,8 +418,10 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     the first sample. ``reset=False`` continues from the model's stored
     states for streaming use; the first new sample is then compared
     against the last input seen. Model states reflect the final sample
-    either way.
+    either way. Any other model kind raises ConfigError before a bank runs.
     """
+    if not isinstance(model, GpiModel):
+        raise ConfigError(f"gpi_eval takes a GpiModel, got {type(model).__name__}")
     _, (y,) = _evaluate(model, t, v, reset, every=True)
     return y
 

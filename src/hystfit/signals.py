@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DetectionError, InputError
+from .errors import ConfigError, DetectionError, InputError, check_number
 from .operators import _validate_series, predict
 
 
@@ -37,8 +37,8 @@ def decaying_sinusoid(t_start: float = 0.0, t_end: float = 10.0, dt: float = 1e-
 
     v(t) = 8 * exp(-0.04*t) * sin(2*pi*t + pi/4)
     """
-    if not np.isfinite([t_start, t_end, dt]).all():
-        raise ConfigError(f"need finite t_start, t_end and dt, got [{t_start}, {t_end}], dt={dt}")
+    for value, name in ((t_start, "t_start"), (t_end, "t_end"), (dt, "dt")):
+        check_number(value, name)
     if not (t_start < t_end):
         raise ConfigError(f"need t_start < t_end, got [{t_start}, {t_end}]")
     if dt <= 0 or dt >= t_end - t_start:
@@ -65,8 +65,8 @@ def detect_flag_point(traj: Trajectory, eps: float | None = None) -> float:
         eps = 0.01 * float(np.max(np.abs(rates)))
         if eps == 0.0:
             raise DetectionError("input never moves; supply the flag point explicitly")
-    elif not 0 < eps < np.inf:
-        raise ConfigError(f"eps must be a finite number > 0, got {eps}")
+    elif check_number(eps, "eps") <= 0:
+        raise ConfigError(f"eps must be > 0, got {eps}")
     moving = np.abs(rates) >= eps
     if not moving.any():
         raise DetectionError("input never moves faster than eps; supply the flag point")
@@ -89,9 +89,9 @@ def gen_synthetic(
     arguments reproduce the output bit for bit. ``noise_std=0`` returns the
     clean model output exactly.
     """
-    if not 0 <= noise_std < np.inf:
-        raise ConfigError(f"noise_std must be a finite number >= 0, got {noise_std}")
-    if seed < 0:
+    if check_number(noise_std, "noise_std") < 0:
+        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    if check_number(seed, "seed", integer=True) < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     theta = predict(model, traj.t, traj.v)
     if noise_std > 0:

@@ -113,4 +113,7 @@ def model_jacobian(model, v, slots):
     d, blocks, use2, rows = _plan(model, v)
     Js = [_bank_tangent(bank, v, d, blocks, bank_slots, P, bank_rows)
           for bank, bank_slots, bank_rows in zip(banks, slots, rows)]
+    # a fresh array, also for a lone bank: returning a bank's own J, which is
+    # allocated before the pass's temporaries, gave fits 3 to 6 times the
+    # page faults and about 6% more CPU time (Linux, glibc malloc)
     return np.where(use2[:, None], Js[-1], Js[0])

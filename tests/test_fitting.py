@@ -11,6 +11,7 @@ from hystfit import (
     FitConfig,
     InitializationError,
     InputError,
+    NumericalError,
     ParameterError,
     Trajectory,
     build_model,
@@ -448,6 +449,24 @@ def test_lm_fit_rejects_bad_input(small_fixture):
         lm_fit(tiny, FitConfig(v_f=SWEEP_FLAG), mode="egpi")
     with pytest.raises(ConfigError):
         lm_fit(clean, FitConfig(), mode="egpi")  # flag point missing
+
+
+@pytest.mark.parametrize("solve_fails", ["raises", "non-finite"])
+def test_lm_fit_failed_solve_raises_with_loss_trace(small_fixture, monkeypatch, solve_fails):
+    # mu doubles on each failed solve; past 1e12 the fit gives up
+    _, params, clean, _ = small_fixture
+    start = params * 1.1
+    e = residuals(start, clean, SWEEP_FLAG, "egpi")
+
+    def solve(A, b):
+        if solve_fails == "raises":
+            raise np.linalg.LinAlgError("singular matrix")
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(NumericalError, match="singular") as info:
+        lm_fit(clean, FitConfig(v_f=SWEEP_FLAG, initial=start), mode="egpi")
+    assert info.value.loss_trace == [float(e @ e)]
 
 
 def test_fit_config_validation():

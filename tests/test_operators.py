@@ -202,6 +202,56 @@ def test_gpi_regulator_validation(kappas):
         GpiModel(density, IDENTITY, IDENTITY, *kappas)
 
 
+def _valid_fields(cls):
+    """Keyword arguments that ``cls`` accepts."""
+    density = DensitySpec(lam=0.2, sigma=0.1, r1=0.5, rn=1.5, n=2)
+    if cls is LinearEnvelope:
+        return {"a": 1.0, "b": 0.0}
+    if cls is TanhEnvelope:
+        return {"c": 1.0, "d": 1.0, "e": 0.0, "f": 0.0}
+    if cls is DensitySpec:
+        return {"lam": 0.2, "sigma": 0.1, "r1": 0.5, "rn": 1.5, "n": 2}
+    if cls is GpiModel:
+        return {"density": density, "asc_env": IDENTITY, "desc_env": IDENTITY,
+                "kappa_asc": 1.0, "kappa_desc": 1.0}
+    banks = [GpiModel(density, IDENTITY, IDENTITY) for _ in range(2)]
+    return {"submodels": banks, "mode": SwitchMode.TWO_FLAG, "flag_asc": 1.0, "flag_desc": 0.0}
+
+
+# (constructor, field, how the error names the field)
+NUMERIC_FIELDS = [
+    *((LinearEnvelope, k, repr(k)) for k in "ab"),
+    *((TanhEnvelope, k, repr(k)) for k in "cdef"),
+    *((DensitySpec, k, repr(k)) for k in ("lam", "sigma", "r1", "rn")),
+    (DensitySpec, "n", "threshold count n"),
+    *((GpiModel, k, repr(k)) for k in ("kappa_asc", "kappa_desc")),
+    *((EgpiModel, k, repr(k)) for k in ("flag_asc", "flag_desc")),
+]
+FLOAT_FIELDS = [f for f in NUMERIC_FIELDS if f[:2] != (DensitySpec, "n")]
+
+
+def _field_ids(fields):
+    return [f"{cls.__name__}.{name}" for cls, name, _ in fields]
+
+
+@pytest.mark.parametrize("bad", ["1", True, None], ids=["str", "bool", "None"])
+@pytest.mark.parametrize("cls,name,named", NUMERIC_FIELDS, ids=_field_ids(NUMERIC_FIELDS))
+def test_constructors_reject_non_numbers(cls, name, named, bad):
+    # a str used to end in a bare TypeError, and a bool was taken as 0 or 1
+    cls(**_valid_fields(cls))  # the unchanged fields pass
+    with pytest.raises(ConfigError) as info:
+        cls(**{**_valid_fields(cls), name: bad})
+    assert named in str(info.value)
+
+
+@pytest.mark.parametrize("cls,name,named", FLOAT_FIELDS, ids=_field_ids(FLOAT_FIELDS))
+def test_constructors_reject_ints_too_large_for_a_float(cls, name, named):
+    # 10**400 from a model file used to end in an OverflowError traceback
+    with pytest.raises(ConfigError, match="finite number") as info:
+        cls(**{**_valid_fields(cls), name: 10**400})
+    assert named in str(info.value)
+
+
 # ----------------------------------------------------------------- gpi_eval
 
 def test_gpi_single_operator_reduction():
@@ -218,6 +268,15 @@ def test_gpi_single_operator_reduction():
     y = gpi_eval(model, t, v)
     play = bruteforce.run_play(list(v), IDENTITY.to_dict(), IDENTITY.to_dict(), 1.0, 1.0, 0.5)
     assert np.max(np.abs(y - (v + np.array(play)))) < 1e-12
+
+
+def test_gpi_eval_rejects_switched_model_before_running_a_bank():
+    # it used to run both banks, overwrite their states, then fail to unpack
+    model = reference_model()
+    t, v = _demo_input()
+    with pytest.raises(ConfigError, match="GpiModel"):
+        gpi_eval(model, t, v)
+    assert all(bank.states is None and bank.last_input is None for bank in model.submodels)
 
 
 def test_gpi_constant_input_keeps_initial_output():

@@ -74,6 +74,13 @@ def test_decaying_sinusoid_rejects_non_finite_bounds(bounds):
         decaying_sinusoid(**bounds)
 
 
+@pytest.mark.parametrize("name,value", [("dt", "x"), ("t_end", True), ("t_start", None)])
+def test_decaying_sinusoid_rejects_non_numbers(name, value):
+    # dt="x" used to end in a bare TypeError
+    with pytest.raises(ConfigError, match=name):
+        decaying_sinusoid(**{name: value})
+
+
 # ----------------------------------------------------------- flag detection
 
 def test_detect_flag_at_turning_plateau():
@@ -121,6 +128,14 @@ def test_detect_flag_time_rescaling_invariance():
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
 def test_detect_flag_rejects_bad_eps(eps):
+    traj = Trajectory(t=np.arange(5.0), v=np.array([0.0, 1.0, 2.0, 2.0, 1.0]))
+    with pytest.raises(ConfigError, match="eps"):
+        detect_flag_point(traj, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [True, "0.2"])
+def test_detect_flag_rejects_non_number_eps(eps):
+    # eps=True used to be taken as 1 and return a flag
     traj = Trajectory(t=np.arange(5.0), v=np.array([0.0, 1.0, 2.0, 2.0, 1.0]))
     with pytest.raises(ConfigError, match="eps"):
         detect_flag_point(traj, eps=eps)
@@ -183,3 +198,16 @@ def test_gen_synthetic_rejects_non_finite_noise(noise_std):
 def test_gen_synthetic_rejects_negative_seed(noise_std):
     with pytest.raises(ConfigError, match="seed"):
         gen_synthetic(reference_model(), decaying_sinusoid(t_end=1.0), noise_std, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def test_gen_synthetic_rejects_non_integer_seed(seed):
+    # seed=1.5 used to end in numpy's TypeError
+    with pytest.raises(ConfigError, match="seed"):
+        gen_synthetic(reference_model(), decaying_sinusoid(t_end=1.0), 0.1, seed=seed)
+
+
+@pytest.mark.parametrize("noise_std", [True, "0.1", None])
+def test_gen_synthetic_rejects_non_number_noise(noise_std):
+    with pytest.raises(ConfigError, match="noise_std"):
+        gen_synthetic(reference_model(), decaying_sinusoid(t_end=1.0), noise_std)
