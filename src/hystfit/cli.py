@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     NumericalError,
     ParameterError,
+    check_number,
 )
 from .fileio import (
     load_dataset,
@@ -264,6 +265,9 @@ def _cmd_report(args):
             metrics = Metrics(**doc["metrics"])
         except TypeError:
             raise InputError(f"{path}: malformed 'metrics' block") from None
+        for key, value in metrics.to_dict().items():
+            if not (key == "nrmse" and value is None):
+                check_number(value, f"{path}: metrics field {key!r}", integer=key == "n")
         rows.append(report_row(doc["dataset"] or path, doc["fit_mode"], metrics))
     write_report(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")

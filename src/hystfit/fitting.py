@@ -147,7 +147,8 @@ def build_model(params, mode: str, v_f: float | None = None, n: int = 30):
     ]
     if mode == "gpi":
         return banks[0]
-    return EgpiModel(submodels=banks, mode=SwitchMode.DESCEND_FLAG, flag_desc=float(v_f))
+    v_f = float(check_number(v_f, "flag point v_f"))
+    return EgpiModel(submodels=banks, mode=SwitchMode.DESCEND_FLAG, flag_desc=v_f)
 
 
 def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):

@@ -214,29 +214,23 @@ def _directions(v: np.ndarray, prev: float | None = None) -> np.ndarray:
 def _blocks(d: np.ndarray) -> list:
     """The blocks ``(i, j, starts)`` that tile the samples of directions ``d``.
 
-    A block ``v[i:j]`` holds at most ``_BLOCK`` samples. A stretch of one
-    run of constant direction with ``_LONG`` or more samples in the window
-    ``v[i:i + _BLOCK]`` gets a block of its own; shorter stretches share
-    one. ``starts`` holds the offsets from ``i`` of the block's run edges,
-    none in a one-run block.
+    A run of constant direction with ``_LONG`` or more samples gets blocks
+    of its own; the shorter runs between two such runs share theirs. Each
+    such stretch is cut into blocks of ``_BLOCK`` samples from its start.
+    ``starts`` holds the offsets from ``i`` of the run edges inside the
+    block ``v[i:j]``, none in a block inside one run.
     """
-    edges = np.append(np.flatnonzero(d[1:] != d[:-1]) + 1, d.size)
-    blocks = []
-    i = q = 0  # edges[q] is the first run start after sample i
-    while i < d.size:
-        j = min(i + _BLOCK, d.size)
-        starts = edges[:0]
-        if edges[q] < j:
-            bounds = np.concatenate(([i], edges[q : np.searchsorted(edges, j)], [j]))
-            long = np.flatnonzero(bounds[1:] - bounds[:-1] >= _LONG)
-            k = max(long[0], 1) if long.size else bounds.size - 1
-            j = bounds[k]
-            starts = bounds[1:k] - i
-            q += k - 1
-        blocks.append((i, j, starts))
-        i = j
-        q += int(edges[q] == i)
-    return blocks
+    edges = np.flatnonzero(d[1:] != d[:-1]) + 1
+    bounds = np.concatenate(([0], edges, [d.size]))
+    long = bounds[1:] - bounds[:-1] >= _LONG
+    cut = np.ones(bounds.size, dtype=bool)  # the ends, and each long run's edges
+    cut[1:-1] = long[:-1] | long[1:]
+    stretches = bounds[cut].tolist()
+    first = [i for a, b in zip(stretches, stretches[1:]) for i in range(a, b, _BLOCK)]
+    stop = [*first[1:], d.size]
+    lo = np.searchsorted(edges, first, "right").tolist()
+    hi = np.searchsorted(edges, stop).tolist()
+    return [(i, j, edges[a:b] - i) for i, j, a, b in zip(first, stop, lo, hi)]
 
 
 def _clip(x, lo, hi):
@@ -244,58 +238,37 @@ def _clip(x, lo, hi):
     return np.minimum(y, hi, out=y)
 
 
-def _states(model: GpiModel, v, d, blocks, w, need):
-    """Bank states along ``v`` (directions ``d = _directions(v, prev)``,
-    block layout ``_blocks(d)``), starting from the state ``w`` before the
-    step to ``v[0]``.
+def _states(model: GpiModel, v, d, walk, w):
+    """Bank states along ``v`` (directions ``d = _directions(v, prev)``),
+    starting from the state ``w`` before the step to ``v[0]``.
 
-    Yields ``(i, j, S, E)`` per block ``v[i:j]``: ``S`` holds the states
-    (operators x samples) and ``E`` the state each one entered its run
-    with, within the block. A block inside one run yields ``E`` as one
-    column. A one-column ``S`` stands for every sample of the block: the
-    block is a run of holds, or a crossed stretch (below) whose column is
-    the state at its last sample.
+    ``walk`` is the bank's walk from ``_plan``. Yields ``(i, j, S, E)`` per
+    entry ``v[i:j]``: ``S`` holds the states (operators x samples) and
+    ``E`` the state each one entered its run with, within the entry. An
+    entry inside one run yields ``E`` as one column. A one-column ``S``
+    stands for every sample of the entry: a run of holds, or a crossed
+    stretch, whose column is the state at its last sample.
 
     Each step clamps the state: ``max(w, asc_env(v) - kappa_asc*r)``
     rising, ``min(w, desc_env(v) + kappa_desc*r)`` falling, the identity
     on a hold. Both envelope families increase, so along a run the targets
     are monotone and a sample's state is the run's entering state clamped
-    by the sample's own target. A block inside one run evaluates only its
-    own branch. In any other block a prefix scan over its runs gives their
-    entering states, as two clamps compose to one:
+    by the sample's own target; a crossed stretch clamps by its last target
+    alone. A block inside one run evaluates only its own branch. In any
+    other block a prefix scan over its runs gives their entering states, as
+    two clamps compose to one:
     ``clip(clip(w, l1, h1), l2, h2) = clip(w, clip(l1, l2, h2), clip(h1, l2, h2))``.
     Max and min only select values, so the states are exactly those of the
     sample-by-sample recursion.
-
-    ``need`` is a mask of the samples whose states the caller reads. A
-    block inside one run that needs none is crossed, joined by the blocks
-    after it in ``blocks`` that continue its run and need none: by
-    monotonicity the state at the end of the crossing is the entering
-    state clamped by the last target alone. ``(i, j)`` then spans the
-    crossed blocks. Every other block is computed in full. The last target
-    is still taken from the envelope evaluated on the last crossed block,
-    so that no bit depends on the length of the array an envelope sees.
     """
     r = model.density.thresholds()
     asc_off = (model.kappa_asc * r)[:, None]
     desc_off = (model.kappa_desc * r)[:, None]
-    n = 0
-    while n < len(blocks):
-        i, j, starts = blocks[n]
-        n += 1
+    for i, j, starts in walk:
         E = w[:, None]
-        if not starts.size and d[i] != 0:
-            seg = v[i:j]
-            crossed = not need[i:j].any()
-            while crossed and n < len(blocks):
-                a, b, more = blocks[n]
-                if more.size or d[a] != d[i] or need[a:b].any():
-                    break
-                seg, j = v[a:b], b
-                n += 1
+        if starts is None or (not starts.size and d[i] != 0):
+            seg = v[j - 1 : j] if starts is None else v[i:j]
             target = model.asc_env(seg) if d[i] > 0 else model.desc_env(seg)
-            if crossed:
-                target = target[-1:]  # seg ends at sample j
             S = np.empty((r.size, target.size))
             S[:] = target
             if d[i] > 0:
@@ -342,16 +315,16 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def _bank_pass(model: GpiModel, v, d, blocks, w, need) -> np.ndarray:
+def _bank_pass(model: GpiModel, v, d, walk, w) -> np.ndarray:
     """One bank's output along ``v`` from the state ``w`` (see ``_states``).
 
-    A crossed stretch (no sample in ``need``) gets its last sample's output,
-    which no caller reads: ``egpi_eval`` keeps only the reported bank's.
-    The bank's ``states`` and ``last_input`` reflect the final sample.
+    A crossed stretch of ``walk`` gets its last sample's output, which no
+    caller reads. The bank's ``states`` and ``last_input`` reflect the
+    final sample.
     """
     p = model.density.weights()
     y = np.empty(v.size)
-    for i, j, S, _ in _states(model, v, d, blocks, w, need):
+    for i, j, S, _ in _states(model, v, d, walk, w):
         y[i:j] = _contract(p, S)
     model.states = S[:, -1].copy()
     model.last_input = float(v[-1])
@@ -378,36 +351,50 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _plan(model, v, prev=None, every=False):
-    """Directions, block layout, flag mask and each bank's ``need`` for
-    ``_states`` over ``v``: ``(d, blocks, use2, needs)``.
+    """Directions, flag mask and each bank's walk over ``v``:
+    ``(d, use2, walks)``, one walk per bank of ``_banks(model)``.
 
-    The blocks are cut here (``_blocks``), once per evaluation; every bank
-    pass of the evaluation, forward or tangent, walks them. A bank of a
-    switched model needs the samples it reports, unless ``every`` is set.
-    A lone bank takes the first ``need``: it reports every sample, as
-    ``use2`` is all false.
+    A walk is the block list of ``_blocks(d)``, cut once per evaluation,
+    in which each stretch of one run where the bank reports no sample is
+    one crossed entry ``(i, j, None)``. A bank of a switched model reports
+    the samples ``use2`` gives it. Under ``every``, and for a lone bank,
+    which reports every sample, each walk is the plain block list. Every
+    pass of the evaluation, forward or tangent, walks these lists.
     """
     d = _directions(v, prev)
     use2 = _reports_second(model, v, d)
-    needs = [np.ones_like(use2)] * 2 if every else [~use2, use2]
-    return d, _blocks(d), use2, needs
+    blocks = _blocks(d)
+    if every or isinstance(model, GpiModel):
+        return d, use2, [blocks] * len(_banks(model))
+    walks = []
+    for reported in (~use2, use2):
+        walk = []
+        for i, j, starts in blocks:
+            if starts.size or d[i] == 0 or reported[i:j].any():
+                walk.append((i, j, starts))
+            elif walk and walk[-1][2] is None and d[walk[-1][0]] == d[i]:
+                walk[-1] = (walk[-1][0], j, None)  # the same run, crossed on
+            else:
+                walk.append((i, j, None))
+        walks.append(walk)
+    return d, use2, walks
 
 
 def _evaluate(model, t, v, reset: bool, every: bool):
     """One pass of each bank over one validated input: ``(use2, outputs)``.
 
-    The input is validated, and its walk planned (``_plan``), once for all
+    The input is validated, and its walks planned (``_plan``), once for all
     banks.
     """
     t, v = _validate_series(t, v)
     banks = _banks(model)
     fresh = reset or any(bank.states is None for bank in banks)
     prev = None if fresh else banks[0].last_input
-    d, blocks, use2, needs = _plan(model, v, prev, every)
+    d, use2, walks = _plan(model, v, prev, every)
     outs = []
-    for bank, need in zip(banks, needs):
+    for bank, walk in zip(banks, walks):
         w = _init_bank(bank, v[0]) if fresh else bank.states
-        outs.append(_bank_pass(bank, v, d, blocks, w, need))
+        outs.append(_bank_pass(bank, v, d, walk, w))
     return use2, outs
 
 
@@ -448,8 +435,8 @@ def egpi_eval(model, t, v, reset: bool = True):
     always report submodel 1. Holds follow the non-ascending rule. A
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
-    Each bank crosses the stretches of a run it does not report (see
-    ``_states``), as the tangent pass does. ``z``, and the banks'
+    Each bank walks the blocks it reports and crosses the rest of their
+    runs (``_plan``), as the tangent pass does. ``z``, and the banks'
     ``states`` and ``last_input``, keep the bits of a pass over every
     sample (``egpi_outputs``).
     """

@@ -14,16 +14,15 @@ from .errors import ConfigError
 from .operators import GpiModel, _banks, _init_bank, _plan, _states
 
 
-def _bank_tangent(model: GpiModel, v, d, blocks, slots: dict, P: int, rows):
+def _bank_tangent(model: GpiModel, v, d, walk, slots: dict, P: int):
     """Forward-mode pass of one fresh bank with linear envelopes: the bank's
     Jacobian ``J``, one row per sample and ``P`` columns.
 
-    ``d`` and ``blocks`` are the directions and the block layout of ``v``
-    (see ``operators._plan``). The rows in the mask ``rows`` hold the exact
-    derivatives of the bank output; the others are left unset. ``slots``
-    maps bank parameter names (``asc_slope``, ``asc_intercept``,
-    ``desc_slope``, ``desc_intercept``, ``lam``, ``sigma``, ``r1``, ``rn``,
-    ``kappa_desc``) to columns of ``J``; unnamed parameters are held fixed.
+    ``d`` and ``walk`` are the directions of ``v`` and the bank's walk (see
+    ``operators._plan``). ``slots`` maps bank parameter names
+    (``asc_slope``, ``asc_intercept``, ``desc_slope``, ``desc_intercept``,
+    ``lam``, ``sigma``, ``r1``, ``rn``, ``kappa_desc``) to columns of
+    ``J``; unnamed parameters are held fixed.
 
     Along ``_states`` a state that moved off its entering value sits on
     the branch target of that sample, and stays there until it moves
@@ -31,12 +30,10 @@ def _bank_tangent(model: GpiModel, v, d, blocks, slots: dict, P: int, rows):
     it moved, or, if it has not moved in this block, the tangent it
     entered the block with (at first that of the initial state).
 
-    ``rows`` is the ``need`` of ``_states``, so this pass reads the blocks
-    the forward pass reads. A block is computed whole (BLAS bits depend on
-    the matrix shape) or, within one run and with no selected row, crossed:
-    a state that moved over the crossing takes the last target's tangent.
-    That is the block-by-block result whenever the target changes between
-    block ends. A block with no selected row writes no row of ``J``.
+    Every entry of the walk is computed, a block whole (BLAS bits depend
+    on the matrix shape). Over a crossed stretch a state that moved takes
+    the last target's tangent, and the stretch's one row, that of its last
+    sample, fills its span, as a hold's one row does.
     """
 
     def unit(name):
@@ -68,30 +65,26 @@ def _bank_tangent(model: GpiModel, v, d, blocks, slots: dict, P: int, rows):
 
     J = np.empty((v.size, P))
     pcol = p[:, None]
-    for i, j, S, E in _states(model, v, d, blocks, w, rows):
-        report = rows[i:j].any()
+    for i, j, S, E in _states(model, v, d, walk, w):
         if E.shape[1] == 1:
             # inside one run a state that moved sits on its own sample's target
             dT, a = (dasc, a_asc) if d[i] > 0 else (ddesc, a_desc)
             moved = (S != E).astype(float)
-            if report:
-                Jb = moved.T @ (pcol * (dT - dw)) + S.T @ dp + p @ dw
-                Jb += (v[i : i + S.shape[1]] * (p @ moved))[:, None] * a
+            Jb = moved.T @ (pcol * (dT - dw)) + S.T @ dp + p @ dw
+            Jb += (v[j - S.shape[1] : j] * (p @ moved))[:, None] * a
             dw = np.where(moved[:, -1:] > 0, v[j - 1] * a + dT, dw)
         else:
             # the last sample each state moved at in this block; sample 0,
             # which never moves (d[0] == 0), stands for none
             last = np.maximum.accumulate(np.where(S != E, np.arange(i, j), 0), axis=1)
             ds, vs = d[last], v[last]
-            if report:
-                pa, pd = pcol * (ds > 0), pcol * (ds < 0)
-                Jb = (pcol * (ds == 0)).T @ dw + pa.T @ dasc + pd.T @ ddesc + S.T @ dp
-                Jb += (pa * vs).sum(axis=0)[:, None] * a_asc
-                Jb += (pd * vs).sum(axis=0)[:, None] * a_desc
+            pa, pd = pcol * (ds > 0), pcol * (ds < 0)
+            Jb = (pcol * (ds == 0)).T @ dw + pa.T @ dasc + pd.T @ ddesc + S.T @ dp
+            Jb += (pa * vs).sum(axis=0)[:, None] * a_asc
+            Jb += (pd * vs).sum(axis=0)[:, None] * a_desc
             s, x = ds[:, -1:], vs[:, -1:]
             dw = np.where(s > 0, x * a_asc + dasc, np.where(s < 0, x * a_desc + ddesc, dw))
-        if report:
-            J[i:j] = Jb  # a hold's one row stands for all
+        J[i:j] = Jb  # one row stands for all of a hold or a crossed stretch
     return J
 
 
@@ -101,18 +94,18 @@ def model_jacobian(model, v, slots):
     One forward-mode tangent pass over either model kind with linear
     envelopes. ``slots`` holds one dict per bank mapping that bank's
     parameter names to Jacobian columns (see ``_bank_tangent``); banks may
-    share columns. Each bank's pass walks the blocks of ``_plan`` and
-    computes the rows it reports; each sample's row is then picked from the
-    bank that ``predict(model, t, v)`` reports there, as outputs are.
+    share columns. Each bank's pass walks its walk from ``_plan``, as the
+    forward pass does; each sample's row is then picked from the bank that
+    ``predict(model, t, v)`` reports there, as outputs are.
     """
     v = np.asarray(v, dtype=float)
     banks = _banks(model)
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
     P = 1 + max(max(s.values()) for s in slots)
-    d, blocks, use2, rows = _plan(model, v)
-    Js = [_bank_tangent(bank, v, d, blocks, bank_slots, P, bank_rows)
-          for bank, bank_slots, bank_rows in zip(banks, slots, rows)]
+    d, use2, walks = _plan(model, v)
+    Js = [_bank_tangent(bank, v, d, walk, bank_slots, P)
+          for bank, walk, bank_slots in zip(banks, walks, slots)]
     # a fresh array, also for a lone bank: returning a bank's own J, which is
     # allocated before the pass's temporaries, gave fits 3 to 6 times the
     # page faults and about 6% more CPU time (Linux, glibc malloc)

@@ -607,3 +607,28 @@ def test_report_rejects_malformed_result_file(tmp_path, capsys, doc):
     assert run("report", "--results", path, "--out", tmp_path / "r.csv") == 2
     assert str(path) in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+_METRICS = {"rmse": 0.1, "nrmse": 1.5, "mae": 0.3, "n": 100}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rmse", "abc"), ("rmse", None), ("mae", True), ("mae", [0.3]),
+    ("nrmse", True), ("nrmse", "1.5"), ("n", "x"), ("n", 100.0), ("n", None),
+])
+def test_report_rejects_metrics_values_of_the_wrong_kind(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.result.json"
+    doc = {"dataset": "d.csv", "fit_mode": "egpi", "metrics": {**_METRICS, field: value}}
+    path.write_text(json.dumps(doc))
+    assert run("report", "--results", path, "--out", tmp_path / "r.csv") == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(field) in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_writes_a_null_nrmse_as_an_empty_field(tmp_path):
+    path = tmp_path / "flat.result.json"
+    doc = {"dataset": "d.csv", "fit_mode": "gpi", "metrics": {**_METRICS, "nrmse": None}}
+    path.write_text(json.dumps(doc))
+    assert run("report", "--results", path, "--out", tmp_path / "r.csv") == 0
+    assert (tmp_path / "r.csv").read_text().splitlines()[1] == "d.csv,gpi,0.1,,0.3,100"

@@ -97,6 +97,21 @@ def test_build_model_shares_ascending_envelope_and_density():
         build_model(recovery_params(1), "egpi", v_f=None)
 
 
+@pytest.mark.parametrize("v_f", [True, "6", np.nan, [6.0]])
+def test_flag_point_must_be_a_number(small_fixture, v_f):
+    _, params, clean, _ = small_fixture
+    for call in (lambda: build_model(params, "egpi", v_f),
+                 lambda: residuals(params, clean, v_f, "egpi"),
+                 lambda: jacobian(params, clean, v_f, "egpi")):
+        with pytest.raises(ConfigError, match="v_f"):
+            call()
+
+
+def test_integer_flag_point_is_stored_as_a_float():
+    flag = build_model(recovery_params(1), "egpi", 6).flag_desc
+    assert type(flag) is float and flag == 6.0
+
+
 # ---------------------------------------------------------------- residuals
 
 def test_residuals_vanish_on_generating_params(small_fixture):
@@ -290,10 +305,11 @@ def test_tangent_jacobian_matches_central_differences(tangent_data, params, mode
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_tangent_rows_equal_passes_over_every_row(seed):
-    # model_jacobian computes a bank's block only if the bank reports one
-    # of its rows, and crosses the rest of a run; every row keeps the bits
-    # of a pass of that bank that computes every row. The short-tail input
-    # makes bank 2 cross its rise into a closing block shorter than _LONG.
+    # model_jacobian walks each bank's blocks that hold a row the bank
+    # reports, and crosses the rest of their runs; every reported row keeps
+    # the bits of a pass of that bank that computes every row. The
+    # short-tail input makes bank 2 cross its rise into a closing block
+    # shorter than _LONG.
     from hystfit.fitting import _bank_slots
     from hystfit.operators import _plan
     from hystfit.tangent import _bank_tangent, model_jacobian
@@ -302,9 +318,9 @@ def test_tangent_rows_equal_passes_over_every_row(seed):
     slots = _bank_slots("egpi")
     for v in (sweep_input().v, short_tail_input().v):
         J = model_jacobian(model, v, slots)
-        d, blocks, use2, _ = _plan(model, v)
-        every = [_bank_tangent(bank, v, d, blocks, bank_slots, J.shape[1], np.ones(v.size, bool))
-                 for bank, bank_slots in zip(model.submodels, slots)]
+        d, use2, walks = _plan(model, v, every=True)
+        every = [_bank_tangent(bank, v, d, walk, bank_slots, J.shape[1])
+                 for bank, walk, bank_slots in zip(model.submodels, walks, slots)]
         assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))
 
 

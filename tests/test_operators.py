@@ -326,6 +326,15 @@ def _dither_input(n=3000, seed=0):
     return 1e-3 * np.arange(n), v
 
 
+def _dither_then_rise():
+    """The first 470 samples of the dither input, whose runs are all
+    shorter than _LONG and whose last step is a hold, then a 100-sample
+    rise to 10: a long run whose first 42 samples lie in the first 512."""
+    v = _dither_input()[1][:470]
+    v = np.concatenate([v, np.linspace(v[-1], 10.0, 101)[1:]])
+    return 1e-3 * np.arange(v.size), v
+
+
 def _descend_flag_model(desc1=LinearEnvelope(a=3.2, b=5.0), desc2=LinearEnvelope(a=2.1, b=0.2),
                         flag=1.0):
     density = DensitySpec(lam=0.06, sigma=0.15, r1=0.25, rn=2.2, n=30)
@@ -342,7 +351,7 @@ def _second_reference_bank():
 @pytest.mark.filterwarnings("ignore:empty play band")
 @pytest.mark.parametrize("make_model", [reference_model, _descend_flag_model,
                                         _second_reference_bank])
-@pytest.mark.parametrize("signal", ["reference", "dither"])
+@pytest.mark.parametrize("signal", ["reference", "dither", "dither-rise"])
 def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
     # seeded random splits; each includes 1-sample chunks, and on the
     # dither input one chunk that lies inside the plateau (all holds).
@@ -351,8 +360,10 @@ def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
     # for its first bank alone.
     if signal == "reference":
         t, v = _demo_input(t_end=10.0)
-    else:
+    elif signal == "dither":
         t, v = _dither_input()
+    else:
+        t, v = _dither_then_rise()
     whole, whole_bank = make_model(), _banks(make_model())[0]
     z_all, active_all = egpi_eval(whole, t, v)
     if isinstance(whole, GpiModel):
@@ -436,6 +447,7 @@ REPORTED_CASES = {
     "descend-flag-sweep": (_recovery_model, _recovery_sweep),
     "descend-flag-triangle": (_recovery_model, _triangle),
     "descend-flag-short-tail": (_recovery_model, _short_tail_sweep),
+    "descend-flag-dither-rise": (_recovery_model, _dither_then_rise),
     "saturated-tanh-sinusoid": (_saturated_reference_model, _long_sinusoid),
     "crossed-envelopes-sweep": (_crossed_descend_flag_model, _recovery_sweep),
 }
@@ -484,18 +496,23 @@ def test_streaming_cuts_inside_unreported_stretches():
         assert got.last_input == want.last_input
 
 
-@pytest.mark.parametrize("make_input", [_dither_input, _recovery_sweep])
+@pytest.mark.parametrize("make_input", [_dither_input, _recovery_sweep, _dither_then_rise])
 def test_block_layout_follows_the_cut_rule(make_input):
-    # the blocks tile the samples, none is longer than _BLOCK, a block
-    # that holds several runs holds fewer than _LONG samples of each, and
-    # its starts are exactly the run edges inside it
+    # the blocks tile the samples, none is longer than _BLOCK, a run of
+    # _LONG or more samples shares no block, a block that holds several
+    # runs holds fewer than _LONG samples of each, and its starts are
+    # exactly the run edges inside it
     _, v = make_input()
     d = _directions(v)
     edges = np.flatnonzero(d[1:] != d[:-1]) + 1
+    bounds = np.concatenate(([0], edges, [v.size]))
     blocks = _blocks(d)
     assert blocks[0][0] == 0 and blocks[-1][1] == v.size
     for (_, j, _), (i, _, _) in zip(blocks, blocks[1:]):
         assert i == j
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a >= _LONG:
+            assert all(a <= i and j <= b for i, j, _ in blocks if i < b and j > a)
     for i, j, starts in blocks:
         assert 0 < j - i <= _BLOCK
         assert np.array_equal(i + starts, edges[(edges > i) & (edges < j)])

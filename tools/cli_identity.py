@@ -17,7 +17,10 @@ the 4,096-row blocks of the dataset CSV reader and writer: a
 ``simulate --reference`` at the default ``--dt`` (10,001 rows), and
 ``evaluate`` on a 10,001-row dataset rewritten twice, once with CRLF line
 endings and blank lines (read block by block) and once with a quoted
-field in its second block (read row by row).
+field in its second block (read row by row). The scenario closes on a
+quantized dither input (``dither_rows``, no RNG), whose short runs and
+holds fill blocks of several runs: ``generate --input`` and
+``evaluate`` run on it.
 
 Every file the scenario leaves and every command's stdout and exit code
 are compared byte for byte, one line per item. A closing line gives the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +92,10 @@ SCENARIO = (
     ("rewrite_quoted", "long.csv", "long_quoted.csv"),
     ("evaluate", "--data", "long_quoted.csv", "--params", "fit_egpi.model.json",
      "--out", "eval_long_quoted.csv"),
+    ("write_dither", "dither_input.csv"),
+    ("generate", "--params", "model.json", "--input", "dither_input.csv", "--out", "dither.csv"),
+    ("evaluate", "--data", "dither.csv", "--params", "fit_egpi.model.json",
+     "--out", "eval_dither.csv"),
 )
 
 
@@ -105,6 +113,19 @@ def rewrite_quoted(lines: list[str]) -> list[str]:
 
 
 REWRITES = {"rewrite_crlf": rewrite_crlf, "rewrite_quoted": rewrite_quoted}
+
+
+def dither_rows() -> list[str]:
+    """A ``t,v`` CSV of 4,000 samples at 1 ms: a sinusoid of amplitude 8
+    and period 2 s plus a wobble of period 11 samples, rounded to 0.02.
+    Near the turns the wobble gives runs of a few samples and holds; in
+    between the input rises or falls for hundreds of samples."""
+    rows = ["t,v\n"]
+    for k in range(4000):
+        t = k * 1e-3
+        v = 8.0 * math.sin(math.pi * t) + 0.005 * ((k * 37) % 11 - 5) / 5
+        rows.append(f"{t!r},{round(v / 0.02) * 0.02!r}\n")
+    return rows
 
 
 def export_src(rev: str, dest: Path) -> None:
@@ -133,6 +154,9 @@ def run_scenario(src: Path, work: Path) -> dict[str, bytes]:
             source, dest = argv[1:]
             lines = REWRITES[argv[0]]((work / source).read_text().splitlines())
             (work / dest).write_text("".join(lines), newline="")
+            continue
+        if argv[0] == "write_dither":
+            (work / argv[1]).write_text("".join(dither_rows()))
             continue
         proc = subprocess.run([sys.executable, "-m", "hystfit", *argv], cwd=work, env=env,
                               capture_output=True)
