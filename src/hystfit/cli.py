@@ -261,6 +261,9 @@ def _cmd_report(args):
         for key in ("dataset", "fit_mode", "metrics"):
             if key not in doc:
                 raise InputError(f"{path}: not a fit result file (missing {key!r})")
+        for key in ("dataset", "fit_mode"):
+            if not isinstance(doc[key], str):
+                raise InputError(f"{path}: {key!r} must be a string, got {doc[key]!r}")
         try:
             metrics = Metrics(**doc["metrics"])
         except TypeError:

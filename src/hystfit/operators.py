@@ -82,8 +82,12 @@ class DensitySpec:
 class GpiModel:
     """Weighted bank of play operators sharing one envelope pair.
 
-    ``states`` holds the bank memory after the latest evaluation (one
-    value per threshold); a model instance must not be stepped from two
+    After each evaluation the bank keeps its memory: ``states`` (one value
+    per threshold) and ``last_input`` at the final sample, and, for the
+    monotone run in progress there, ``run_states``, the states it was
+    entered with, and ``run_length``, its samples so far capped at
+    ``_LONG`` and signed by its direction (0 at rest). ``reset=False``
+    continues from them. A model instance must not be stepped from two
     workers at once.
     """
 
@@ -94,6 +98,8 @@ class GpiModel:
     kappa_desc: float = 1.0
     states: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     last_input: float | None = field(init=False, default=None, repr=False, compare=False)
+    run_states: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    run_length: int = field(init=False, default=0, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("kappa_asc", "kappa_desc"):
@@ -149,11 +155,13 @@ def _validate_series(t, *series):
         raise InputError("t and the sampled series must be 1-d arrays of equal length")
     if arrays[0].size == 0:
         raise InputError("input sequence is empty")
-    finite = np.logical_and.reduce([np.isfinite(x) for x in arrays])
+    finite = np.isfinite(arrays[0])
+    for x in arrays[1:]:
+        finite &= np.isfinite(x)
     if not finite.all():
         k = int(np.argmin(finite))
         raise InputError(f"non-finite value at sample {k}", sample=k)
-    rising = np.diff(arrays[0]) > 0
+    rising = arrays[0][1:] > arrays[0][:-1]
     if not rising.all():
         k = int(np.argmin(rising)) + 1
         raise InputError(
@@ -171,10 +179,10 @@ def _init_bank(model: GpiModel, v0: float) -> np.ndarray:
     r = model.density.thresholds()
     lo = model.asc_env(v0) - model.kappa_asc * r
     hi = model.desc_env(v0) + model.kappa_desc * r
-    w = np.zeros(r.size)
     ok = lo <= hi
-    np.clip(w, lo, hi, where=ok, out=w)
+    w = np.minimum(np.maximum(0.0, lo), hi)
     if not ok.all():
+        w[~ok] = 0.0
         warnings.warn(
             f"empty play band at v0={v0} for {int((~ok).sum())} operator(s); "
             "left at 0",
@@ -197,7 +205,8 @@ def _caller_level() -> int:
 
 # samples per block; temporaries stay O(operators x block)
 _BLOCK = 512
-# runs at least this long get blocks of their own
+# runs at least this long get blocks of their own, and a run's samples
+# from this position on take its closed form (``_sweep``)
 _LONG = 64
 
 
@@ -211,25 +220,28 @@ def _directions(v: np.ndarray, prev: float | None = None) -> np.ndarray:
     return d
 
 
-def _blocks(d: np.ndarray) -> list:
+def _blocks(d: np.ndarray, lead: int = 0) -> list:
     """The blocks ``(i, j, starts)`` that tile the samples of directions ``d``.
 
     A run of constant direction with ``_LONG`` or more samples gets blocks
     of its own; the shorter runs between two such runs share theirs. Each
     such stretch is cut into blocks of ``_BLOCK`` samples from its start.
+    The first run also counts the ``lead`` samples it had before ``d[0]``.
     ``starts`` holds the offsets from ``i`` of the run edges inside the
     block ``v[i:j]``, none in a block inside one run.
     """
     edges = np.flatnonzero(d[1:] != d[:-1]) + 1
     bounds = np.concatenate(([0], edges, [d.size]))
-    long = bounds[1:] - bounds[:-1] >= _LONG
+    size = bounds[1:] - bounds[:-1]
+    size[0] += lead
+    long = size >= _LONG
     cut = np.ones(bounds.size, dtype=bool)  # the ends, and each long run's edges
     cut[1:-1] = long[:-1] | long[1:]
     stretches = bounds[cut].tolist()
     first = [i for a, b in zip(stretches, stretches[1:]) for i in range(a, b, _BLOCK)]
     stop = [*first[1:], d.size]
-    lo = np.searchsorted(edges, first, "right").tolist()
-    hi = np.searchsorted(edges, stop).tolist()
+    lo = edges.searchsorted(first, "right").tolist()
+    hi = edges.searchsorted(stop).tolist()
     return [(i, j, edges[a:b] - i) for i, j, a, b in zip(first, stop, lo, hi)]
 
 
@@ -238,25 +250,64 @@ def _clip(x, lo, hi):
     return np.minimum(y, hi, out=y)
 
 
+def _run_states(model: GpiModel, E, T, rising: bool) -> np.ndarray:
+    """States (operators x samples) along one run entered with the states
+    ``E`` (a column), at the envelope values ``T`` of its samples:
+    ``max(E, T - kappa_asc*r)`` rising, ``min(E, T + kappa_desc*r)`` falling.
+    """
+    r = model.density.thresholds()
+    if rising:
+        S = T - (model.kappa_asc * r)[:, None]
+        return np.maximum(S, E, out=S)
+    S = T + (model.kappa_desc * r)[:, None]
+    return np.minimum(S, E, out=S)
+
+
+def _sweep(model: GpiModel, E, T, rising: bool):
+    """Which operators have moved along one run: ``(c, order, m)``.
+
+    The run is entered with the states ``E`` (one per operator) and
+    reaches the envelope values ``T``. Operator k has left ``E[k]`` at a
+    sample exactly when the target has passed ``c[k]``: ``T > c[k] =
+    E[k] + kappa_asc*r[k]`` rising, ``T < c[k] = E[k] - kappa_desc*r[k]``
+    falling; from then on it sits on the target, ``T - c[k] + E[k]``.
+    ``order`` sorts the operators stably by ``c``, descending on a fall,
+    so the operators that have moved at sample s are ``order[:m[s]]``. A
+    target equal to ``c[k]`` leaves operator k where it is.
+    """
+    r = model.density.thresholds()
+    if rising:
+        c = E + model.kappa_asc * r
+        order = c.argsort(kind="stable")
+        return c, order, c[order].searchsorted(T)
+    c = E - model.kappa_desc * r
+    order = (-c).argsort(kind="stable")
+    return c, order, (-c[order]).searchsorted(-T)
+
+
 def _states(model: GpiModel, v, d, walk, w):
     """Bank states along ``v`` (directions ``d = _directions(v, prev)``),
     starting from the state ``w`` before the step to ``v[0]``.
 
-    ``walk`` is the bank's walk from ``_plan``. Yields ``(i, j, S, E)`` per
-    entry ``v[i:j]``: ``S`` holds the states (operators x samples) and
-    ``E`` the state each one entered its run with, within the entry. An
-    entry inside one run yields ``E`` as one column. A one-column ``S``
-    stands for every sample of the entry: a run of holds, or a crossed
-    stretch, whose column is the state at its last sample.
+    ``walk`` is the bank's walk from ``_plan``. Yields ``(i, j, S, E, T)``
+    per entry ``v[i:j]``, with ``E`` the state each operator entered its
+    run with, within the entry:
+    - a block of several runs: ``S`` and ``E`` hold a column per sample,
+      ``S`` the states, and ``T`` is None;
+    - a hold: ``S`` is ``E``, one column, and ``T`` is None;
+    - any other entry lies in one moving run: ``S`` and ``E`` are one
+      column each, ``S`` the state at its last sample, and ``T`` holds the
+      envelope value of each sample, from which ``_run_states`` and
+      ``_sweep`` give the states. On a crossed stretch ``T`` is empty: its
+      last target alone sets its end, and no sample of it is read.
 
     Each step clamps the state: ``max(w, asc_env(v) - kappa_asc*r)``
     rising, ``min(w, desc_env(v) + kappa_desc*r)`` falling, the identity
     on a hold. Both envelope families increase, so along a run the targets
     are monotone and a sample's state is the run's entering state clamped
-    by the sample's own target; a crossed stretch clamps by its last target
-    alone. A block inside one run evaluates only its own branch. In any
-    other block a prefix scan over its runs gives their entering states, as
-    two clamps compose to one:
+    by the sample's own target. An entry inside one run evaluates only its
+    own branch. In a block of several runs a prefix scan over its runs
+    gives their entering states, as two clamps compose to one:
     ``clip(clip(w, l1, h1), l2, h2) = clip(w, clip(l1, l2, h2), clip(h1, l2, h2))``.
     Max and min only select values, so the states are exactly those of the
     sample-by-sample recursion.
@@ -265,18 +316,12 @@ def _states(model: GpiModel, v, d, walk, w):
     asc_off = (model.kappa_asc * r)[:, None]
     desc_off = (model.kappa_desc * r)[:, None]
     for i, j, starts in walk:
-        E = w[:, None]
+        E, T = w[:, None], None
         if starts is None or (not starts.size and d[i] != 0):
             seg = v[j - 1 : j] if starts is None else v[i:j]
             target = model.asc_env(seg) if d[i] > 0 else model.desc_env(seg)
-            S = np.empty((r.size, target.size))
-            S[:] = target
-            if d[i] > 0:
-                S -= asc_off
-                np.maximum(S, E, out=S)
-            else:
-                S += desc_off
-                np.minimum(S, E, out=S)
+            S = _run_states(model, E, target[-1:], d[i] > 0)
+            T = target[:0] if starts is None else target
         elif not starts.size:
             S = E
         else:
@@ -298,7 +343,7 @@ def _states(model: GpiModel, v, d, walk, w):
             run[starts] = 1
             E = np.take(entering, np.cumsum(run), axis=1)
             S = _clip(E, lo, hi)
-        yield i, j, S, E
+        yield i, j, S, E, T
         # a copy, so that E (a view of w) does not keep this block's S alive
         w = S[:, -1].copy()
 
@@ -311,24 +356,51 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     column would be summed as a dot product, so it is doubled first.
     """
     k = S.shape[1]
-    S = np.ascontiguousarray(np.repeat(S, 2, axis=1) if k == 1 else S)
+    S = S.repeat(2, axis=1) if k == 1 else np.ascontiguousarray(S)
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def _bank_pass(model: GpiModel, v, d, walk, w) -> np.ndarray:
-    """One bank's output along ``v`` from the state ``w`` (see ``_states``).
+def _bank_pass(model: GpiModel, v, d, walk, w, lead: int = 0):
+    """One bank's output along ``v`` from the state ``w`` (see ``_states``)
+    and its memory at the last sample: ``(y, states, run_states)``.
 
-    A crossed stretch of ``walk`` gets its last sample's output, which no
-    caller reads. The bank's ``states`` and ``last_input`` reflect the
-    final sample.
+    A sample sums its operator states (``_contract``) when it lies among
+    the first ``_LONG`` samples of its run. Later samples of a run take
+    its closed form from one ``_sweep``: ``y = T*P[m] + (PE - PC)[m]``,
+    where ``P`` and ``PC`` are the prefix sums of ``p`` and ``p*c`` in
+    ``order``, from 0, and ``PE`` is ``p @ E`` over the run's entering
+    states, summed in operator order. So a sample's bits depend only on
+    its run's entering state and direction, its own target, and whether
+    it lies below ``_LONG``, never on where the input is cut. When
+    ``v[0]`` continues a run (``reset=False``), ``lead`` counts the
+    samples the run had before it and ``w`` holds the state the run was
+    entered with.
+
+    The samples of a crossed stretch of ``walk`` are left unset: no caller
+    reads them.
     """
     p = model.density.weights()
     y = np.empty(v.size)
-    for i, j, S, _ in _states(model, v, d, walk, w):
-        y[i:j] = _contract(p, S)
-    model.states = S[:, -1].copy()
-    model.last_input = float(v[-1])
-    return y
+    entry = w
+    for i, j, S, E, T in _states(model, v, d, walk, w):
+        if T is None:
+            y[i:j] = _contract(p, S)
+        elif T.size:
+            k = min(_LONG - (lead if i == 0 else 0), j - i)
+            if k:
+                y[i : i + k] = _contract(p, _run_states(model, E, T[:k], d[i] > 0))
+            if k < j - i:
+                c, order, m = _sweep(model, E[:, 0], T[k:], d[i] > 0)
+                po = p[order]
+                P, Q = np.zeros((2, p.size + 1))
+                np.add.accumulate(po, out=P[1:])
+                np.add.accumulate(po * c[order], out=Q[1:])
+                np.subtract(np.add.accumulate(p * E[:, 0])[-1], Q, out=Q)
+                np.multiply(T[k:], P.take(m), out=y[i + k : j])
+                y[i + k : j] += Q.take(m)
+        if i == 0 or E.shape[1] > 1 or d[i] != d[i - 1]:
+            entry = E[:, -1].copy()  # the last run starts in this entry
+    return y, S[:, -1].copy(), entry
 
 
 def _banks(model) -> list[GpiModel]:
@@ -350,33 +422,35 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ~asc & (v <= model.flag_desc)
 
 
-def _plan(model, v, prev=None, every=False):
+def _plan(model, v, prev=None, every=False, lead=0):
     """Directions, flag mask and each bank's walk over ``v``:
     ``(d, use2, walks)``, one walk per bank of ``_banks(model)``.
 
-    A walk is the block list of ``_blocks(d)``, cut once per evaluation,
-    in which each stretch of one run where the bank reports no sample is
-    one crossed entry ``(i, j, None)``. A bank of a switched model reports
-    the samples ``use2`` gives it. Under ``every``, and for a lone bank,
-    which reports every sample, each walk is the plain block list. Every
-    pass of the evaluation, forward or tangent, walks these lists.
+    A walk is the block list of ``_blocks(d, lead)``, cut once per
+    evaluation, with the blocks of each long run joined into one entry:
+    its closed form (``_sweep``) needs no block of states. A bank of a
+    switched model reports the samples ``use2`` gives it, and each run it
+    moves along without reporting a sample of is one crossed entry
+    ``(i, j, None)``. Under ``every``, and for a lone bank, which reports
+    every sample, no entry is crossed. Every pass of the evaluation,
+    forward or tangent, walks these lists.
     """
     d = _directions(v, prev)
     use2 = _reports_second(model, v, d)
-    blocks = _blocks(d)
+    walk = []
+    for i, j, starts in _blocks(d, lead):
+        if walk and not starts.size and not walk[-1][2].size and d[walk[-1][0]] == d[i]:
+            walk[-1] = (walk[-1][0], j, starts)  # the same run, joined
+        else:
+            walk.append((i, j, starts))
     if every or isinstance(model, GpiModel):
-        return d, use2, [blocks] * len(_banks(model))
-    walks = []
-    for reported in (~use2, use2):
-        walk = []
-        for i, j, starts in blocks:
-            if starts.size or d[i] == 0 or reported[i:j].any():
-                walk.append((i, j, starts))
-            elif walk and walk[-1][2] is None and d[walk[-1][0]] == d[i]:
-                walk[-1] = (walk[-1][0], j, None)  # the same run, crossed on
-            else:
-                walk.append((i, j, None))
-        walks.append(walk)
+        return d, use2, [walk] * len(_banks(model))
+    walks = [[], []]
+    for i, j, starts in walk:
+        # the samples of a moving run that bank 2 reports
+        second = np.count_nonzero(use2[i:j]) if d[i] and not starts.size else -1
+        walks[0].append((i, j, None if second == j - i else starts))
+        walks[1].append((i, j, None if second == 0 else starts))
     return d, use2, walks
 
 
@@ -384,17 +458,26 @@ def _evaluate(model, t, v, reset: bool, every: bool):
     """One pass of each bank over one validated input: ``(use2, outputs)``.
 
     The input is validated, and its walks planned (``_plan``), once for all
-    banks.
+    banks. Each bank then keeps its memory at the last sample (``GpiModel``).
     """
     t, v = _validate_series(t, v)
     banks = _banks(model)
     fresh = reset or any(bank.states is None for bank in banks)
     prev = None if fresh else banks[0].last_input
-    d, use2, walks = _plan(model, v, prev, every)
+    # the run in progress goes on if the first step keeps its direction
+    run = 0 if fresh else banks[0].run_length
+    lead = abs(run) if run and np.sign(v[0] - prev) == np.sign(run) else 0
+    d, use2, walks = _plan(model, v, prev, every, lead)
+    tail = d[-_LONG:]  # as the length is capped, the last _LONG samples set it
+    other = np.flatnonzero(tail != d[-1])
+    length = tail.size - 1 - other[-1] if other.size else lead + tail.size
     outs = []
     for bank, walk in zip(banks, walks):
-        w = _init_bank(bank, v[0]) if fresh else bank.states
-        outs.append(_bank_pass(bank, v, d, walk, w))
+        w = _init_bank(bank, v[0]) if fresh else bank.run_states if lead else bank.states
+        y, bank.states, bank.run_states = _bank_pass(bank, v, d, walk, w, lead)
+        bank.last_input = float(v[-1])
+        bank.run_length = int(d[-1]) * min(int(length), _LONG)
+        outs.append(y)
     return use2, outs
 
 
@@ -403,9 +486,10 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
 
     With ``reset`` (the default) all operator states are initialized at
     the first sample. ``reset=False`` continues from the model's stored
-    states for streaming use; the first new sample is then compared
-    against the last input seen. Model states reflect the final sample
-    either way. Any other model kind raises ConfigError before a bank runs.
+    memory for streaming use (``GpiModel``); the first new sample is then
+    compared against the last input seen. The memory reflects the final
+    sample either way. Any other model kind raises ConfigError before a
+    bank runs.
     """
     if not isinstance(model, GpiModel):
         raise ConfigError(f"gpi_eval takes a GpiModel, got {type(model).__name__}")
@@ -435,10 +519,10 @@ def egpi_eval(model, t, v, reset: bool = True):
     always report submodel 1. Holds follow the non-ascending rule. A
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
-    Each bank walks the blocks it reports and crosses the rest of their
-    runs (``_plan``), as the tangent pass does. ``z``, and the banks'
-    ``states`` and ``last_input``, keep the bits of a pass over every
-    sample (``egpi_outputs``).
+    Each bank crosses each run it moves along without reporting a sample
+    (``_plan``), as the tangent pass does. ``z``, and every field the
+    banks store, keep the bits of a pass over every sample
+    (``egpi_outputs``).
     """
     use2, outs = _evaluate(model, t, v, reset, every=False)
     return np.where(use2, outs[-1], outs[0]), np.where(use2, 2, 1)

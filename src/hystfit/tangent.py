@@ -1,8 +1,10 @@
 """Exact forward-mode tangent pass of a fresh model evaluation.
 
 The fit's Jacobian: the bank states come from ``operators._states``, the
-same block walk as the forward pass, so the Jacobian is taken at exactly
-the states ``predict`` reports. Linear envelopes only.
+same walk as the forward pass, and along a long run the operators move
+in the order of the forward pass's closed form (``operators._sweep``).
+So the Jacobian is taken at exactly the states ``predict`` reports.
+Linear envelopes only.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import numpy as np
 
 from .envelopes import LinearEnvelope
 from .errors import ConfigError
-from .operators import GpiModel, _banks, _init_bank, _plan, _states
+from .operators import GpiModel, _banks, _init_bank, _plan, _states, _sweep
 
 
 def _bank_tangent(model: GpiModel, v, d, walk, slots: dict, P: int):
@@ -27,13 +29,20 @@ def _bank_tangent(model: GpiModel, v, d, walk, slots: dict, P: int):
     Along ``_states`` a state that moved off its entering value sits on
     the branch target of that sample, and stays there until it moves
     again. So a state takes the target's tangent at the last sample where
-    it moved, or, if it has not moved in this block, the tangent it
-    entered the block with (at first that of the initial state).
+    it moved, or, if it has not moved in this entry, the tangent it
+    entered the entry with (at first that of the initial state).
 
-    Every entry of the walk is computed, a block whole (BLAS bits depend
-    on the matrix shape). Over a crossed stretch a state that moved takes
-    the last target's tangent, and the stretch's one row, that of its last
-    sample, fills its span, as a hold's one row does.
+    Along a run the operators move in the order of ``operators._sweep``,
+    the one the forward pass reads. So a sample's row is the row at the
+    run's entering states plus prefix sums over that order, gathered at
+    the count ``m`` of operators that have moved: O(samples x P) per run.
+    A target equal to a state's ``c`` leaves it unmoved, so a tie takes
+    the derivative from the side where it does not move.
+
+    A block of several runs is computed whole (BLAS bits depend on the
+    matrix shape), and a hold's one row fills its span. Over a crossed
+    stretch a state that moved takes the last target's tangent, and its
+    rows, which no caller reads, are left unset.
     """
 
     def unit(name):
@@ -65,14 +74,28 @@ def _bank_tangent(model: GpiModel, v, d, walk, slots: dict, P: int):
 
     J = np.empty((v.size, P))
     pcol = p[:, None]
-    for i, j, S, E in _states(model, v, d, walk, w):
+    for i, j, S, E, T in _states(model, v, d, walk, w):
         if E.shape[1] == 1:
-            # inside one run a state that moved sits on its own sample's target
-            dT, a = (dasc, a_asc) if d[i] > 0 else (ddesc, a_desc)
-            moved = (S != E).astype(float)
-            Jb = moved.T @ (pcol * (dT - dw)) + S.T @ dp + p @ dw
-            Jb += (v[j - S.shape[1] : j] * (p @ moved))[:, None] * a
-            dw = np.where(moved[:, -1:] > 0, v[j - 1] * a + dT, dw)
+            rising = d[i] > 0
+            env, dT, a = (model.asc_env, dasc, a_asc) if rising else (model.desc_env, ddesc, a_desc)
+            if T is None:
+                J[i:j] = p @ dw + E.T @ dp
+            elif T.size:
+                # a state that has moved adds p*(v*a + dT - dw) + (T - c)*dp
+                # to its row, where T = env.a*v + env.b: X + v*Y, summed in
+                # the order in which the states move
+                c, order, m = _sweep(model, E[:, 0], T, rising)
+                X, Y = np.zeros((2, r.size + 1, P))
+                np.add.accumulate((pcol * (dT - dw) + (env.b - c)[:, None] * dp)[order], out=X[1:])
+                np.add.accumulate((pcol * a + env.a * dp)[order], out=Y[1:])
+                X += p @ dw + E.T @ dp
+                # m never exceeds the operator count; "clip" skips a buffer
+                np.take(X, m, axis=0, out=J[i:j], mode="clip")
+                Ym = np.take(Y, m, axis=0, mode="clip")
+                Ym *= v[i:j, None]
+                J[i:j] += Ym
+            if d[i]:
+                dw = np.where(S != E, v[j - 1] * a + dT, dw)
         else:
             # the last sample each state moved at in this block; sample 0,
             # which never moves (d[0] == 0), stands for none
@@ -84,7 +107,7 @@ def _bank_tangent(model: GpiModel, v, d, walk, slots: dict, P: int):
             Jb += (pd * vs).sum(axis=0)[:, None] * a_desc
             s, x = ds[:, -1:], vs[:, -1:]
             dw = np.where(s > 0, x * a_asc + dasc, np.where(s < 0, x * a_desc + ddesc, dw))
-        J[i:j] = Jb  # one row stands for all of a hold or a crossed stretch
+            J[i:j] = Jb
     return J
 
 

@@ -626,6 +626,19 @@ def test_report_rejects_metrics_values_of_the_wrong_kind(tmp_path, capsys, field
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dataset", ["a"]), ("dataset", None), ("dataset", 3), ("fit_mode", 7), ("fit_mode", None),
+])
+def test_report_rejects_dataset_and_mode_that_are_not_strings(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.result.json"
+    doc = {"dataset": "d.csv", "fit_mode": "egpi", "metrics": _METRICS, field: value}
+    path.write_text(json.dumps(doc))
+    assert run("report", "--results", path, "--out", tmp_path / "r.csv") == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(field) in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_report_writes_a_null_nrmse_as_an_empty_field(tmp_path):
     path = tmp_path / "flat.result.json"
     doc = {"dataset": "d.csv", "fit_mode": "gpi", "metrics": {**_METRICS, "nrmse": None}}

@@ -303,6 +303,39 @@ def test_tangent_jacobian_matches_central_differences(tangent_data, params, mode
     assert np.all(np.abs(J - J6)[smooth] <= tol)
 
 
+def _reversal_below_flag():
+    """The recovery sweep with a reversal below the flag after the rest:
+    rise 0 -> 10, fall to the flag, rest, then 6 -> 3 -> 5 -> 0."""
+    v = np.concatenate([
+        np.linspace(0.0, 10.0, 2500, endpoint=False),
+        np.linspace(10.0, SWEEP_FLAG, 1000, endpoint=False),
+        np.full(100, SWEEP_FLAG),
+        np.linspace(SWEEP_FLAG, 3.0, 500, endpoint=False),
+        np.linspace(3.0, 5.0, 400, endpoint=False),
+        np.linspace(5.0, 0.0, 500),
+    ])
+    return Trajectory(t=1e-3 * np.arange(v.size), v=v)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("mode", ["egpi", "gpi"])
+def test_tangent_matches_central_differences_on_a_reversal_below_the_flag(seed, mode):
+    # the check of test_tangent_jacobian_matches_central_differences, with
+    # its bounds, on a sweep whose runs below the flag reverse: each long
+    # run's rows come from prefix sums in its closed-form order
+    params = recovery_params(seed)
+    params = params if mode == "egpi" else params[GPI_COLUMNS]
+    model = build_model(recovery_params(seed), "egpi", SWEEP_FLAG)
+    data = gen_synthetic(model, _reversal_below_flag(), 0.1, seed=seed)
+    J = jacobian(params, data, SWEEP_FLAG, mode)
+    J6 = jacobian_fd(params, data, SWEEP_FLAG, mode, rel_step=1e-6)
+    J7 = jacobian_fd(params, data, SWEEP_FLAG, mode, rel_step=1e-7)
+    tol = 1e-6 * np.max(np.abs(J6), axis=0)
+    smooth = np.all(np.abs(J6 - J7) <= tol, axis=1)
+    assert np.count_nonzero(~smooth) < 0.01 * smooth.size
+    assert np.all(np.abs(J - J6)[smooth] <= tol)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_tangent_rows_equal_passes_over_every_row(seed):
     # model_jacobian walks each bank's blocks that hold a row the bank

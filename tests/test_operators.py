@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +29,15 @@ from hystfit import (
     reference_model,
 )
 from hystfit.fitting import jacobian, residuals
-from hystfit.operators import _BLOCK, _LONG, _banks, _blocks, _directions, egpi_outputs
+from hystfit.operators import (
+    _BLOCK,
+    _LONG,
+    _banks,
+    _blocks,
+    _directions,
+    _sweep,
+    egpi_outputs,
+)
 from hystfit.signals import decaying_sinusoid
 
 IDENTITY = LinearEnvelope(a=1.0, b=0.0)
@@ -496,6 +504,49 @@ def test_streaming_cuts_inside_unreported_stretches():
         assert got.last_input == want.last_input
 
 
+def _rise_hold_fall():
+    """A 300-sample rise from -2 to 6, a 20-sample hold, and a 300-sample
+    fall to -2: two long runs, the fall right after a hold. Returns the
+    input and the index of each run's first sample."""
+    v = np.concatenate([np.linspace(-2.0, 6.0, 301), np.full(20, 6.0),
+                        np.linspace(6.0, -2.0, 301)[1:]])
+    return 1e-3 * np.arange(v.size), v, 1, 321
+
+
+def _memory(bank):
+    """Every field an evaluation stores in a bank."""
+    return [getattr(bank, f.name) for f in fields(bank) if not f.init]
+
+
+@pytest.mark.parametrize("make_model", [_descend_flag_model, reference_model])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_streaming_cuts_at_the_closed_form_boundary(make_model, shift):
+    # each long run is cut where its sample _LONG + shift begins a call,
+    # so the call before ends on the last sample summed by _contract, or
+    # the first or second sample of the closed form. One call holds the
+    # rise's last 10 samples and the hold, and the next begins right after
+    # the hold. Chunked evaluation keeps every bit of the output and of
+    # every field the banks store.
+    t, v, rise, fall = _rise_hold_fall()
+    d = _directions(v)
+    assert np.all(d[rise:fall - 20] > 0) and np.all(d[fall - 20:fall] == 0)
+    assert np.all(d[fall:] < 0)
+    cuts = [rise + _LONG + shift, fall - 30, fall, fall + _LONG + shift]
+    bounds = [0, *cuts, v.size]
+    whole, whole_bank = make_model(), _banks(make_model())[0]
+    z_all, active_all = egpi_eval(whole, t, v)
+    y_all = gpi_eval(whole_bank, t, v)
+    model, bank = make_model(), _banks(make_model())[0]
+    parts = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0)) for a, b in zip(bounds, bounds[1:])]
+    y = [gpi_eval(bank, t[a:b], v[a:b], reset=(a == 0)) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate([z for z, _ in parts]), z_all)
+    assert np.array_equal(np.concatenate([a for _, a in parts]), active_all)
+    assert np.array_equal(np.concatenate(y), y_all)
+    for got, want in zip([*_banks(model), bank], [*_banks(whole), whole_bank]):
+        for mine, theirs in zip(_memory(got), _memory(want)):
+            assert np.array_equal(mine, theirs)
+
+
 @pytest.mark.parametrize("make_input", [_dither_input, _recovery_sweep, _dither_then_rise])
 def test_block_layout_follows_the_cut_rule(make_input):
     # the blocks tile the samples, none is longer than _BLOCK, a run of
@@ -799,17 +850,41 @@ def _long_run_then_dither():
     return np.concatenate([rise, dither])
 
 
+def _saturated_ties_model():
+    """The saturated tanh banks of ``test_saturated_tanh_matches_bruteforce``."""
+    density = DensitySpec(lam=0.3, sigma=0.2, r1=0.1, rn=2.5, n=12)
+    sub1 = GpiModel(density=density, asc_env=TanhEnvelope(c=3.0, d=40.0, e=0.0, f=-1.0),
+                    desc_env=TanhEnvelope(c=3.0, d=40.0, e=0.0, f=1.5))
+    sub2 = GpiModel(density=density, asc_env=TanhEnvelope(c=2.0, d=40.0, e=4.0, f=0.0),
+                    desc_env=TanhEnvelope(c=4.0, d=40.0, e=-4.0, f=2.0), kappa_desc=3.0)
+    return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=1.0)
+
+
+def _saturated_rerise():
+    """Into saturation (|tanh| == 1 for |v| > 0.5), a dip inside it, and a
+    150-sample rise back in it, then a long fall and a long rise: along
+    the second rise every target equals the one its narrowest operator of
+    bank 1 was left on, so targets tie with that operator's ``c``."""
+    return np.concatenate([np.linspace(-1.0, 1.0, 200), np.linspace(1.0, 0.8, 21)[1:],
+                           np.linspace(0.8, 1.0, 151)[1:], np.linspace(1.0, -1.0, 300)[1:],
+                           np.linspace(-1.0, 1.0, 300)[1:]])
+
+
 DEGENERATE_INPUTS = {
     "all-holds": lambda: np.full(40, 1.3),
     "alternation": lambda: 0.5 + 0.02 * (np.arange(301) % 2),
     "long-run-then-dither": _long_run_then_dither,
     "one-sample": lambda: np.array([2.0]),
+    "ten-thousand-sample-rise": lambda: np.concatenate([np.linspace(-2.0, 6.0, 10_001),
+                                                        np.linspace(6.0, 0.0, 301)[1:]]),
+    "saturated-rerise": _saturated_rerise,
 }
 
 DEGENERATE_MODELS = {
     "reference": (reference_model, "two_flag"),
     "descend-flag": (_descend_flag_model, "descend_flag"),
     "crossed": (_crossed_egpi, "descend_flag"),
+    "saturated": (_saturated_ties_model, "descend_flag"),
 }
 
 
@@ -829,3 +904,52 @@ def test_degenerate_inputs_match_bruteforce(make_model, mode, make_input):
     for sub, kwargs in zip(make_model().submodels, (sub1, sub2)):
         y = gpi_eval(sub, t, v)
         assert np.max(np.abs(y - np.array(bruteforce.run_gpi(list(v), **kwargs)))) < 1e-12
+
+
+def _dither_mid_run_then_rise():
+    """990 samples of the dither input from its sample 2, where sample 512
+    lies inside a run, then a 100-sample rise to 10."""
+    v = _dither_input()[1][2:992]
+    v = np.concatenate([v, np.linspace(v[-1], 10.0, 101)[1:]])
+    return 1e-3 * np.arange(v.size), v
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make_model", [_descend_flag_model, reference_model])
+@pytest.mark.parametrize("make_input", [_dither_then_rise, _dither_mid_run_then_rise])
+def test_streaming_continues_a_run_cut_by_a_block_edge(make_model, make_input):
+    # the first call ends 60 samples into the closing rise: too few for
+    # blocks of their own, so the rise begins in a block of several runs
+    # and a block edge falls inside it. On the second input that block
+    # itself begins inside a run. The next call continues the rise past
+    # _LONG samples, from the state the rise was entered with.
+    t, v = make_input()
+    d = _directions(v)
+    rise = int(np.flatnonzero(d <= 0)[-1]) + 1
+    stop = rise + 60
+    assert stop % _BLOCK < 60 and rise + _LONG < v.size
+    assert rise < _BLOCK or d[_BLOCK] == d[_BLOCK - 1] != 0
+    whole = make_model()
+    z_all, _ = egpi_eval(whole, t, v)
+    model = make_model()
+    z = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))[0]
+         for a, b in zip([0, stop], [stop, v.size])]
+    assert np.array_equal(np.concatenate(z), z_all)
+    for got, want in zip(_banks(model), _banks(whole)):
+        for mine, theirs in zip(_memory(got), _memory(want)):
+            assert np.array_equal(mine, theirs)
+
+
+def test_saturated_rerise_has_ties():
+    # the saturated-rerise input of test_degenerate_inputs_match_bruteforce
+    # does make targets tie: on the second rise of the saturated model's
+    # bank 1, from sample _LONG on, where the closed form serves, some
+    # target equals some operator's c exactly
+    v = _saturated_rerise()
+    start = 220  # the second rise, entered after the dip
+    assert v[start] > v[start - 1] and v[start - 1] < v[start - 2]
+    bank = _saturated_ties_model().submodels[0]
+    gpi_eval(bank, 1e-3 * np.arange(start), v[:start])
+    T = bank.asc_env(v[start:start + 150])
+    c, _, _ = _sweep(bank, bank.states, T, True)
+    assert np.isin(T[_LONG:], c).any()

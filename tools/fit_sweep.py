@@ -15,8 +15,11 @@ the default ``FitConfig``, in one subprocess per tree with
 One line per (seed, mode) puts both trees side by side: iterations, stop
 reason, final loss, RMSE of the fitted model to the clean signal (deg),
 and ``bits``: ``same`` when the fitted params and the loss trace of both
-trees are equal byte for byte, ``DIFF`` otherwise. A closing line counts
-the bit-identical fits. It times nothing: the trees run minutes apart, so
+trees are equal byte for byte, ``DIFF`` otherwise. A fit whose bits
+differ also gets the relative change of its final loss, (head - base) /
+base, and the change of its iteration count. Closing lines count the
+bit-identical fits and give the largest of each change, by magnitude,
+with the fit it belongs to. It times nothing: the trees run minutes apart, so
 their wall times would compare machine drift; the benchmark
 (``bench/run.py``) is where speed is measured. Needs git, numpy and the
 Python standard library; exits 0.
@@ -112,11 +115,23 @@ def main(argv: list[str]) -> int:
     columns = f"{'iter':>4} {'reason':<14} {'loss':>14} {'rmse':>8}"
     print(f"{'seed':>4} {'mode':<4} | base: {columns} | working tree: {columns} | bits")
     same = 0
+    changes = []  # (relative final-loss change, iteration change, fit)
     for b, h in zip(base, head):
-        bits = "same" if b["digest"] == h["digest"] else "DIFF"
-        same += bits == "same"
-        print(f"{b['seed']:>4} {b['mode']:<4} | {describe(b)} | {describe(h)} | {bits}")
+        line = f"{b['seed']:>4} {b['mode']:<4} | {describe(b)} | {describe(h)} | "
+        if b["digest"] == h["digest"]:
+            same += 1
+            print(line + "same")
+            continue
+        change = ((h["loss"] - b["loss"]) / b["loss"], h["iterations"] - b["iterations"],
+                  f"seed {b['seed']} {b['mode']}")
+        changes.append(change)
+        print(line + f"DIFF  loss {change[0]:+.2e}  iterations {change[1]:+d}")
     print(f"bit-identical fits: {same} of {len(base)}")
+    if changes:
+        loss = max(changes, key=lambda c: abs(c[0]))
+        iters = max(changes, key=lambda c: abs(c[1]))
+        print(f"largest final-loss change: {loss[0]:+.2e} ({loss[2]}); "
+              f"largest iteration change: {iters[1]:+d} ({iters[2]})")
     return 0
 
 
