@@ -20,6 +20,7 @@ not part of the search space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,19 +88,16 @@ def param_names(mode: str) -> tuple[str, ...]:
 def param_bounds(mode: str) -> np.ndarray:
     """Elementwise lower bounds; no parameter has an upper bound, and the
     r1 <= rn coupling is separate."""
-    names = param_names(mode)
-    lo = np.full(len(names), -np.inf)
-    for i, name in enumerate(names):
-        if name.endswith("slope") or name in ("lam", "r1", "rn", "kappa"):
-            lo[i] = _FLOOR
-        elif name == "sigma":
-            lo[i] = 0.0
-    return lo
+    param_names(mode)  # rejects an unknown mode
+    return np.array(_LOWER[mode])
 
 
 def validate_params(params, mode: str) -> np.ndarray:
-    params = np.asarray(params, dtype=float)
     names = param_names(mode)
+    try:
+        params = np.asarray(params, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"mode {mode!r} takes numeric parameters: {exc}") from None
     if params.shape != (len(names),):
         raise ParameterError(
             f"mode {mode!r} takes {len(names)} parameters, got shape {params.shape}"
@@ -118,8 +116,8 @@ def project_params(params, mode: str) -> np.ndarray:
 
     A vector is in bounds exactly when this leaves it unchanged.
     """
-    p = np.maximum(np.asarray(params, dtype=float), param_bounds(mode))
     names = param_names(mode)
+    p = np.maximum(np.asarray(params, dtype=float), _LOWER[mode])
     i1, i2 = names.index("r1"), names.index("rn")
     if p[i1] > p[i2]:
         mid = max(0.5 * (p[i1] + p[i2]), _FLOOR)
@@ -130,13 +128,13 @@ def project_params(params, mode: str) -> np.ndarray:
 def build_model(params, mode: str, v_f: float | None = None, n: int = 30):
     """Materialize the model a parameter vector describes.
 
-    One bank per ``_bank_slots`` entry, so the model and its Jacobian read
+    One bank per ``_BANK_SLOTS`` entry, so the model and its Jacobian read
     one layout. All banks share the density and the ascending envelope.
     """
     params = validate_params(params, mode)
     if mode == "egpi" and v_f is None:
         raise ConfigError("egpi mode requires a flag point v_f")
-    values = [{name: params[i] for name, i in s.items()} for s in _bank_slots(mode)]
+    values = [{name: params[i] for name, i in s.items()} for s in _BANK_SLOTS[mode]]
     shared = values[0]  # the density and the ascending envelope of every bank
     density = DensitySpec(**{k: shared[k] for k in ("lam", "sigma", "r1", "rn")}, n=n)
     asc = LinearEnvelope(a=shared["asc_slope"], b=shared["asc_intercept"])
@@ -159,21 +157,25 @@ def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 3
     return predict(model, traj.t, traj.v) - traj.theta
 
 
-def _bank_slots(mode: str) -> list[dict]:
-    """Column of each bank parameter in the layout, one dict per bank."""
+def _bank_slots(mode: str) -> tuple:
+    """Column of each bank parameter in the layout, one read-only dict per bank."""
+    col = {name: i for i, name in enumerate(param_names(mode))}
     if mode == "gpi":
-        return [{name: i for i, name in enumerate(GPI_PARAM_NAMES)}]
-    col = {name: i for i, name in enumerate(EGPI_PARAM_NAMES)}
+        return (MappingProxyType(col),)
     shared = {k: col[k] for k in ("asc_slope", "asc_intercept", "lam", "sigma", "r1", "rn")}
-    return [
-        {**shared, "desc_slope": col["desc1_slope"], "desc_intercept": col["desc1_intercept"]},
-        {
-            **shared,
-            "desc_slope": col["desc2_slope"],
-            "desc_intercept": col["desc2_intercept"],
-            "kappa_desc": col["kappa"],
-        },
-    ]
+    return (
+        MappingProxyType({**shared, "desc_slope": col["desc1_slope"],
+                          "desc_intercept": col["desc1_intercept"]}),
+        MappingProxyType({**shared, "desc_slope": col["desc2_slope"],
+                          "desc_intercept": col["desc2_intercept"], "kappa_desc": col["kappa"]}),
+    )
+
+
+# built once per mode, as every call reads them
+_LOWER = {mode: tuple(_FLOOR if name.endswith("slope") or name in ("lam", "r1", "rn", "kappa")
+                      else 0.0 if name == "sigma" else -np.inf for name in param_names(mode))
+          for mode in FIT_MODES}
+_BANK_SLOTS = {mode: _bank_slots(mode) for mode in FIT_MODES}
 
 
 def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
@@ -184,7 +186,7 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
     state is on. The measured angles do not enter it.
     """
     model = build_model(params, mode, v_f, n)
-    return model_jacobian(model, traj.v, _bank_slots(mode))
+    return model_jacobian(model, traj.v, _BANK_SLOTS[mode])
 
 
 def jacobian_fd(
@@ -203,7 +205,7 @@ def jacobian_fd(
     on the feasible side. ``scheme="forward"`` forces one-sided steps (used
     for step-size diagnostics).
     """
-    params = validate_params(np.asarray(params, dtype=float), mode)
+    params = validate_params(params, mode)
     base = residuals(params, traj, v_f, mode, n)
     J = np.empty((base.size, params.size))
     for k in range(params.size):
@@ -356,7 +358,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     v_f = config.v_f
     n = config.n_operators
     if config.initial is not None:
-        p = validate_params(np.asarray(config.initial, dtype=float), mode)
+        p = validate_params(config.initial, mode)
     else:
         p = default_initial_guess(traj, v_f, mode)
 

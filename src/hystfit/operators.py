@@ -203,10 +203,10 @@ def _caller_level() -> int:
     return level
 
 
-# samples per block; temporaries stay O(operators x block)
+# samples per block of short runs; temporaries stay O(operators x block)
 _BLOCK = 512
-# runs at least this long get blocks of their own, and a run's samples
-# from this position on take its closed form (``_sweep``)
+# a run at least this long is one walk entry, and its samples from this
+# position on take its closed form (``_sweep``)
 _LONG = 64
 
 
@@ -221,14 +221,14 @@ def _directions(v: np.ndarray, prev: float | None = None) -> np.ndarray:
 
 
 def _blocks(d: np.ndarray, lead: int = 0) -> list:
-    """The blocks ``(i, j, starts)`` that tile the samples of directions ``d``.
+    """The entries ``(i, j, starts)`` that tile the samples of directions ``d``.
 
-    A run of constant direction with ``_LONG`` or more samples gets blocks
-    of its own; the shorter runs between two such runs share theirs. Each
-    such stretch is cut into blocks of ``_BLOCK`` samples from its start.
-    The first run also counts the ``lead`` samples it had before ``d[0]``.
-    ``starts`` holds the offsets from ``i`` of the run edges inside the
-    block ``v[i:j]``, none in a block inside one run.
+    A run of constant direction with ``_LONG`` or more samples is one
+    entry; the first run also counts the ``lead`` samples it had before
+    ``d[0]``. Each stretch of shorter runs between two such runs is cut
+    into blocks of ``_BLOCK`` samples from its start. ``starts`` holds the
+    offsets from ``i`` of the run edges inside the entry ``v[i:j]``, none
+    in an entry inside one run.
     """
     edges = np.flatnonzero(d[1:] != d[:-1]) + 1
     bounds = np.concatenate(([0], edges, [d.size]))
@@ -238,7 +238,9 @@ def _blocks(d: np.ndarray, lead: int = 0) -> list:
     cut = np.ones(bounds.size, dtype=bool)  # the ends, and each long run's edges
     cut[1:-1] = long[:-1] | long[1:]
     stretches = bounds[cut].tolist()
-    first = [i for a, b in zip(stretches, stretches[1:]) for i in range(a, b, _BLOCK)]
+    # a stretch that begins with a long run is that run, whole
+    first = [i for a, b, whole in zip(stretches, stretches[1:], long[cut[:-1]].tolist())
+             for i in range(a, b, b - a if whole else _BLOCK)]
     stop = [*first[1:], d.size]
     lo = edges.searchsorted(first, "right").tolist()
     hi = edges.searchsorted(stop).tolist()
@@ -426,23 +428,16 @@ def _plan(model, v, prev=None, every=False, lead=0):
     """Directions, flag mask and each bank's walk over ``v``:
     ``(d, use2, walks)``, one walk per bank of ``_banks(model)``.
 
-    A walk is the block list of ``_blocks(d, lead)``, cut once per
-    evaluation, with the blocks of each long run joined into one entry:
-    its closed form (``_sweep``) needs no block of states. A bank of a
-    switched model reports the samples ``use2`` gives it, and each run it
-    moves along without reporting a sample of is one crossed entry
-    ``(i, j, None)``. Under ``every``, and for a lone bank, which reports
-    every sample, no entry is crossed. Every pass of the evaluation,
-    forward or tangent, walks these lists.
+    A walk is the entry list of ``_blocks(d, lead)``, cut once per
+    evaluation. A bank of a switched model reports the samples ``use2``
+    gives it, and each run it moves along without reporting a sample of
+    is one crossed entry ``(i, j, None)``. Under ``every``, and for a lone
+    bank, which reports every sample, no entry is crossed. Every pass of
+    the evaluation, forward or tangent, walks these lists.
     """
     d = _directions(v, prev)
     use2 = _reports_second(model, v, d)
-    walk = []
-    for i, j, starts in _blocks(d, lead):
-        if walk and not starts.size and not walk[-1][2].size and d[walk[-1][0]] == d[i]:
-            walk[-1] = (walk[-1][0], j, starts)  # the same run, joined
-        else:
-            walk.append((i, j, starts))
+    walk = _blocks(d, lead)
     if every or isinstance(model, GpiModel):
         return d, use2, [walk] * len(_banks(model))
     walks = [[], []]

@@ -1,8 +1,8 @@
 """Exact forward-mode tangent pass of a fresh model evaluation.
 
 The fit's Jacobian: the bank states come from ``operators._states``, the
-same walk as the forward pass, and along a long run the operators move
-in the order of the forward pass's closed form (``operators._sweep``).
+same walk as the forward pass, and along a long run, one walk entry, the
+operators move in the order of its closed form (``operators._sweep``).
 So the Jacobian is taken at exactly the states ``predict`` reports.
 Linear envelopes only.
 """

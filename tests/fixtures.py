@@ -38,9 +38,9 @@ def sweep_input(n=SWEEP_N, dt=SWEEP_DT, peak=SWEEP_PEAK, flag=SWEEP_FLAG):
 
 def short_tail_input(dt=SWEEP_DT, peak=SWEEP_PEAK):
     """Rise 0 -> peak over ``3 * _BLOCK + 30`` samples, then fall to 0 over
-    1,500. The rise's last block window holds only its last 29 samples,
-    fewer than ``_LONG``: descend-flag bank 2, which reports none of the
-    rise, crosses it into that short closing block."""
+    1,500. The rise, longer than three blocks, is one walk entry:
+    descend-flag bank 2, which reports none of it, crosses it in one
+    step."""
     v = np.concatenate([
         np.linspace(0.0, peak, 3 * _BLOCK + 30),
         np.linspace(peak, 0.0, 1501)[1:],

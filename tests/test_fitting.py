@@ -20,6 +20,7 @@ from hystfit import (
     gen_synthetic,
     jacobian_fd,
     lm_fit,
+    param_bounds,
     param_names,
     predict,
     project_params,
@@ -66,6 +67,33 @@ def test_validate_params_rejects_r1_above_rn():
     p[names.index("rn")] = 1.0
     with pytest.raises(ParameterError):
         validate_params(p, "egpi")
+
+
+@pytest.mark.parametrize("mode,params", [
+    ("gpi", {"a": 1}),
+    ("gpi", ["x"] * 8),
+    ("egpi", [[1.0, 2.0], [3.0]]),
+])
+def test_non_numeric_parameters_raise_parameter_error(small_fixture, mode, params):
+    # each used to escape as a bare TypeError or ValueError
+    noisy = small_fixture[3]
+    with pytest.raises(ParameterError, match=f"mode {mode!r} takes numeric parameters"):
+        validate_params(params, mode)
+    with pytest.raises(ParameterError, match=f"mode {mode!r}"):
+        residuals(params, noisy, SWEEP_FLAG, mode)
+    with pytest.raises(ParameterError, match=f"mode {mode!r}"):
+        lm_fit(noisy, FitConfig(v_f=SWEEP_FLAG, initial=params), mode=mode)
+
+
+def test_param_bounds_are_a_fresh_array_per_call():
+    lo = param_bounds("gpi")
+    assert lo.flags.writeable
+    lo[:] = 5.0
+    floor = 1e-6
+    assert np.array_equal(param_bounds("gpi"),
+                          [floor, -np.inf, floor, -np.inf, floor, 0.0, floor, floor])
+    with pytest.raises(ConfigError):
+        param_bounds("pgi")
 
 
 def test_project_params_restores_invariants():
@@ -240,10 +268,10 @@ def tangent_data(small_fixture):
 
     The dither is a slow rise-fall with noise, rounded to a 0.1 quantum
     (1% of the range): most runs last one or two samples and about a
-    third of the steps are exact holds. Holds of ``_LONG`` samples or more
-    get blocks of their own: ``holds`` rests at 9 and, across a block
-    edge, at 3; ``const3`` and ``const8`` never move, and report bank 2
-    and bank 1 of an egpi model (flag 6).
+    third of the steps are exact holds. A hold of ``_LONG`` samples or
+    more is one walk entry: ``holds`` rests at 9 for 200 samples and at 3
+    for 700, longer than a block; ``const3`` and ``const8`` never move,
+    and report bank 2 and bank 1 of an egpi model (flag 6).
     """
     n = 1200
     rng = np.random.default_rng(21)
@@ -269,9 +297,9 @@ def tangent_data(small_fixture):
 
 
 def _mixed_data():
-    """Long runs across the block edges of the bank evaluation, each
-    followed by a dither: a rise to 10, a dither at the top, a fall
-    through the flag point, a dither around it, and a fall to 0."""
+    """Runs longer than a block, each one walk entry, and each followed
+    by a dither: a rise to 10, a dither at the top, a fall through the
+    flag point, a dither around it, and a fall to 0."""
     rng = np.random.default_rng(22)
 
     def dither(level, n):
@@ -338,11 +366,10 @@ def test_tangent_matches_central_differences_on_a_reversal_below_the_flag(seed, 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_tangent_rows_equal_passes_over_every_row(seed):
-    # model_jacobian walks each bank's blocks that hold a row the bank
-    # reports, and crosses the rest of their runs; every reported row keeps
-    # the bits of a pass of that bank that computes every row. The
-    # short-tail input makes bank 2 cross its rise into a closing block
-    # shorter than _LONG.
+    # model_jacobian crosses each run a bank reports no row of; every
+    # reported row keeps the bits of a pass of that bank that computes
+    # every row. On the short-tail input bank 2 crosses a rise longer than
+    # three blocks, one walk entry, in one step.
     from hystfit.fitting import _bank_slots
     from hystfit.operators import _plan
     from hystfit.tangent import _bank_tangent, model_jacobian

@@ -416,16 +416,16 @@ def _short_tail_sweep():
 
 
 def _long_sinusoid():
-    """The stock input at 200,001 samples: the flags fall mid-run and
-    mid-block, inside runs of several blocks."""
+    """The stock input at 200,001 samples: the flags fall mid-run, inside
+    runs of thousands of samples, each one walk entry."""
     traj = decaying_sinusoid(t_end=20.0, dt=1e-4)
     return traj.t, traj.v
 
 
 def _triangle():
     """Rises and falls of 300 samples between 0 and 10: each run is a
-    block of its own, and each fall crosses the flag, so a bank's block
-    can end a run on a sample it does not report."""
+    walk entry of its own, and each fall crosses the flag, so a bank's
+    entry can end a run on a sample it does not report."""
     v = np.concatenate([np.linspace(0.0, 10.0, 300, endpoint=False),
                         np.linspace(10.0, 0.0, 300, endpoint=False)] * 3)
     return 1e-3 * np.arange(v.size), v
@@ -549,26 +549,34 @@ def test_streaming_cuts_at_the_closed_form_boundary(make_model, shift):
 
 @pytest.mark.parametrize("make_input", [_dither_input, _recovery_sweep, _dither_then_rise])
 def test_block_layout_follows_the_cut_rule(make_input):
-    # the blocks tile the samples, none is longer than _BLOCK, a run of
-    # _LONG or more samples shares no block, a block that holds several
-    # runs holds fewer than _LONG samples of each, and its starts are
-    # exactly the run edges inside it
+    # the entries tile the samples, each run of _LONG or more samples is
+    # exactly one entry, and every other entry is a block of at most
+    # _BLOCK samples that holds fewer than _LONG samples of each run; the
+    # starts of every entry are exactly the run edges inside it
     _, v = make_input()
     d = _directions(v)
     edges = np.flatnonzero(d[1:] != d[:-1]) + 1
     bounds = np.concatenate(([0], edges, [v.size]))
-    blocks = _blocks(d)
-    assert blocks[0][0] == 0 and blocks[-1][1] == v.size
-    for (_, j, _), (i, _, _) in zip(blocks, blocks[1:]):
+    long_runs = {(a, b) for a, b in zip(bounds.tolist(), bounds[1:].tolist()) if b - a >= _LONG}
+    entries = _blocks(d)
+    assert entries[0][0] == 0 and entries[-1][1] == v.size
+    for (_, j, _), (i, _, _) in zip(entries, entries[1:]):
         assert i == j
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a >= _LONG:
-            assert all(a <= i and j <= b for i, j, _ in blocks if i < b and j > a)
-    for i, j, starts in blocks:
-        assert 0 < j - i <= _BLOCK
+    assert long_runs <= {(i, j) for i, j, _ in entries}
+    for i, j, starts in entries:
         assert np.array_equal(i + starts, edges[(edges > i) & (edges < j)])
-        if starts.size:
+        if (i, j) not in long_runs:
+            assert 0 < j - i <= _BLOCK
             assert np.diff(np.concatenate(([0], starts, [j - i]))).max() < _LONG
+
+
+def test_block_layout_counts_the_lead_in_the_first_run():
+    # a first run of 40 samples is its own entry when the 30 samples it
+    # had before the call make it _LONG long, and shares a block with the
+    # short runs after it when it had none
+    d = np.concatenate((np.ones(40), np.tile([-1.0, 1.0], 50)))
+    assert [(i, j, s.size) for i, j, s in _blocks(d, lead=30)] == [(0, 40, 0), (40, 140, 99)]
+    assert [(i, j, s.size) for i, j, s in _blocks(d, lead=0)] == [(0, 140, 100)]
 
 
 def test_gpi_states_reflect_final_sample():
@@ -843,7 +851,8 @@ def _crossed_egpi():
 
 
 def _long_run_then_dither():
-    """A rise over more than two blocks, then a quantized dither."""
+    """A rise longer than two blocks, one walk entry, then a quantized
+    dither."""
     rng = np.random.default_rng(3)
     rise = np.linspace(-5.0, 4.0, 2 * _BLOCK + 37)
     dither = np.round((4.0 + rng.normal(0.0, 0.03, 700)) / 0.02) * 0.02
@@ -919,7 +928,7 @@ def _dither_mid_run_then_rise():
 @pytest.mark.parametrize("make_input", [_dither_then_rise, _dither_mid_run_then_rise])
 def test_streaming_continues_a_run_cut_by_a_block_edge(make_model, make_input):
     # the first call ends 60 samples into the closing rise: too few for
-    # blocks of their own, so the rise begins in a block of several runs
+    # an entry of its own, so the rise begins in a block of several runs
     # and a block edge falls inside it. On the second input that block
     # itself begins inside a run. The next call continues the rise past
     # _LONG samples, from the state the rise was entered with.
