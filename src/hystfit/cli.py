@@ -113,23 +113,21 @@ def _make_config(args, mode) -> FitConfig:
     if args.config:
         doc = load_json(args.config)
         initial = doc.pop("initial", None)
-        known = {f for f in FitConfig.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown fit config fields: {sorted(unknown)}")
+        if unknown := sorted(set(doc) - set(FitConfig.__dataclass_fields__)):
+            raise ConfigError(f"unknown fit config fields: {unknown}")
         fields.update(doc)
         if initial is not None:
             names = param_names(mode)
             if isinstance(initial, dict):
-                missing = [n for n in names if n not in initial]
-                if missing:
+                if missing := [n for n in names if n not in initial]:
                     raise ConfigError(f"initial guess missing parameters: {missing}")
+                if unknown := sorted(set(initial) - set(names)):
+                    raise ConfigError(f"unknown initial guess parameters: {unknown}")
                 initial = [initial[n] for n in names]
             try:
-                initial = np.asarray(initial, float)
-            except (TypeError, ValueError):
-                raise ConfigError("fit config field 'initial' must hold numbers") from None
-            fields["initial"] = validate_params(initial, mode)
+                fields["initial"] = validate_params(initial, mode)
+            except ParameterError as exc:
+                raise ConfigError(f"fit config field 'initial': {exc}") from None
     if args.flag_point is not None:
         fields["v_f"] = args.flag_point
     return FitConfig(**fields)

@@ -286,12 +286,7 @@ def model_from_doc(doc: dict):
         None if flags.get(key) is None else check_number(flags[key], f"flag {key!r}")
         for key in ("v_f_asc", "v_f_desc")
     )
-    return EgpiModel(
-        submodels=[bank(0), bank(1)],
-        mode=MODE_TAGS[mode],
-        flag_asc=flag_asc,
-        flag_desc=flag_desc,
-    )
+    return EgpiModel([bank(0), bank(1)], MODE_TAGS[mode], flag_asc, flag_desc)
 
 
 def save_model(path, model, source=""):
@@ -371,6 +366,5 @@ def write_report(path, rows: list[dict]):
     fields = ["dataset", "model", "rmse_deg", "nrmse_pct", "mae_deg", "n"]
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     _atomic_write(path, [buf.getvalue()])

@@ -19,6 +19,7 @@ not part of the search space.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -94,10 +95,11 @@ def param_bounds(mode: str) -> np.ndarray:
 
 def validate_params(params, mode: str) -> np.ndarray:
     names = param_names(mode)
-    try:
-        params = np.asarray(params, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"mode {mode!r} takes numeric parameters: {exc}") from None
+    raw = params if isinstance(params, np.ndarray) else np.asarray(params, dtype=object)
+    if raw.dtype.kind not in "fiu" and not all(  # strings and bools would convert
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in raw.flat):
+        raise ParameterError(f"mode {mode!r} takes numeric parameters, got {params!r}")
+    params = raw.astype(float, copy=False)
     if params.shape != (len(names),):
         raise ParameterError(
             f"mode {mode!r} takes {len(names)} parameters, got shape {params.shape}"

@@ -78,17 +78,25 @@ class DensitySpec:
         return self._grid[1]
 
 
+@dataclass(frozen=True)
+class Memory:
+    """What an evaluation leaves for ``reset=False``: the last input, the
+    samples of the run in progress there (capped at ``_LONG``, signed by its
+    direction, 0 at rest), and per bank its last and run-entering states."""
+
+    last_input: float
+    run_length: int
+    states: tuple[np.ndarray, ...]
+    run_states: tuple[np.ndarray, ...]
+
+
 @dataclass
 class GpiModel:
     """Weighted bank of play operators sharing one envelope pair.
 
-    After each evaluation the bank keeps its memory: ``states`` (one value
-    per threshold) and ``last_input`` at the final sample, and, for the
-    monotone run in progress there, ``run_states``, the states it was
-    entered with, and ``run_length``, its samples so far capped at
-    ``_LONG`` and signed by its direction (0 at rest). ``reset=False``
-    continues from them. A model instance must not be stepped from two
-    workers at once.
+    ``memory`` is what the last evaluation of this model left (``Memory``),
+    None before the first; one that raises leaves it as it was. A model
+    instance must not be stepped from two workers at once.
     """
 
     density: DensitySpec
@@ -96,10 +104,7 @@ class GpiModel:
     desc_env: Envelope
     kappa_asc: float = 1.0
     kappa_desc: float = 1.0
-    states: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-    last_input: float | None = field(init=False, default=None, repr=False, compare=False)
-    run_states: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-    run_length: int = field(init=False, default=0, repr=False, compare=False)
+    memory: Memory | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("kappa_asc", "kappa_desc"):
@@ -120,19 +125,23 @@ class EgpiModel:
     """Two independent banks with flag-point output switching.
 
     Both submodels evolve in parallel over the same input; the flags only
-    select which output is reported, they never transfer state.
+    select which output is reported, they never transfer state. ``memory``
+    (``Memory``) is the model's, apart from each submodel's own, so one
+    bank may fill both slots.
     """
 
     submodels: list[GpiModel]
     mode: SwitchMode = SwitchMode.TWO_FLAG
     flag_asc: float | None = None
     flag_desc: float | None = None
+    memory: Memory | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.submodels) != 2:
             raise ConfigError(f"exactly two submodels required, got {len(self.submodels)}")
-        if self.submodels[0] is self.submodels[1]:
-            raise ConfigError("submodels must be distinct instances (state is per-bank)")
+        for k, bank in enumerate(self.submodels, 1):
+            if not isinstance(bank, GpiModel):
+                raise ConfigError(f"submodel {k} must be a GpiModel, got {type(bank).__name__}")
         if self.mode is SwitchMode.TWO_FLAG:
             if self.flag_asc is None or self.flag_desc is None:
                 raise ConfigError("two-flag mode requires both 'flag_asc' and 'flag_desc'")
@@ -449,46 +458,41 @@ def _plan(model, v, prev=None, every=False, lead=0):
     return d, use2, walks
 
 
-def _evaluate(model, t, v, reset: bool, every: bool):
-    """One pass of each bank over one validated input: ``(use2, outputs)``.
+def _evaluate(model, t, v, memory: Memory | None, every: bool):
+    """One pass of each bank over one validated input, continuing from
+    ``memory`` (fresh where it is None): ``(use2, outputs, memory)``.
 
     The input is validated, and its walks planned (``_plan``), once for all
-    banks. Each bank then keeps its memory at the last sample (``GpiModel``).
+    banks. The model is only read; the caller stores the memory returned.
     """
     t, v = _validate_series(t, v)
-    banks = _banks(model)
-    fresh = reset or any(bank.states is None for bank in banks)
-    prev = None if fresh else banks[0].last_input
+    prev, run = (None, 0) if memory is None else (memory.last_input, memory.run_length)
     # the run in progress goes on if the first step keeps its direction
-    run = 0 if fresh else banks[0].run_length
     lead = abs(run) if run and np.sign(v[0] - prev) == np.sign(run) else 0
     d, use2, walks = _plan(model, v, prev, every, lead)
     tail = d[-_LONG:]  # as the length is capped, the last _LONG samples set it
     other = np.flatnonzero(tail != d[-1])
     length = tail.size - 1 - other[-1] if other.size else lead + tail.size
-    outs = []
-    for bank, walk in zip(banks, walks):
-        w = _init_bank(bank, v[0]) if fresh else bank.run_states if lead else bank.states
-        y, bank.states, bank.run_states = _bank_pass(bank, v, d, walk, w, lead)
-        bank.last_input = float(v[-1])
-        bank.run_length = int(d[-1]) * min(int(length), _LONG)
-        outs.append(y)
-    return use2, outs
+    start = None if memory is None else memory.run_states if lead else memory.states
+    outs, states, entries = zip(*(
+        _bank_pass(bank, v, d, walk, _init_bank(bank, v[0]) if start is None else start[k], lead)
+        for k, (bank, walk) in enumerate(zip(_banks(model), walks))))
+    return use2, outs, Memory(float(v[-1]), int(d[-1]) * min(int(length), _LONG), states, entries)
 
 
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     """Evaluate the bank over a sampled input, returning the output series.
 
     With ``reset`` (the default) all operator states are initialized at
-    the first sample. ``reset=False`` continues from the model's stored
-    memory for streaming use (``GpiModel``); the first new sample is then
-    compared against the last input seen. The memory reflects the final
-    sample either way. Any other model kind raises ConfigError before a
-    bank runs.
+    the first sample. ``reset=False`` continues from ``model.memory``, a
+    submodel's own, not its switched model's; the first new sample steps
+    from the last input seen. The new memory is stored once the bank has
+    run, so a call that raises leaves it unchanged. Any other model kind
+    raises ConfigError before a bank runs.
     """
     if not isinstance(model, GpiModel):
         raise ConfigError(f"gpi_eval takes a GpiModel, got {type(model).__name__}")
-    _, (y,) = _evaluate(model, t, v, reset, every=True)
+    _, (y,), model.memory = _evaluate(model, t, v, None if reset else model.memory, True)
     return y
 
 
@@ -496,10 +500,10 @@ def egpi_outputs(model, t, v):
     """One fresh pass of each bank over every sample: ``(z, active, z1, z2)``.
 
     ``z1`` and ``z2`` are the submodel outputs; ``z`` and ``active`` are
-    what ``egpi_eval`` returns. A ``GpiModel`` gives ``z1 = z2 = z`` and
-    ``active = 1``.
+    what ``egpi_eval`` returns, and ``model.memory`` is replaced as there.
+    A ``GpiModel`` gives ``z1 = z2 = z`` and ``active = 1``.
     """
-    use2, outs = _evaluate(model, t, v, reset=True, every=True)
+    use2, outs, model.memory = _evaluate(model, t, v, None, every=True)
     z1, z2 = outs[0], outs[-1]
     return np.where(use2, z2, z1), np.where(use2, 2, 1), z1, z2
 
@@ -514,12 +518,13 @@ def egpi_eval(model, t, v, reset: bool = True):
     always report submodel 1. Holds follow the non-ascending rule. A
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
-    Each bank crosses each run it moves along without reporting a sample
-    (``_plan``), as the tangent pass does. ``z``, and every field the
-    banks store, keep the bits of a pass over every sample
-    (``egpi_outputs``).
+    ``model.memory`` is read and replaced as in ``gpi_eval``, once both
+    banks have run; the submodels' own are left alone. Each bank crosses
+    each run it moves along without reporting a sample (``_plan``), as the
+    tangent pass does. ``z``, and the memory, keep the bits of a pass over
+    every sample (``egpi_outputs``).
     """
-    use2, outs = _evaluate(model, t, v, reset, every=False)
+    use2, outs, model.memory = _evaluate(model, t, v, None if reset else model.memory, False)
     return np.where(use2, outs[-1], outs[0]), np.where(use2, 2, 1)
 
 

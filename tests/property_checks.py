@@ -74,9 +74,10 @@ def check_band_containment(cases=100):
                 lo = asc_env(v[i]) - model.kappa_asc * rr
                 hi = desc_env(v[i]) + model.kappa_desc * rr
                 ok = lo <= hi
-                inside = (lo - 1e-9 <= model.states) & (model.states <= hi + 1e-9)
+                states = model.memory.states[0]
+                inside = (lo - 1e-9 <= states) & (states <= hi + 1e-9)
                 assert np.all(inside[ok]), (
-                    f"case {case}: states {model.states} outside [{lo}, {hi}] at v={v[i]}"
+                    f"case {case}: states {states} outside [{lo}, {hi}] at v={v[i]}"
                 )
 
 

@@ -5,7 +5,15 @@ import pytest
 
 from fixtures import SWEEP_FLAG, recovery_params, sweep_input
 
-from hystfit import Trajectory, build_model, gen_synthetic, gpi_eval, predict, reference_model
+from hystfit import (
+    Trajectory,
+    build_model,
+    gen_synthetic,
+    gpi_eval,
+    param_names,
+    predict,
+    reference_model,
+)
 from hystfit.cli import main
 from hystfit.fileio import load_dataset, load_model, model_to_doc, save_dataset, save_model
 
@@ -281,6 +289,18 @@ def test_fit_config_rejects_unknown_fields(tmp_path, small_data):
                "--flag-point", SWEEP_FLAG) == 2
 
 
+def test_fit_config_rejects_unknown_initial_names(tmp_path, small_data, capsys):
+    # a misspelt name next to every layout name used to be ignored
+    data_path, _, params = small_data
+    initial = {**dict(zip(param_names("egpi"), map(float, params))), "lamda": 0.07}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial": initial}))
+    assert run("fit", "--data", data_path, "--config", cfg,
+               "--flag-point", SWEEP_FLAG, "--out-prefix", tmp_path / "fit") == 2
+    assert "unknown initial guess parameters: ['lamda']" in capsys.readouterr().err
+    assert not (tmp_path / "fit.result.json").exists()
+
+
 @pytest.mark.parametrize("field", ["rel_step", "mu_up", "mu_down", "mu_max"])
 def test_fit_config_rejects_removed_fields(tmp_path, small_data, capsys, field):
     # fits use the exact Jacobian, so FitConfig has no finite-difference
@@ -301,6 +321,9 @@ def test_fit_config_rejects_removed_fields(tmp_path, small_data, capsys, field):
     pytest.param("n_operators", 2.5, id="n_operators-fraction"),
     pytest.param("v_f", "6", id="v_f-str"),
     pytest.param("initial", ["x"] * 11, id="initial-str"),
+    pytest.param("initial", ["3", "1", "3", "5", "3", "5", "0.07", "0.1", "0.3", "2", "1"],
+                 id="initial-numeric-str"),
+    pytest.param("initial", [True] * 11, id="initial-bool"),
 ])
 def test_fit_config_rejects_wrong_types(tmp_path, small_data, capsys, field, value):
     # each used to end in a TypeError or ValueError traceback (exit 1)

@@ -73,6 +73,8 @@ def test_validate_params_rejects_r1_above_rn():
     ("gpi", {"a": 1}),
     ("gpi", ["x"] * 8),
     ("egpi", [[1.0, 2.0], [3.0]]),
+    ("gpi", ["3", "1", "3", "5", "0.07", "0.1", "0.3", "2"]),
+    ("gpi", [True] * 8),
 ])
 def test_non_numeric_parameters_raise_parameter_error(small_fixture, mode, params):
     # each used to escape as a bare TypeError or ValueError

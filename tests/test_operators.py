@@ -54,7 +54,7 @@ def classical_bank(r, asc_env=IDENTITY, desc_env=IDENTITY):
 
 def _states_after(model, v):
     gpi_eval(model, np.arange(float(len(v))), v)
-    return model.states
+    return model.memory.states[0]
 
 
 # ------------------------------------------------------- one play operator
@@ -77,7 +77,7 @@ def test_play_step_full_traversal_matches_bruteforce():
     got = []
     for i in range(traj.v.size):
         gpi_eval(model, traj.t[i : i + 1], traj.v[i : i + 1], reset=(i == 0))
-        got.append(model.states.copy())
+        got.append(model.memory.states[0].copy())
     got = np.array(got)
     for col, r in enumerate((0.0, 0.25)):
         expected = bruteforce.run_play(list(traj.v), asc.to_dict(), desc.to_dict(), 1.0, 1.0, r)
@@ -284,7 +284,7 @@ def test_gpi_eval_rejects_switched_model_before_running_a_bank():
     t, v = _demo_input()
     with pytest.raises(ConfigError, match="GpiModel"):
         gpi_eval(model, t, v)
-    assert all(bank.states is None and bank.last_input is None for bank in model.submodels)
+    assert all(m.memory is None for m in [model, *model.submodels])
 
 
 def test_gpi_constant_input_keeps_initial_output():
@@ -321,7 +321,7 @@ def test_gpi_streaming_continuation_matches_batch():
     y_a = gpi_eval(split, t[:cut], v[:cut])
     y_b = gpi_eval(split, t[cut:], v[cut:], reset=False)
     assert np.array_equal(np.concatenate([y_a, y_b]), y_all)
-    assert np.array_equal(split.states, whole.states)
+    assert np.array_equal(split.memory.states[0], whole.memory.states[0])
 
 
 def _dither_input(n=3000, seed=0):
@@ -396,8 +396,9 @@ def test_egpi_streaming_random_chunks_match_one_shot(make_model, signal):
         assert np.array_equal(z, z_all)
         assert np.array_equal(active, active_all)
         assert np.array_equal(np.concatenate(y), y_all)
-        for got, want in zip([*_banks(model), bank], [*_banks(whole), whole_bank]):
-            assert np.array_equal(got.states, want.states)
+        for got, want in zip([model, bank], [whole, whole_bank]):
+            for mine, theirs in zip(got.memory.states, want.memory.states):
+                assert np.array_equal(mine, theirs)
 
 
 def _recovery_model():
@@ -478,9 +479,9 @@ def test_reported_samples_only_keeps_every_bit(make_model, make_input):
     assert np.array_equal(z, want)
     assert np.array_equal(active, active_full)
     for model in (partial, streamed):
-        for got, ref in zip(_banks(model), _banks(full)):
-            assert np.array_equal(got.states, ref.states)
-            assert got.last_input == ref.last_input
+        for got, ref in zip(model.memory.states, full.memory.states):
+            assert np.array_equal(got, ref)
+        assert model.memory.last_input == full.memory.last_input
 
 
 @pytest.mark.filterwarnings("ignore:empty play band")
@@ -499,9 +500,54 @@ def test_streaming_cuts_inside_unreported_stretches():
              for a, b in zip(bounds[:-1], bounds[1:])]
     assert np.array_equal(np.concatenate([z for z, _ in parts]), z_all)
     assert np.array_equal(np.concatenate([a for _, a in parts]), active_all)
-    for got, want in zip(_banks(model), _banks(whole)):
-        assert np.array_equal(got.states, want.states)
-        assert got.last_input == want.last_input
+    for got, want in zip(model.memory.states, whole.memory.states):
+        assert np.array_equal(got, want)
+    assert model.memory.last_input == whole.memory.last_input
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+def test_submodel_stepped_alone_keeps_its_own_memory():
+    # stepping bank 1 through gpi_eval between two calls of its switched
+    # model used to overwrite the bank memory that the model's next
+    # reset=False call continued from (22 deg off on this input)
+    A, X, B = np.linspace(0.0, 9.0, 100), np.linspace(9.0, 2.0, 100), np.linspace(2.0, 4.0, 100)
+    t = 1e-3 * np.arange(A.size + B.size)
+    model = _recovery_model()
+    z_a, _ = egpi_eval(model, t[:A.size], A)
+    gpi_eval(model.submodels[0], t[:X.size], X, reset=False)
+    z_b, _ = egpi_eval(model, t[A.size:], B, reset=False)
+    z_all, _ = egpi_eval(_recovery_model(), t, np.concatenate([A, B]))
+    assert np.array_equal(np.concatenate([z_a, z_b]), z_all)
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+def test_one_bank_may_fill_both_slots():
+    # the memory is the model's, so a shared bank needs no copy
+    t, v = _dither_input()
+    bank = _recovery_model().submodels[0]
+    shared = EgpiModel([bank, bank], SwitchMode.DESCEND_FLAG, flag_desc=SWEEP_FLAG)
+    copies = EgpiModel([bank, replace(bank)], SwitchMode.DESCEND_FLAG, flag_desc=SWEEP_FLAG)
+    assert np.array_equal(predict(shared, t, v), predict(copies, t, v))
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+def test_evaluation_that_raises_leaves_the_memory_unchanged():
+    # bank 2's envelope fails after bank 1 has run over the new input
+    t, v = _recovery_sweep()
+    model = _recovery_model()
+    egpi_eval(model, t[:1000], v[:1000])
+    memory = model.memory
+
+    def failing(x):
+        raise RuntimeError("envelope failed")
+
+    model.submodels[1].asc_env = failing
+    with pytest.raises(RuntimeError, match="envelope failed"):
+        egpi_eval(model, t[1000:], v[1000:], reset=False)
+    assert model.memory is memory
+    with pytest.raises(InputError):
+        egpi_eval(model, [0.0, 1.0], [0.0, np.nan], reset=False)
+    assert model.memory is memory
 
 
 def _rise_hold_fall():
@@ -513,9 +559,10 @@ def _rise_hold_fall():
     return 1e-3 * np.arange(v.size), v, 1, 321
 
 
-def _memory(bank):
-    """Every field an evaluation stores in a bank."""
-    return [getattr(bank, f.name) for f in fields(bank) if not f.init]
+def _memory(model):
+    """Every value in the model's memory, each per-bank tuple flattened."""
+    values = [getattr(model.memory, f.name) for f in fields(model.memory)]
+    return [x for value in values for x in (value if isinstance(value, tuple) else [value])]
 
 
 @pytest.mark.parametrize("make_model", [_descend_flag_model, reference_model])
@@ -542,7 +589,7 @@ def test_streaming_cuts_at_the_closed_form_boundary(make_model, shift):
     assert np.array_equal(np.concatenate([z for z, _ in parts]), z_all)
     assert np.array_equal(np.concatenate([a for _, a in parts]), active_all)
     assert np.array_equal(np.concatenate(y), y_all)
-    for got, want in zip([*_banks(model), bank], [*_banks(whole), whole_bank]):
+    for got, want in zip([model, bank], [whole, whole_bank]):
         for mine, theirs in zip(_memory(got), _memory(want)):
             assert np.array_equal(mine, theirs)
 
@@ -589,7 +636,7 @@ def test_gpi_states_reflect_final_sample():
         np.maximum(model.asc_env(5.0) - rr, _init_states(model, 0.0)),
         model.desc_env(1.0) + rr,
     )
-    assert np.allclose(model.states, state, atol=1e-12)
+    assert np.allclose(model.memory.states[0], state, atol=1e-12)
 
 
 def _init_states(model, v0):
@@ -694,9 +741,8 @@ def test_egpi_flag_consistency_enforced():
             flag_asc=1.0,
             flag_desc=0.0,
         )
-    with pytest.raises(ConfigError):
-        b = bank()
-        EgpiModel(submodels=[b, b], mode=SwitchMode.DESCEND_FLAG, flag_desc=0.0)
+    with pytest.raises(ConfigError, match="submodel 1 must be a GpiModel"):
+        EgpiModel(submodels=[1, 2], flag_asc=1.0, flag_desc=0.0)
     for flags in ({"flag_desc": np.nan}, {"flag_desc": -np.inf}):
         with pytest.raises(ConfigError):
             EgpiModel(submodels=[bank(), bank()], mode=SwitchMode.DESCEND_FLAG, **flags)
@@ -944,9 +990,8 @@ def test_streaming_continues_a_run_cut_by_a_block_edge(make_model, make_input):
     z = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))[0]
          for a, b in zip([0, stop], [stop, v.size])]
     assert np.array_equal(np.concatenate(z), z_all)
-    for got, want in zip(_banks(model), _banks(whole)):
-        for mine, theirs in zip(_memory(got), _memory(want)):
-            assert np.array_equal(mine, theirs)
+    for mine, theirs in zip(_memory(model), _memory(whole)):
+        assert np.array_equal(mine, theirs)
 
 
 def test_saturated_rerise_has_ties():
@@ -960,5 +1005,5 @@ def test_saturated_rerise_has_ties():
     bank = _saturated_ties_model().submodels[0]
     gpi_eval(bank, 1e-3 * np.arange(start), v[:start])
     T = bank.asc_env(v[start:start + 150])
-    c, _, _ = _sweep(bank, bank.states, T, True)
+    c, _, _ = _sweep(bank, bank.memory.states[0], T, True)
     assert np.isin(T[_LONG:], c).any()

@@ -16,8 +16,10 @@ tree then evaluates every case in one subprocess with
   envelopes, two flags) and of the linear descend-flag model of recovery
   seed ``case`` (``tests/fixtures.recovery_params``, flag 6);
 - ``egpi_eval(reset=False)`` of both models over the input cut into
-  chunks at seeded positions, with every field each bank stores at the
-  end;
+  chunks at seeded positions, with every value the model's memory holds
+  at the end (``stored_memory``, which reads a tree that stores it in
+  ``model.memory`` and one that keeps it in fields of each bank alike, so
+  both trees hash every stored value);
 - ``fitting.residuals`` and ``fitting.jacobian`` in egpi and in gpi mode.
 
 It prints ``identical``, or ``DIFF`` with the first case and item whose
@@ -91,6 +93,18 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def stored_memory(model) -> list:
+    """Per bank, in order: its states, the states its last run was entered
+    with, the run length and the last input. Read from ``model.memory``
+    where the model has one, else from the fields of each bank."""
+    if not hasattr(model, "memory"):
+        return [x for bank in model.submodels
+                for x in (bank.states, bank.run_states, bank.run_length, bank.last_input)]
+    m = model.memory
+    return [x for states, entered in zip(m.states, m.run_states)
+            for x in (states, entered, m.run_length, m.last_input)]
+
+
 def hash_all(cases_path: str) -> list[dict]:
     """Hash every item of every case with the ``hystfit`` on ``sys.path``."""
     from hystfit import Trajectory, build_model, egpi_eval, predict, reference_model
@@ -110,10 +124,8 @@ def hash_all(cases_path: str) -> list[dict]:
             model = make()
             chunks = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))
                       for a, b in zip([0, *cuts], [*cuts, v.size])]
-            memory = [x for bank in model.submodels
-                      for x in (bank.states, bank.run_states, bank.run_length, bank.last_input)]
             items[f"{name} chunked egpi_eval"] = digest(
-                *(x for z, active in chunks for x in (z, active)), *memory)
+                *(x for z, active in chunks for x in (z, active)), *stored_memory(model))
         traj = Trajectory(t=t, v=v, theta=np.zeros(v.size))
         gpi = params[[0, 1, 2, 3, 6, 7, 8, 9]]  # bank 1 of the egpi layout
         for mode, p, v_f in (("egpi", params, FLAG), ("gpi", gpi, None)):
