@@ -21,10 +21,11 @@ from . import __version__
 from .errors import (
     ConfigError,
     DetectionError,
-    InitializationError,
+    HystError,
     InputError,
     NumericalError,
     ParameterError,
+    check_names,
     check_number,
 )
 from .fileio import (
@@ -46,15 +47,7 @@ from .metrics import Metrics, compute_metrics
 from .operators import egpi_outputs, predict, reference_model
 from .signals import decaying_sinusoid, detect_flag_point, gen_synthetic
 
-_INPUT_ERRORS = (
-    InputError,
-    ConfigError,
-    ParameterError,
-    InitializationError,
-    FileNotFoundError,
-    IsADirectoryError,
-)
-_HANDLED_ERRORS = (DetectionError, NumericalError, *_INPUT_ERRORS)
+_HANDLED_ERRORS = (HystError, FileNotFoundError, IsADirectoryError)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -113,16 +106,14 @@ def _make_config(args, mode) -> FitConfig:
     if args.config:
         doc = load_json(args.config)
         initial = doc.pop("initial", None)
-        if unknown := sorted(set(doc) - set(FitConfig.__dataclass_fields__)):
-            raise ConfigError(f"unknown fit config fields: {unknown}")
+        check_names(doc, FitConfig.__dataclass_fields__, "fit config fields")
         fields.update(doc)
         if initial is not None:
             names = param_names(mode)
             if isinstance(initial, dict):
                 if missing := [n for n in names if n not in initial]:
                     raise ConfigError(f"initial guess missing parameters: {missing}")
-                if unknown := sorted(set(initial) - set(names)):
-                    raise ConfigError(f"unknown initial guess parameters: {unknown}")
+                check_names(initial, names, "initial guess parameters")
                 initial = [initial[n] for n in names]
             try:
                 fields["initial"] = validate_params(initial, mode)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_number
+from .errors import ConfigError, check_names, check_number
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ def envelope_from_dict(doc: dict) -> Envelope:
         cls, keys = TanhEnvelope, "cdef"
     else:
         raise ConfigError(f"unknown envelope family {family!r}")
+    check_names(doc, ("family", *keys), f"{family} envelope fields")
     try:
         return cls(*(doc[k] for k in keys))
     except KeyError as exc:

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the type check of
-numeric configuration fields.
+"""Exception types shared across the toolkit, and the checks of
+configuration fields: their numeric type, and their names.
 
 The CLI maps these onto exit codes: input/config/parameter problems exit
 with 2, numerical failures with 3, flag-point detection failures with 4.
@@ -51,14 +51,24 @@ def check_number(value, name: str, integer: bool = False):
     Anything else, a bool or an int too large for a float included, raises
     ConfigError naming the field ``name``.
     """
-    kind = numbers.Integral if integer else numbers.Real
-    try:
-        ok = not isinstance(value, bool) and isinstance(value, kind) and (
-            integer or math.isfinite(value)
-        )
-    except OverflowError:
-        ok = False
-    if not ok:
+    if not is_number(value, integer):
         what = "an integer" if integer else "a finite number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """The rule of ``check_number``: whether ``value`` passes it."""
+    kind = numbers.Integral if integer else numbers.Real
+    try:
+        return not isinstance(value, bool) and isinstance(value, kind) and (
+            integer or math.isfinite(value)
+        )
+    except OverflowError:
+        return False
+
+
+def check_names(doc, known, what: str) -> None:
+    """Raise ConfigError ``unknown <what>: [...]`` on keys not in ``known``."""
+    if unknown := sorted(set(doc) - set(known)):
+        raise ConfigError(f"unknown {what}: {unknown}")

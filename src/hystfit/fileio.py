@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .envelopes import envelope_from_dict
-from .errors import ConfigError, InputError, check_number
+from .errors import ConfigError, InputError, check_names, check_number
 from .metrics import Metrics
 from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, _banks
 from .signals import Trajectory
@@ -197,8 +197,10 @@ def _density_doc(d: DensitySpec) -> dict:
 
 
 def _density_from_doc(doc: dict) -> DensitySpec:
+    keys = ("lambda", "sigma", "r1", "rn", "n")
+    check_names(doc, keys, "density fields")
     try:
-        values = [doc[key] for key in ("lambda", "sigma", "r1", "rn", "n")]
+        values = [doc[key] for key in keys]
     except KeyError as exc:
         raise ConfigError(f"density block missing field {exc}") from None
     # the file key, which DensitySpec's own message does not name
@@ -251,10 +253,11 @@ def _member(doc: dict, key: str, kind: type):
 def model_from_doc(doc: dict):
     """Rebuild a model from its document, enforcing mode/flag consistency.
 
-    A missing or mistyped field raises ConfigError naming it, ``units``
-    included although the model does not hold them. The model constructors
-    check the values, so the density scale ``lambda`` is named by its
-    field ``lam``.
+    A missing, mistyped or unknown field raises ConfigError naming it;
+    ``units`` and a gpi model's ``flags`` must be objects too, though the
+    model holds neither, and ``units`` and ``meta`` take any names. The
+    model constructors check the values, so the density scale ``lambda``
+    is named by its field ``lam``.
     """
     if not isinstance(doc, dict) or "mode" not in doc:
         raise ConfigError("model document must be an object with a 'mode' field")
@@ -272,15 +275,18 @@ def model_from_doc(doc: dict):
         sub = subdocs[i]
         if not isinstance(sub, dict):
             raise ConfigError(f"submodel {i + 1} must be an object, got {type(sub).__name__}")
+        check_names(sub, ("asc_env", "desc_env", "kappa_asc", "kappa_desc"),
+                    f"submodel {i + 1} fields")
         try:
             envs = [envelope_from_dict(sub[key]) for key in ("asc_env", "desc_env")]
         except KeyError as exc:
             raise ConfigError(f"submodel block missing field {exc}") from None
         return GpiModel(density, *envs, sub.get("kappa_asc", 1.0), sub.get("kappa_desc", 1.0))
 
+    flags = _member(doc, "flags", dict)
+    check_names(flags, ("v_f_asc", "v_f_desc"), "flag fields")
     if mode == "gpi":
         return bank(0)
-    flags = _member(doc, "flags", dict)
     # the file keys, which EgpiModel's own messages do not name
     flag_asc, flag_desc = (
         None if flags.get(key) is None else check_number(flags[key], f"flag {key!r}")

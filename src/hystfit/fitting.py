@@ -19,7 +19,6 @@ not part of the search space.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -33,6 +32,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     check_number,
+    is_number,
 )
 from .metrics import Metrics, compute_metrics
 from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, predict
@@ -96,8 +96,8 @@ def param_bounds(mode: str) -> np.ndarray:
 def validate_params(params, mode: str) -> np.ndarray:
     names = param_names(mode)
     raw = params if isinstance(params, np.ndarray) else np.asarray(params, dtype=object)
-    if raw.dtype.kind not in "fiu" and not all(  # strings and bools would convert
-            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in raw.flat):
+    # strings, bools and ints too large for a float would convert, or raise
+    if raw.dtype.kind not in "fiu" and not all(map(is_number, raw.flat)):
         raise ParameterError(f"mode {mode!r} takes numeric parameters, got {params!r}")
     params = raw.astype(float, copy=False)
     if params.shape != (len(names),):

@@ -229,31 +229,30 @@ def _directions(v: np.ndarray, prev: float | None = None) -> np.ndarray:
     return d
 
 
-def _blocks(d: np.ndarray, lead: int = 0) -> list:
-    """The entries ``(i, j, starts)`` that tile the samples of directions ``d``.
+def _blocks(d: np.ndarray, run: int = 0):
+    """The walk entries that tile the samples of directions ``d``, the
+    lead and the last run's length: ``(entries, lead, run)``.
 
-    A run of constant direction with ``_LONG`` or more samples is one
-    entry; the first run also counts the ``lead`` samples it had before
-    ``d[0]``. Each stretch of shorter runs between two such runs is cut
-    into blocks of ``_BLOCK`` samples from its start. ``starts`` holds the
-    offsets from ``i`` of the run edges inside the entry ``v[i:j]``, none
-    in an entry inside one run.
+    Each entry ``(i, j, starts)`` begins a run; ``starts`` holds the
+    offsets from ``i`` of the run edges inside ``v[i:j]``. Entries begin
+    at each run of ``_LONG`` or more samples, which is one entry, at the
+    run after it, and at the first run that begins in each ``_BLOCK``
+    samples. ``d[0]`` goes on with the signed length ``run`` of the run
+    before it (``Memory.run_length``) if it keeps its direction; ``lead``
+    is then ``abs(run)``, else 0, and the first run counts it. The length
+    returned is signed, capped at ``_LONG`` and 0 at rest, as ``run``.
     """
-    edges = np.flatnonzero(d[1:] != d[:-1]) + 1
-    bounds = np.concatenate(([0], edges, [d.size]))
+    lead = abs(run) if d[0] * run > 0 else 0
+    bounds = np.concatenate(([0], np.flatnonzero(d[1:] != d[:-1]) + 1, [d.size]))
     size = bounds[1:] - bounds[:-1]
     size[0] += lead
     long = size >= _LONG
-    cut = np.ones(bounds.size, dtype=bool)  # the ends, and each long run's edges
-    cut[1:-1] = long[:-1] | long[1:]
-    stretches = bounds[cut].tolist()
-    # a stretch that begins with a long run is that run, whole
-    first = [i for a, b, whole in zip(stretches, stretches[1:], long[cut[:-1]].tolist())
-             for i in range(a, b, b - a if whole else _BLOCK)]
-    stop = [*first[1:], d.size]
-    lo = edges.searchsorted(first, "right").tolist()
-    hi = edges.searchsorted(stop).tolist()
-    return [(i, j, edges[a:b] - i) for i, j, a, b in zip(first, stop, lo, hi)]
+    window = bounds[:-1] // _BLOCK
+    cut = np.ones(bounds.size, dtype=bool)  # the runs that begin an entry, and the end
+    cut[1:-1] = long[1:] | long[:-1] | (window[1:] != window[:-1])
+    at, b = np.flatnonzero(cut).tolist(), bounds.tolist()
+    entries = [(b[k], b[m], bounds[k + 1 : m] - b[k]) for k, m in zip(at, at[1:])]
+    return entries, lead, int(d[-1]) * min(int(size[-1]), _LONG)
 
 
 def _clip(x, lo, hi):
@@ -383,16 +382,14 @@ def _bank_pass(model: GpiModel, v, d, walk, w, lead: int = 0):
     states, summed in operator order. So a sample's bits depend only on
     its run's entering state and direction, its own target, and whether
     it lies below ``_LONG``, never on where the input is cut. When
-    ``v[0]`` continues a run (``reset=False``), ``lead`` counts the
-    samples the run had before it and ``w`` holds the state the run was
-    entered with.
+    ``v[0]`` continues a run, ``lead`` (``_blocks``) counts its samples
+    before ``v[0]``, and ``w`` is the state it was entered with.
 
     The samples of a crossed stretch of ``walk`` are left unset: no caller
     reads them.
     """
     p = model.density.weights()
     y = np.empty(v.size)
-    entry = w
     for i, j, S, E, T in _states(model, v, d, walk, w):
         if T is None:
             y[i:j] = _contract(p, S)
@@ -409,9 +406,7 @@ def _bank_pass(model: GpiModel, v, d, walk, w, lead: int = 0):
                 np.subtract(np.add.accumulate(p * E[:, 0])[-1], Q, out=Q)
                 np.multiply(T[k:], P.take(m), out=y[i + k : j])
                 y[i + k : j] += Q.take(m)
-        if i == 0 or E.shape[1] > 1 or d[i] != d[i - 1]:
-            entry = E[:, -1].copy()  # the last run starts in this entry
-    return y, S[:, -1].copy(), entry
+    return y, S[:, -1].copy(), E[:, -1].copy()  # each entry begins a run
 
 
 def _banks(model) -> list[GpiModel]:
@@ -433,11 +428,11 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ~asc & (v <= model.flag_desc)
 
 
-def _plan(model, v, prev=None, every=False, lead=0):
-    """Directions, flag mask and each bank's walk over ``v``:
-    ``(d, use2, walks)``, one walk per bank of ``_banks(model)``.
+def _plan(model, v, prev=None, every=False, run=0):
+    """Directions, flag mask, one walk per bank of ``_banks(model)``, and
+    ``_blocks``'s lead and run length: ``(d, use2, walks, lead, run)``.
 
-    A walk is the entry list of ``_blocks(d, lead)``, cut once per
+    A walk is the entry list of ``_blocks(d, run)``, cut once per
     evaluation. A bank of a switched model reports the samples ``use2``
     gives it, and each run it moves along without reporting a sample of
     is one crossed entry ``(i, j, None)``. Under ``every``, and for a lone
@@ -446,16 +441,16 @@ def _plan(model, v, prev=None, every=False, lead=0):
     """
     d = _directions(v, prev)
     use2 = _reports_second(model, v, d)
-    walk = _blocks(d, lead)
+    walk, lead, run = _blocks(d, run)
     if every or isinstance(model, GpiModel):
-        return d, use2, [walk] * len(_banks(model))
+        return d, use2, [walk] * len(_banks(model)), lead, run
     walks = [[], []]
     for i, j, starts in walk:
         # the samples of a moving run that bank 2 reports
         second = np.count_nonzero(use2[i:j]) if d[i] and not starts.size else -1
         walks[0].append((i, j, None if second == j - i else starts))
         walks[1].append((i, j, None if second == 0 else starts))
-    return d, use2, walks
+    return d, use2, walks, lead, run
 
 
 def _evaluate(model, t, v, memory: Memory | None, every: bool):
@@ -463,21 +458,17 @@ def _evaluate(model, t, v, memory: Memory | None, every: bool):
     ``memory`` (fresh where it is None): ``(use2, outputs, memory)``.
 
     The input is validated, and its walks planned (``_plan``), once for all
-    banks. The model is only read; the caller stores the memory returned.
+    banks; ``_blocks`` says if a run goes on from ``memory``, and its length.
+    The model is only read; the caller stores the memory returned.
     """
     t, v = _validate_series(t, v)
     prev, run = (None, 0) if memory is None else (memory.last_input, memory.run_length)
-    # the run in progress goes on if the first step keeps its direction
-    lead = abs(run) if run and np.sign(v[0] - prev) == np.sign(run) else 0
-    d, use2, walks = _plan(model, v, prev, every, lead)
-    tail = d[-_LONG:]  # as the length is capped, the last _LONG samples set it
-    other = np.flatnonzero(tail != d[-1])
-    length = tail.size - 1 - other[-1] if other.size else lead + tail.size
+    d, use2, walks, lead, run = _plan(model, v, prev, every, run)
     start = None if memory is None else memory.run_states if lead else memory.states
     outs, states, entries = zip(*(
         _bank_pass(bank, v, d, walk, _init_bank(bank, v[0]) if start is None else start[k], lead)
         for k, (bank, walk) in enumerate(zip(_banks(model), walks))))
-    return use2, outs, Memory(float(v[-1]), int(d[-1]) * min(int(length), _LONG), states, entries)
+    return use2, outs, Memory(float(v[-1]), run, states, entries)
 
 
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:

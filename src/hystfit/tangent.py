@@ -1,10 +1,10 @@
 """Exact forward-mode tangent pass of a fresh model evaluation.
 
-The fit's Jacobian: the bank states come from ``operators._states``, the
-same walk as the forward pass, and along a long run, one walk entry, the
-operators move in the order of its closed form (``operators._sweep``).
-So the Jacobian is taken at exactly the states ``predict`` reports.
-Linear envelopes only.
+The fit's Jacobian, along the forward pass's walk (``operators._states``),
+whose entries each begin a run (``operators._blocks``): along a long run,
+one entry, the operators move in the order of its closed form
+(``operators._sweep``). So the Jacobian is taken at exactly the states
+``predict`` reports. Linear envelopes only.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def model_jacobian(model, v, slots):
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
     P = 1 + max(max(s.values()) for s in slots)
-    d, use2, walks = _plan(model, v)
+    d, use2, walks, _, _ = _plan(model, v)
     Js = [_bank_tangent(bank, v, d, walk, bank_slots, P)
           for bank, walk, bank_slots in zip(banks, walks, slots)]
     # a fresh array, also for a lone bank: returning a bank's own J, which is

@@ -324,6 +324,7 @@ def test_fit_config_rejects_removed_fields(tmp_path, small_data, capsys, field):
     pytest.param("initial", ["3", "1", "3", "5", "3", "5", "0.07", "0.1", "0.3", "2", "1"],
                  id="initial-numeric-str"),
     pytest.param("initial", [True] * 11, id="initial-bool"),
+    pytest.param("initial", [10**400] * 11, id="initial-int-past-float"),
 ])
 def test_fit_config_rejects_wrong_types(tmp_path, small_data, capsys, field, value):
     # each used to end in a TypeError or ValueError traceback (exit 1)
@@ -463,6 +464,29 @@ def test_evaluate_rejects_malformed_model_file(tmp_path, small_data, capsys, pat
     assert run("evaluate", "--data", data_path, "--params", model_path, "--out", out,
                "--input-units", "count") == 2
     assert f"{path[-1]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path,message", [
+    (("density", "lamda"), "unknown density fields: ['lamda']"),
+    (("flags", "v_f_dsc"), "unknown flag fields: ['v_f_dsc']"),
+    (("submodels", 1, "kappa_dsc"), "unknown submodel 2 fields: ['kappa_dsc']"),
+    (("submodels", 0, "desc_env", "a"), "unknown tanh envelope fields: ['a']"),
+])
+def test_evaluate_rejects_unknown_model_fields(tmp_path, small_data, capsys, path, message):
+    # each name used to be dropped without a word, so a misspelt
+    # kappa_desc built the default 1.0
+    data_path, _, _ = small_data
+    doc = model_to_doc(reference_model())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 3.0
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "pred.csv"
+    assert run("evaluate", "--data", data_path, "--params", model_path, "--out", out) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 # ------------------------------------------------------------ fit-all/report

@@ -317,6 +317,21 @@ def test_model_doc_rejects_unknown_mode():
         model_from_doc({"mode": "preisach"})
 
 
+def test_model_doc_rejects_unknown_names_but_in_units_and_meta():
+    # the gpi model's desc_env is linear; an extra "c" used to be ignored
+    doc = model_to_doc(_gpi_model())
+    doc["units"]["angle"] = "rad"
+    doc["meta"]["note"] = "any name"
+    assert model_from_doc(doc) == _gpi_model()
+    doc["submodels"][0]["desc_env"]["c"] = 2.0
+    with pytest.raises(ConfigError, match=r"unknown linear envelope fields: \['c'\]"):
+        model_from_doc(doc)
+    doc = model_to_doc(_gpi_model())
+    doc["flags"]["v_f_dsc"] = 1.0  # checked in gpi mode too, which reads no flag
+    with pytest.raises(ConfigError, match=r"unknown flag fields: \['v_f_dsc'\]"):
+        model_from_doc(doc)
+
+
 def test_model_doc_requires_shared_density():
     model = reference_model()
     sub1, sub2 = model.submodels

@@ -75,9 +75,10 @@ def test_validate_params_rejects_r1_above_rn():
     ("egpi", [[1.0, 2.0], [3.0]]),
     ("gpi", ["3", "1", "3", "5", "0.07", "0.1", "0.3", "2"]),
     ("gpi", [True] * 8),
+    ("gpi", [10**400] * 8),
 ])
 def test_non_numeric_parameters_raise_parameter_error(small_fixture, mode, params):
-    # each used to escape as a bare TypeError or ValueError
+    # each used to escape as a bare TypeError, ValueError or OverflowError
     noisy = small_fixture[3]
     with pytest.raises(ParameterError, match=f"mode {mode!r} takes numeric parameters"):
         validate_params(params, mode)
@@ -380,7 +381,7 @@ def test_tangent_rows_equal_passes_over_every_row(seed):
     slots = _bank_slots("egpi")
     for v in (sweep_input().v, short_tail_input().v):
         J = model_jacobian(model, v, slots)
-        d, use2, walks = _plan(model, v, every=True)
+        d, use2, walks, _, _ = _plan(model, v, every=True)
         every = [_bank_tangent(bank, v, d, walk, bank_slots, J.shape[1])
                  for bank, walk, bank_slots in zip(model.submodels, walks, slots)]
         assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))

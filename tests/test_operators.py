@@ -594,36 +594,89 @@ def test_streaming_cuts_at_the_closed_form_boundary(make_model, shift):
             assert np.array_equal(mine, theirs)
 
 
-@pytest.mark.parametrize("make_input", [_dither_input, _recovery_sweep, _dither_then_rise])
-def test_block_layout_follows_the_cut_rule(make_input):
-    # the entries tile the samples, each run of _LONG or more samples is
-    # exactly one entry, and every other entry is a block of at most
-    # _BLOCK samples that holds fewer than _LONG samples of each run; the
-    # starts of every entry are exactly the run edges inside it
-    _, v = make_input()
-    d = _directions(v)
-    edges = np.flatnonzero(d[1:] != d[:-1]) + 1
-    bounds = np.concatenate(([0], edges, [v.size]))
-    long_runs = {(a, b) for a, b in zip(bounds.tolist(), bounds[1:].tolist()) if b - a >= _LONG}
-    entries = _blocks(d)
-    assert entries[0][0] == 0 and entries[-1][1] == v.size
+def _runs(d, lead=0):
+    """``(a, b, size)`` of each run of constant direction in ``d``, found
+    sample by sample; the first run's size counts ``lead``."""
+    runs, a = [], 0
+    for k in range(1, d.size + 1):
+        if k == d.size or d[k] != d[k - 1]:
+            runs.append((a, k, k - a + (lead if a == 0 else 0)))
+            a = k
+    return runs
+
+
+def _check_layout(d, entries, lead):
+    """The entries tile ``d``; each begins a run, and ``starts`` holds the
+    run edges inside it; each run of _LONG or more samples is one entry,
+    and every other entry spans at most _BLOCK + _LONG - 2 samples."""
+    runs = _runs(d, lead)
+    assert entries[0][0] == 0 and entries[-1][1] == d.size
     for (_, j, _), (i, _, _) in zip(entries, entries[1:]):
         assert i == j
+    run_starts = [a for a, _, _ in runs]
+    long_runs = {(a, b) for a, b, size in runs if size >= _LONG}
     assert long_runs <= {(i, j) for i, j, _ in entries}
     for i, j, starts in entries:
-        assert np.array_equal(i + starts, edges[(edges > i) & (edges < j)])
+        assert i in run_starts
+        assert (i + starts).tolist() == [a for a in run_starts if i < a < j]
         if (i, j) not in long_runs:
-            assert 0 < j - i <= _BLOCK
-            assert np.diff(np.concatenate(([0], starts, [j - i]))).max() < _LONG
+            assert j - i <= _BLOCK + _LONG - 2
+    return runs
+
+
+@pytest.mark.parametrize("make_input", [_dither_input, _recovery_sweep, _dither_then_rise])
+def test_block_layout_follows_the_cut_rule(make_input):
+    # besides _check_layout: an entry begins exactly at each long run, at
+    # the run after it, and at the first run that begins in each _BLOCK
+    # samples, so no block edge falls inside a run
+    _, v = make_input()
+    d = _directions(v)
+    entries, lead, _ = _blocks(d)
+    runs = _check_layout(d, entries, lead)
+    want = [a for k, (a, _, size) in enumerate(runs)
+            if k == 0 or size >= _LONG or runs[k - 1][2] >= _LONG
+            or a // _BLOCK != runs[k - 1][0] // _BLOCK]
+    assert [i for i, _, _ in entries] == want
 
 
 def test_block_layout_counts_the_lead_in_the_first_run():
     # a first run of 40 samples is its own entry when the 30 samples it
     # had before the call make it _LONG long, and shares a block with the
-    # short runs after it when it had none
+    # short runs after it when it had none or ran the other way
     d = np.concatenate((np.ones(40), np.tile([-1.0, 1.0], 50)))
-    assert [(i, j, s.size) for i, j, s in _blocks(d, lead=30)] == [(0, 40, 0), (40, 140, 99)]
-    assert [(i, j, s.size) for i, j, s in _blocks(d, lead=0)] == [(0, 140, 100)]
+    entries, lead, run = _blocks(d, 30)
+    assert [(i, j, s.size) for i, j, s in entries] == [(0, 40, 0), (40, 140, 99)]
+    assert (lead, run) == (30, 1)
+    for other in (0, -30):
+        entries, lead, run = _blocks(d, other)
+        assert [(i, j, s.size) for i, j, s in entries] == [(0, 140, 100)]
+        assert (lead, run) == (0, 1)
+    # a call inside one run adds its samples to the run's, up to _LONG
+    assert _blocks(-np.ones(10), -30)[1:] == (30, -40)
+    assert _blocks(-np.ones(10), -60)[1:] == (60, -_LONG)
+    assert _blocks(np.zeros(10), 30)[1:] == (0, 0)
+
+
+def test_block_layout_property():
+    # seeded random directions: runs of 1 to 700 samples, holds among
+    # them, and dither, each continuing a random signed run length
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        pieces = []
+        for _ in range(int(rng.integers(1, 40))):
+            kind = rng.integers(3)
+            if kind == 0:  # one run, short or long
+                pieces.append(np.full(int(rng.integers(1, 700)), float(rng.integers(-1, 2))))
+            elif kind == 1:  # a hold
+                pieces.append(np.zeros(int(rng.integers(1, 100))))
+            else:  # dither: runs of a few samples
+                pieces.append(rng.integers(-1, 2, size=int(rng.integers(1, 400))).astype(float))
+        d = np.concatenate(pieces)
+        run = int(rng.integers(-_LONG, _LONG + 1))
+        entries, lead, got = _blocks(d, run)
+        assert lead == (abs(run) if run and np.sign(run) == d[0] else 0)
+        runs = _check_layout(d, entries, lead)
+        assert got == int(d[-1]) * min(runs[-1][2], _LONG)
 
 
 def test_gpi_states_reflect_final_sample():
@@ -974,10 +1027,11 @@ def _dither_mid_run_then_rise():
 @pytest.mark.parametrize("make_input", [_dither_then_rise, _dither_mid_run_then_rise])
 def test_streaming_continues_a_run_cut_by_a_block_edge(make_model, make_input):
     # the first call ends 60 samples into the closing rise: too few for
-    # an entry of its own, so the rise begins in a block of several runs
-    # and a block edge falls inside it. On the second input that block
-    # itself begins inside a run. The next call continues the rise past
-    # _LONG samples, from the state the rise was entered with.
+    # an entry of its own, so the rise ends a block of several runs. The
+    # next call continues the rise past _LONG samples, from the state the
+    # rise was entered with. Sample _BLOCK lies inside the rise, or on the
+    # second input inside an earlier run; as every entry begins a run, no
+    # block edge falls there.
     t, v = make_input()
     d = _directions(v)
     rise = int(np.flatnonzero(d <= 0)[-1]) + 1

@@ -10,7 +10,8 @@ inputs of monotone runs of 1 to 2,000 samples (many longer than 1,024,
 twice the block of the bank evaluation), exact holds, and dither rounded
 to a 0.05 quantum, which makes runs of a few samples and repeats. Each
 tree then evaluates every case in one subprocess with
-``PYTHONPATH=<tree>/src`` and hashes, per case:
+``PYTHONPATH=<tree>/src``, which saves these items of each case to the
+temporary directory, each as one float array:
 
 - ``egpi_outputs`` and ``predict`` of the reference model (tanh
   envelopes, two flags) and of the linear descend-flag model of recovery
@@ -19,20 +20,20 @@ tree then evaluates every case in one subprocess with
   chunks at seeded positions, with every value the model's memory holds
   at the end (``stored_memory``, which reads a tree that stores it in
   ``model.memory`` and one that keeps it in fields of each bank alike, so
-  both trees hash every stored value);
+  both trees save every stored value);
 - ``fitting.residuals`` and ``fitting.jacobian`` in egpi and in gpi mode.
 
-It prints ``identical``, or ``DIFF`` with the first case and item whose
-bits differ, and exits 1 on a difference, 0 otherwise. It times nothing;
-``bench/run.py`` is where speed is measured. Needs git, numpy and the
-Python standard library.
+It prints one ``DIFF`` line per item whose bits differ, with how many of
+its values differ (and, for a Jacobian, of its rows) and the largest
+difference relative to the item's largest |value| in the base tree, then
+``identical`` or the count of differing items. It exits 1 on a
+difference, 0 otherwise. It times nothing; ``bench/run.py`` is where
+speed is measured. Needs git, numpy and the Python standard library.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -86,11 +87,11 @@ def write_cases(path: Path) -> None:
     np.savez(path, **arrays)
 
 
-def digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for x in arrays:
-        h.update(np.ascontiguousarray(x).tobytes())
-    return h.hexdigest()
+def pack(*arrays) -> np.ndarray:
+    """One array as floats, its shape kept; several flattened and joined."""
+    if len(arrays) == 1:
+        return np.asarray(arrays[0], dtype=float)
+    return np.concatenate([np.ravel(x).astype(float) for x in arrays])
 
 
 def stored_memory(model) -> list:
@@ -105,43 +106,53 @@ def stored_memory(model) -> list:
             for x in (states, entered, m.run_length, m.last_input)]
 
 
-def hash_all(cases_path: str) -> list[dict]:
-    """Hash every item of every case with the ``hystfit`` on ``sys.path``."""
+def save_all(cases_path: str, out: str) -> None:
+    """Save every item of every case, evaluated with the ``hystfit`` on
+    ``sys.path``, to ``out/<case>.npz``."""
     from hystfit import Trajectory, build_model, egpi_eval, predict, reference_model
     from hystfit.fitting import jacobian, residuals
     from hystfit.operators import egpi_outputs
 
     data = np.load(cases_path)
-    rows = []
     for case in range(CASES):
         v, cuts, params = data[f"v{case}"], data[f"cuts{case}"], data[f"params{case}"]
         t = 1e-3 * np.arange(v.size)
         items = {}
         for name, make in (("reference", reference_model),
                            ("linear", lambda: build_model(params, "egpi", FLAG))):
-            items[f"{name} egpi_outputs"] = digest(*egpi_outputs(make(), t, v))
-            items[f"{name} predict"] = digest(predict(make(), t, v))
+            items[f"{name} egpi_outputs"] = pack(*egpi_outputs(make(), t, v))
+            items[f"{name} predict"] = pack(predict(make(), t, v))
             model = make()
             chunks = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))
                       for a, b in zip([0, *cuts], [*cuts, v.size])]
-            items[f"{name} chunked egpi_eval"] = digest(
+            items[f"{name} chunked egpi_eval"] = pack(
                 *(x for z, active in chunks for x in (z, active)), *stored_memory(model))
         traj = Trajectory(t=t, v=v, theta=np.zeros(v.size))
         gpi = params[[0, 1, 2, 3, 6, 7, 8, 9]]  # bank 1 of the egpi layout
         for mode, p, v_f in (("egpi", params, FLAG), ("gpi", gpi, None)):
-            items[f"{mode} residuals"] = digest(residuals(p, traj, v_f, mode))
-            items[f"{mode} jacobian"] = digest(jacobian(p, traj, v_f, mode))
-        rows.append(items)
-    return rows
+            items[f"{mode} residuals"] = pack(residuals(p, traj, v_f, mode))
+            items[f"{mode} jacobian"] = pack(jacobian(p, traj, v_f, mode))
+        np.savez(Path(out) / f"{case}.npz", **items)
 
 
-def run_tree(src: Path, cases_path: Path) -> list[dict]:
-    """``hash_all`` in a subprocess that imports ``hystfit`` from ``src``."""
+def run_tree(src: Path, cases_path: Path, out: Path) -> None:
+    """``save_all`` in a subprocess that imports ``hystfit`` from ``src``."""
+    out.mkdir()
     argv = [sys.executable, "-W", "ignore::RuntimeWarning", __file__, "--worker",
-            str(cases_path)]
-    proc = subprocess.run(argv, check=True, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    return json.loads(proc.stdout)
+            str(cases_path), str(out)]
+    subprocess.run(argv, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def compare(base: np.ndarray, head: np.ndarray) -> str | None:
+    """None if the two arrays hold the same bits, else how they differ."""
+    if base.shape != head.shape:
+        return f"shape {base.shape} -> {head.shape}"
+    bits = base.view(np.uint64) != head.view(np.uint64)
+    if not bits.any():
+        return None
+    rows = f" ({np.any(bits, axis=1).sum()} of {len(bits)} rows)" if bits.ndim == 2 else ""
+    largest = np.abs(head - base).max() / (np.abs(base).max() or 1.0)
+    return f"{bits.sum()} of {bits.size} values differ{rows}, by at most {largest:.2g} of max |value|"
 
 
 def describe(cases_path: Path) -> str:
@@ -162,10 +173,10 @@ def describe(cases_path: Path) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_rev", nargs="?")
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(hash_all(args.worker)))
+        save_all(*args.worker)
         return 0
     if args.base_rev is None:
         parser.error("BASE_REV is required")
@@ -174,14 +185,20 @@ def main(argv: list[str]) -> int:
         export_src(args.base_rev, tmp / "base")
         write_cases(tmp / "cases.npz")
         print(describe(tmp / "cases.npz"))
-        base = run_tree(tmp / "base" / "src", tmp / "cases.npz")
-        head = run_tree(ROOT / "src", tmp / "cases.npz")
-    items = sum(len(row) for row in base)
-    for case, (b, h) in enumerate(zip(base, head)):
-        for name in b:
-            if b[name] != h.get(name):
-                print(f"DIFF: case {case}, {name} (first of {items} items to differ)")
-                return 1
+        run_tree(tmp / "base" / "src", tmp / "cases.npz", tmp / "base-out")
+        run_tree(ROOT / "src", tmp / "cases.npz", tmp / "head-out")
+        items = differ = 0
+        for case in range(CASES):
+            with (np.load(tmp / "base-out" / f"{case}.npz") as base,
+                  np.load(tmp / "head-out" / f"{case}.npz") as head):
+                for name in base.files:
+                    items += 1
+                    if (how := compare(base[name], head[name])) is not None:
+                        differ += 1
+                        print(f"DIFF: case {case}, {name}: {how}")
+    if differ:
+        print(f"{differ} of {items} items differ over {CASES} cases")
+        return 1
     print(f"identical: {items} items over {CASES} cases")
     return 0
 
