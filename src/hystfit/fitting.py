@@ -19,6 +19,7 @@ not part of the search space.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -35,7 +36,7 @@ from .errors import (
     is_number,
 )
 from .metrics import Metrics, compute_metrics
-from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, predict
+from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, _evaluate, _plan, predict
 from .signals import Trajectory
 from .tangent import model_jacobian
 
@@ -97,8 +98,12 @@ def validate_params(params, mode: str) -> np.ndarray:
     names = param_names(mode)
     raw = params if isinstance(params, np.ndarray) else np.asarray(params, dtype=object)
     # strings, bools and ints too large for a float would convert, or raise
-    if raw.dtype.kind not in "fiu" and not all(map(is_number, raw.flat)):
-        raise ParameterError(f"mode {mode!r} takes numeric parameters, got {params!r}")
+    if raw.dtype.kind not in "fiu":
+        for k, x in enumerate(raw.flat):
+            if not is_number(x):
+                raise ParameterError(
+                    f"mode {mode!r} takes numeric parameters, got {reprlib.repr(x)} at index {k}"
+                )
     params = raw.astype(float, copy=False)
     if params.shape != (len(names),):
         raise ParameterError(
@@ -152,7 +157,8 @@ def build_model(params, mode: str, v_f: float | None = None, n: int = 30):
 
 
 def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
-    """Model output minus measured angles, per sample."""
+    """Model output minus measured angles, per sample; the input is
+    validated and planned per call (``lm_fit`` does it once, ``_fit_pair``)."""
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
     model = build_model(params, mode, v_f, n)
@@ -185,10 +191,30 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
 
     Where the output is not differentiable (an operator state exactly at
     its crossover) it takes the one-sided derivative of the branch the
-    state is on. The measured angles do not enter it.
+    state is on. The measured angles do not enter it. The input is
+    validated and planned per call, as in ``residuals``.
     """
     model = build_model(params, mode, v_f, n)
-    return model_jacobian(model, traj.v, _BANK_SLOTS[mode])
+    return model_jacobian(model, _plan(model, traj.t, traj.v), _BANK_SLOTS[mode])
+
+
+def _fit_pair(params, traj: Trajectory, v_f, mode: str, n: int):
+    """``residuals`` and ``jacobian`` of ``traj`` as functions of the
+    parameters alone, over one plan of its input (``operators._plan``)
+    made for the model of ``params``. The plan depends only on the flag
+    and the bank count, the same for every parameter vector of a fit.
+    """
+    plan = _plan(build_model(params, mode, v_f, n), traj.t, traj.v)
+    theta, slots = traj.theta, _BANK_SLOTS[mode]
+
+    def fit_residuals(p):
+        use2, outs, _ = _evaluate(build_model(p, mode, v_f, n), plan, None)
+        return np.where(use2, outs[-1], outs[0]) - theta  # as ``predict``
+
+    def fit_jacobian(p):
+        return model_jacobian(build_model(p, mode, v_f, n), plan, slots)
+
+    return fit_residuals, fit_jacobian
 
 
 def jacobian_fd(
@@ -331,9 +357,12 @@ def default_initial_guess(traj: Trajectory, v_f=None, mode: str = "egpi") -> np.
 def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi") -> FitResult:
     """Geodesic-accelerated Levenberg-Marquardt over the parameter vector.
 
-    Each iteration takes J from one tangent pass (``jacobian``); e comes
-    from ``residuals``, before the loop and then from the accepted trial.
-    A trial solves (J'J + mu*D) delta = -J'e with D = diag(J'J), probes
+    Each iteration takes J from one tangent pass (as ``jacobian``); e
+    comes from the residuals (as ``residuals``), before the loop and then
+    from the accepted trial. The input is validated and planned once per
+    fit, and every residual and Jacobian call of the fit walks that plan
+    (``_fit_pair``); the public ``residuals`` and ``jacobian`` plan theirs
+    per call, with the same bits. A trial solves (J'J + mu*D) delta = -J'e with D = diag(J'J), probes
     the residuals at p + h*delta (h = 0.1) for the second directional
     derivative r'' = (2/h)*((e_h - e)/h - J*delta), and solves the same
     system for the acceleration a with J'r'' on the right. It is rejected
@@ -364,7 +393,8 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     else:
         p = default_initial_guess(traj, v_f, mode)
 
-    e = residuals(p, traj, v_f, mode, n)
+    fit_residuals, fit_jacobian = _fit_pair(p, traj, v_f, mode, n)
+    e = fit_residuals(p)
     loss = float(e @ e)
     trace = [loss]
     mu = config.mu0
@@ -373,7 +403,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     iterations = 0
 
     for iterations in range(1, config.max_iterations + 1):
-        J = jacobian(p, traj, v_f, mode, n)
+        J = fit_jacobian(p)
         Jte = J.T @ e
         if float(np.max(np.abs(2.0 * Jte))) < config.grad_tol:
             converged = True
@@ -398,14 +428,14 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
                     err.loss_trace = trace
                     raise err
                 continue
-            e_h = residuals(project_params(p + _GEO_H * delta, mode), traj, v_f, mode, n)
+            e_h = fit_residuals(project_params(p + _GEO_H * delta, mode))
             r2 = (2.0 / _GEO_H) * ((e_h - e) / _GEO_H - J @ delta)
             accel = np.linalg.solve(A, -(J.T @ r2))
             if np.all(np.isfinite(accel)) and (
                 2.0 * np.sqrt(diag @ accel**2) <= _GEO_ALPHA * np.sqrt(diag @ delta**2)
             ):
                 cand = project_params(p + delta + 0.5 * accel, mode)
-                e_new = residuals(cand, traj, v_f, mode, n)
+                e_new = fit_residuals(cand)
                 loss_new = float(e_new @ e_new)
                 if loss_new < loss:
                     drop = (loss - loss_new) / loss

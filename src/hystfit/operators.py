@@ -428,47 +428,100 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ~asc & (v <= model.flag_desc)
 
 
-def _plan(model, v, prev=None, every=False, run=0):
-    """Directions, flag mask, one walk per bank of ``_banks(model)``, and
-    ``_blocks``'s lead and run length: ``(d, use2, walks, lead, run)``.
+def _planned_for(model, memory: Memory | None) -> tuple:
+    """What a plan depends on: the model's bank count, switch mode and
+    flags, and the last input, run length and bank count of the memory it
+    continues (None for a fresh evaluation)."""
+    if isinstance(model, GpiModel):
+        switch = 1, None, None, None
+    else:
+        switch = len(model.submodels), model.mode, model.flag_asc, model.flag_desc
+    if memory is None:
+        return switch, None
+    return switch, (memory.last_input, memory.run_length, len(memory.states))
 
-    A walk is the entry list of ``_blocks(d, run)``, cut once per
-    evaluation. A bank of a switched model reports the samples ``use2``
-    gives it, and each run it moves along without reporting a sample of
-    is one crossed entry ``(i, j, None)``. Under ``every``, and for a lone
-    bank, which reports every sample, no entry is crossed. Every pass of
-    the evaluation, forward or tangent, walks these lists.
+
+@dataclass(frozen=True)
+class Plan:
+    """One validated input and the walks of every pass over it (``_plan``).
+
+    ``t`` and ``v`` are the validated series, ``d`` the directions of
+    ``v``, ``use2`` the samples submodel 2 reports, ``walks`` one walk per
+    bank, and ``lead`` and ``run`` those of ``_blocks``. ``planned_for``
+    (``_planned_for``) records the model structure and the memory it was
+    made for. It holds no operator state, so it serves every model of that
+    structure: a fit plans its input once for all its parameter vectors.
     """
+
+    t: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    use2: np.ndarray
+    walks: tuple
+    lead: int
+    run: int
+    planned_for: tuple
+
+
+def _plan(model, t, v, memory: Memory | None = None, every: bool = False) -> Plan:
+    """Validate ``t`` and ``v`` (``_validate_series``) and plan the passes
+    of a model of ``model``'s structure over them, continuing from
+    ``memory`` (fresh where it is None).
+
+    The directions step from ``memory``'s last input, and ``_blocks``
+    cuts one walk per evaluation, continuing ``memory``'s run. A bank of
+    a switched model reports the samples ``use2`` gives it, and each run it
+    moves along without reporting a sample of is one crossed entry ``(i,
+    j, None)``. Under ``every``, and for a lone bank, which reports every
+    sample, no entry is crossed. Every pass over the plan, forward or
+    tangent, walks these lists. ConfigError if ``memory`` holds another
+    number of banks than ``model``.
+    """
+    t, v = _validate_series(t, v)
+    banks = len(_banks(model))
+    if memory is not None and len(memory.states) != banks:
+        raise ConfigError(f"memory holds {len(memory.states)} bank(s), the model has {banks}")
+    prev, run = (None, 0) if memory is None else (memory.last_input, memory.run_length)
     d = _directions(v, prev)
     use2 = _reports_second(model, v, d)
     walk, lead, run = _blocks(d, run)
     if every or isinstance(model, GpiModel):
-        return d, use2, [walk] * len(_banks(model)), lead, run
-    walks = [[], []]
-    for i, j, starts in walk:
-        # the samples of a moving run that bank 2 reports
-        second = np.count_nonzero(use2[i:j]) if d[i] and not starts.size else -1
-        walks[0].append((i, j, None if second == j - i else starts))
-        walks[1].append((i, j, None if second == 0 else starts))
-    return d, use2, walks, lead, run
+        walks = (walk,) * banks
+    else:
+        walks = ([], [])
+        for i, j, starts in walk:
+            # the samples of a moving run that bank 2 reports
+            second = np.count_nonzero(use2[i:j]) if d[i] and not starts.size else -1
+            walks[0].append((i, j, None if second == j - i else starts))
+            walks[1].append((i, j, None if second == 0 else starts))
+    return Plan(t, v, d, use2, walks, lead, run, _planned_for(model, memory))
 
 
-def _evaluate(model, t, v, memory: Memory | None, every: bool):
-    """One pass of each bank over one validated input, continuing from
+def _check(model, plan: Plan, memory: Memory | None = None) -> None:
+    """ConfigError unless ``plan`` was made for ``model``'s structure and
+    for ``memory`` (``_planned_for``)."""
+    if (planned_for := _planned_for(model, memory)) != plan.planned_for:
+        raise ConfigError(
+            f"plan made for another model or memory: {plan.planned_for} != {planned_for}"
+        )
+
+
+def _evaluate(model, plan: Plan, memory: Memory | None):
+    """One pass of each bank over the input of ``plan``, continuing from
     ``memory`` (fresh where it is None): ``(use2, outputs, memory)``.
 
-    The input is validated, and its walks planned (``_plan``), once for all
-    banks; ``_blocks`` says if a run goes on from ``memory``, and its length.
-    The model is only read; the caller stores the memory returned.
+    ``plan`` comes from ``_plan``, once per public call, or once per fit;
+    ConfigError, before any bank runs, unless it was made for ``model``'s
+    structure and for ``memory`` (``_check``). The model is only read; the
+    caller stores the memory returned.
     """
-    t, v = _validate_series(t, v)
-    prev, run = (None, 0) if memory is None else (memory.last_input, memory.run_length)
-    d, use2, walks, lead, run = _plan(model, v, prev, every, run)
+    _check(model, plan, memory)
+    v, lead = plan.v, plan.lead
     start = None if memory is None else memory.run_states if lead else memory.states
     outs, states, entries = zip(*(
-        _bank_pass(bank, v, d, walk, _init_bank(bank, v[0]) if start is None else start[k], lead)
-        for k, (bank, walk) in enumerate(zip(_banks(model), walks))))
-    return use2, outs, Memory(float(v[-1]), run, states, entries)
+        _bank_pass(bank, v, plan.d, walk, _init_bank(bank, v[0]) if start is None else start[k], lead)
+        for k, (bank, walk) in enumerate(zip(_banks(model), plan.walks))))
+    return plan.use2, outs, Memory(float(v[-1]), plan.run, states, entries)
 
 
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
@@ -483,7 +536,8 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     """
     if not isinstance(model, GpiModel):
         raise ConfigError(f"gpi_eval takes a GpiModel, got {type(model).__name__}")
-    _, (y,), model.memory = _evaluate(model, t, v, None if reset else model.memory, True)
+    memory = None if reset else model.memory
+    _, (y,), model.memory = _evaluate(model, _plan(model, t, v, memory, every=True), memory)
     return y
 
 
@@ -494,7 +548,7 @@ def egpi_outputs(model, t, v):
     what ``egpi_eval`` returns, and ``model.memory`` is replaced as there.
     A ``GpiModel`` gives ``z1 = z2 = z`` and ``active = 1``.
     """
-    use2, outs, model.memory = _evaluate(model, t, v, None, every=True)
+    use2, outs, model.memory = _evaluate(model, _plan(model, t, v, every=True), None)
     z1, z2 = outs[0], outs[-1]
     return np.where(use2, z2, z1), np.where(use2, 2, 1), z1, z2
 
@@ -510,12 +564,14 @@ def egpi_eval(model, t, v, reset: bool = True):
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
     ``model.memory`` is read and replaced as in ``gpi_eval``, once both
-    banks have run; the submodels' own are left alone. Each bank crosses
-    each run it moves along without reporting a sample (``_plan``), as the
-    tangent pass does. ``z``, and the memory, keep the bits of a pass over
-    every sample (``egpi_outputs``).
+    banks have run; the submodels' own are left alone. A memory that
+    holds another number of banks than the model raises ConfigError. Each
+    bank crosses each run it moves along without reporting a sample
+    (``_plan``), as the tangent pass does. ``z``, and the memory, keep the
+    bits of a pass over every sample (``egpi_outputs``).
     """
-    use2, outs, model.memory = _evaluate(model, t, v, None if reset else model.memory, False)
+    memory = None if reset else model.memory
+    use2, outs, model.memory = _evaluate(model, _plan(model, t, v, memory), memory)
     return np.where(use2, outs[-1], outs[0]), np.where(use2, 2, 1)
 
 

@@ -27,7 +27,7 @@ from hystfit import (
     residuals,
     validate_params,
 )
-from hystfit.fitting import jacobian
+from hystfit.fitting import _fit_pair, jacobian
 from hystfit.operators import _BLOCK
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -86,6 +86,18 @@ def test_non_numeric_parameters_raise_parameter_error(small_fixture, mode, param
         residuals(params, noisy, SWEEP_FLAG, mode)
     with pytest.raises(ParameterError, match=f"mode {mode!r}"):
         lm_fit(noisy, FitConfig(v_f=SWEEP_FLAG, initial=params), mode=mode)
+
+
+def test_non_numeric_parameter_message_names_only_the_first_offender(small_fixture):
+    # the message held the repr of every element: 4,475 characters here
+    params = [10**400] * 11
+    for call in (lambda: validate_params(params, "egpi"),
+                 lambda: lm_fit(small_fixture[3], FitConfig(v_f=SWEEP_FLAG, initial=params))):
+        with pytest.raises(ParameterError, match="at index 0$") as err:
+            call()
+        assert len(str(err.value)) < 120
+    with pytest.raises(ParameterError, match="got 'x' at index 7$"):
+        validate_params([1.0] * 7 + ["x"], "gpi")
 
 
 def test_param_bounds_are_a_fresh_array_per_call():
@@ -379,20 +391,35 @@ def test_tangent_rows_equal_passes_over_every_row(seed):
 
     model = build_model(recovery_params(seed), "egpi", SWEEP_FLAG)
     slots = _bank_slots("egpi")
-    for v in (sweep_input().v, short_tail_input().v):
-        J = model_jacobian(model, v, slots)
-        d, use2, walks, _, _ = _plan(model, v, every=True)
-        every = [_bank_tangent(bank, v, d, walk, bank_slots, J.shape[1])
-                 for bank, walk, bank_slots in zip(model.submodels, walks, slots)]
-        assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))
+    for traj in (sweep_input(), short_tail_input()):
+        J = model_jacobian(model, _plan(model, traj.t, traj.v), slots)
+        plan = _plan(model, traj.t, traj.v, every=True)
+        every = [_bank_tangent(bank, plan.v, plan.d, walk, bank_slots, J.shape[1])
+                 for bank, walk, bank_slots in zip(model.submodels, plan.walks, slots)]
+        assert np.array_equal(J, np.where(plan.use2[:, None], every[1], every[0]))
 
 
 def test_tangent_pass_rejects_tanh_envelopes():
     from hystfit import reference_model
+    from hystfit.operators import _plan
     from hystfit.tangent import model_jacobian
 
+    model, v = reference_model(), np.linspace(0.0, 1.0, 10)
     with pytest.raises(ConfigError):
-        model_jacobian(reference_model(), np.linspace(0.0, 1.0, 10), [{"lam": 0}] * 2)
+        model_jacobian(model, _plan(model, v, v), [{"lam": 0}] * 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", ["egpi", "gpi"])
+def test_fit_pair_keeps_the_bits_of_the_public_residuals_and_jacobian(seed, mode):
+    # lm_fit plans its input once; residuals and jacobian plan per call
+    traj, _, params = recovery_dataset(seed)
+    truth = params if mode == "egpi" else params[[0, 1, 2, 3, 6, 7, 8, 9]]
+    guess = default_initial_guess(traj, SWEEP_FLAG, mode)
+    fit_residuals, fit_jacobian = _fit_pair(guess, traj, SWEEP_FLAG, mode, 30)
+    for p in (truth, guess):
+        assert np.array_equal(fit_residuals(p), residuals(p, traj, SWEEP_FLAG, mode))
+        assert np.array_equal(fit_jacobian(p), jacobian(p, traj, SWEEP_FLAG, mode))
 
 
 # ------------------------------------------------------------------- lm_fit

@@ -29,15 +29,19 @@ from hystfit import (
     reference_model,
 )
 from hystfit.fitting import jacobian, residuals
+from hystfit import operators, tangent
 from hystfit.operators import (
     _BLOCK,
     _LONG,
     _banks,
     _blocks,
     _directions,
+    _evaluate,
+    _plan,
     _sweep,
     egpi_outputs,
 )
+from hystfit.tangent import model_jacobian
 from hystfit.signals import decaying_sinusoid
 
 IDENTITY = LinearEnvelope(a=1.0, b=0.0)
@@ -548,6 +552,60 @@ def test_evaluation_that_raises_leaves_the_memory_unchanged():
     with pytest.raises(InputError):
         egpi_eval(model, [0.0, 1.0], [0.0, np.nan], reset=False)
     assert model.memory is memory
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+def test_a_plan_serves_only_the_model_and_memory_it_was_made_for(monkeypatch):
+    t, v = _recovery_sweep()
+    model = _recovery_model()
+    fresh = _plan(model, t, v)
+    use2, outs, memory = _evaluate(model, fresh, None)
+    assert np.array_equal(np.where(use2, outs[1], outs[0]), predict(_recovery_model(), t, v))
+    onward = _plan(model, t, v, memory)
+    bank = model.submodels[0]
+    three = _recovery_model()
+    three.submodels.append(bank)
+    others = (
+        replace(model, flag_desc=SWEEP_FLAG - 1.0),  # another flag
+        replace(model, mode=SwitchMode.TWO_FLAG, flag_asc=SWEEP_FLAG),  # another switch mode
+        bank,  # one bank
+        three,  # three banks
+    )
+
+    def no_bank(*args):
+        raise AssertionError("a bank ran")
+
+    monkeypatch.setattr(operators, "_bank_pass", no_bank)
+    monkeypatch.setattr(tangent, "_bank_tangent", no_bank)
+    slots = [{"lam": 0}] * 2
+    for other in others:
+        with pytest.raises(ConfigError, match="plan made for"):
+            _evaluate(other, fresh, None)
+        with pytest.raises(ConfigError, match="plan made for"):
+            model_jacobian(other, fresh, slots)
+    assert memory.run_length != 0
+    for plan, other in ((fresh, memory), (onward, None), (onward, replace(memory, run_length=0))):
+        with pytest.raises(ConfigError, match="plan made for"):
+            _evaluate(model, plan, other)
+    with pytest.raises(ConfigError, match="plan made for"):
+        model_jacobian(model, onward, slots)
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+def test_a_memory_of_another_bank_count_raises_and_is_kept():
+    # a switched model raised IndexError on a lone bank's memory once bank
+    # 1 had run; a lone bank went on from bank 1 of a switched model's
+    # memory
+    t, v = _recovery_sweep()
+    model, lone = _recovery_model(), _recovery_model().submodels[0]
+    egpi_eval(model, t, v)
+    gpi_eval(lone, t, v)
+    two, one = model.memory, lone.memory
+    model.memory, lone.memory = one, two
+    for call, target in ((egpi_eval, model), (egpi_eval, lone), (gpi_eval, lone)):
+        with pytest.raises(ConfigError, match="memory holds"):
+            call(target, t[:10], v[:10], reset=False)
+    assert model.memory is one and lone.memory is two
 
 
 def _rise_hold_fall():
