@@ -200,15 +200,15 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
 
 def _fit_pair(params, traj: Trajectory, v_f, mode: str, n: int):
     """``residuals`` and ``jacobian`` of ``traj`` as functions of the
-    parameters alone, over one plan of its input (``operators._plan``)
-    made for the model of ``params``. The plan depends only on the flag
-    and the bank count, the same for every parameter vector of a fit.
+    parameters alone, over one fresh plan of its input (``operators._plan``)
+    made for the model of ``params``. The plan decides the switching from
+    the mode and flag, which every model the fit builds shares.
     """
     plan = _plan(build_model(params, mode, v_f, n), traj.t, traj.v)
     theta, slots = traj.theta, _BANK_SLOTS[mode]
 
     def fit_residuals(p):
-        use2, outs, _ = _evaluate(build_model(p, mode, v_f, n), plan, None)
+        use2, outs, _ = _evaluate(build_model(p, mode, v_f, n), plan)
         return np.where(use2, outs[-1], outs[0]) - theta  # as ``predict``
 
     def fit_jacobian(p):

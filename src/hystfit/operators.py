@@ -428,56 +428,44 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ~asc & (v <= model.flag_desc)
 
 
-def _planned_for(model, memory: Memory | None) -> tuple:
-    """What a plan depends on: the model's bank count, switch mode and
-    flags, and the last input, run length and bank count of the memory it
-    continues (None for a fresh evaluation)."""
-    if isinstance(model, GpiModel):
-        switch = 1, None, None, None
-    else:
-        switch = len(model.submodels), model.mode, model.flag_asc, model.flag_desc
-    if memory is None:
-        return switch, None
-    return switch, (memory.last_input, memory.run_length, len(memory.states))
-
-
 @dataclass(frozen=True)
 class Plan:
     """One validated input and the walks of every pass over it (``_plan``).
 
-    ``t`` and ``v`` are the validated series, ``d`` the directions of
-    ``v``, ``use2`` the samples submodel 2 reports, ``walks`` one walk per
-    bank, and ``lead`` and ``run`` those of ``_blocks``. ``planned_for``
-    (``_planned_for``) records the model structure and the memory it was
-    made for. It holds no operator state, so it serves every model of that
-    structure: a fit plans its input once for all its parameter vectors.
+    ``v`` is the validated input, ``d`` its directions, ``use2`` the
+    samples submodel 2 reports, ``walks`` one walk per bank, ``lead`` and
+    ``run`` those of ``_blocks``, and ``start`` the state each bank begins
+    from, None when fresh (``_init_bank``). The plan decides what an
+    evaluation continues from and how it switches; the model supplies only
+    its banks, so a fit plans its input once for all its parameter vectors.
     """
 
-    t: np.ndarray
     v: np.ndarray
     d: np.ndarray
     use2: np.ndarray
     walks: tuple
     lead: int
     run: int
-    planned_for: tuple
+    start: tuple | None
 
 
 def _plan(model, t, v, memory: Memory | None = None, every: bool = False) -> Plan:
     """Validate ``t`` and ``v`` (``_validate_series``) and plan the passes
-    of a model of ``model``'s structure over them, continuing from
-    ``memory`` (fresh where it is None).
+    of ``model``'s banks over ``v``, continuing from ``memory`` (fresh
+    where it is None).
 
     The directions step from ``memory``'s last input, and ``_blocks``
-    cuts one walk per evaluation, continuing ``memory``'s run. A bank of
-    a switched model reports the samples ``use2`` gives it, and each run it
-    moves along without reporting a sample of is one crossed entry ``(i,
-    j, None)``. Under ``every``, and for a lone bank, which reports every
-    sample, no entry is crossed. Every pass over the plan, forward or
-    tangent, walks these lists. ConfigError if ``memory`` holds another
-    number of banks than ``model``.
+    cuts one walk per evaluation, continuing ``memory``'s run; each bank
+    starts from its run-entering state if ``v[0]`` goes on with that run
+    (``lead``), else from its last state. A bank of a switched model
+    reports the samples ``use2`` gives it, and each run it moves along
+    without reporting a sample of is one crossed entry ``(i, j, None)``.
+    Under ``every``, and for a lone bank, which reports every sample, no
+    entry is crossed. Every pass over the plan, forward or tangent, walks
+    these lists. ConfigError if ``memory`` holds another number of banks
+    than ``model``.
     """
-    t, v = _validate_series(t, v)
+    _, v = _validate_series(t, v)
     banks = len(_banks(model))
     if memory is not None and len(memory.states) != banks:
         raise ConfigError(f"memory holds {len(memory.states)} bank(s), the model has {banks}")
@@ -485,6 +473,7 @@ def _plan(model, t, v, memory: Memory | None = None, every: bool = False) -> Pla
     d = _directions(v, prev)
     use2 = _reports_second(model, v, d)
     walk, lead, run = _blocks(d, run)
+    start = None if memory is None else memory.run_states if lead else memory.states
     if every or isinstance(model, GpiModel):
         walks = (walk,) * banks
     else:
@@ -494,33 +483,21 @@ def _plan(model, t, v, memory: Memory | None = None, every: bool = False) -> Pla
             second = np.count_nonzero(use2[i:j]) if d[i] and not starts.size else -1
             walks[0].append((i, j, None if second == j - i else starts))
             walks[1].append((i, j, None if second == 0 else starts))
-    return Plan(t, v, d, use2, walks, lead, run, _planned_for(model, memory))
+    return Plan(v, d, use2, walks, lead, run, start)
 
 
-def _check(model, plan: Plan, memory: Memory | None = None) -> None:
-    """ConfigError unless ``plan`` was made for ``model``'s structure and
-    for ``memory`` (``_planned_for``)."""
-    if (planned_for := _planned_for(model, memory)) != plan.planned_for:
-        raise ConfigError(
-            f"plan made for another model or memory: {plan.planned_for} != {planned_for}"
-        )
+def _evaluate(model, plan: Plan):
+    """One pass of each of ``model``'s banks over the input of ``plan``
+    (``_plan``), from its start states: ``(use2, outputs, memory)``.
 
-
-def _evaluate(model, plan: Plan, memory: Memory | None):
-    """One pass of each bank over the input of ``plan``, continuing from
-    ``memory`` (fresh where it is None): ``(use2, outputs, memory)``.
-
-    ``plan`` comes from ``_plan``, once per public call, or once per fit;
-    ConfigError, before any bank runs, unless it was made for ``model``'s
-    structure and for ``memory`` (``_check``). The model is only read; the
-    caller stores the memory returned.
+    The plan's walks and ``use2`` decide where each bank crosses and which
+    reports; a model with another bank count raises ValueError. The model
+    is only read; the caller stores the memory returned.
     """
-    _check(model, plan, memory)
-    v, lead = plan.v, plan.lead
-    start = None if memory is None else memory.run_states if lead else memory.states
+    v, start = plan.v, plan.start or (None,) * len(plan.walks)
     outs, states, entries = zip(*(
-        _bank_pass(bank, v, plan.d, walk, _init_bank(bank, v[0]) if start is None else start[k], lead)
-        for k, (bank, walk) in enumerate(zip(_banks(model), plan.walks))))
+        _bank_pass(bank, v, plan.d, walk, _init_bank(bank, v[0]) if w is None else w, plan.lead)
+        for bank, walk, w in zip(_banks(model), plan.walks, start, strict=True)))
     return plan.use2, outs, Memory(float(v[-1]), plan.run, states, entries)
 
 
@@ -536,8 +513,7 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     """
     if not isinstance(model, GpiModel):
         raise ConfigError(f"gpi_eval takes a GpiModel, got {type(model).__name__}")
-    memory = None if reset else model.memory
-    _, (y,), model.memory = _evaluate(model, _plan(model, t, v, memory, every=True), memory)
+    _, (y,), model.memory = _evaluate(model, _plan(model, t, v, None if reset else model.memory))
     return y
 
 
@@ -548,7 +524,7 @@ def egpi_outputs(model, t, v):
     what ``egpi_eval`` returns, and ``model.memory`` is replaced as there.
     A ``GpiModel`` gives ``z1 = z2 = z`` and ``active = 1``.
     """
-    use2, outs, model.memory = _evaluate(model, _plan(model, t, v, every=True), None)
+    use2, outs, model.memory = _evaluate(model, _plan(model, t, v, every=True))
     z1, z2 = outs[0], outs[-1]
     return np.where(use2, z2, z1), np.where(use2, 2, 1), z1, z2
 
@@ -564,14 +540,13 @@ def egpi_eval(model, t, v, reset: bool = True):
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
     ``model.memory`` is read and replaced as in ``gpi_eval``, once both
-    banks have run; the submodels' own are left alone. A memory that
-    holds another number of banks than the model raises ConfigError. Each
-    bank crosses each run it moves along without reporting a sample
-    (``_plan``), as the tangent pass does. ``z``, and the memory, keep the
-    bits of a pass over every sample (``egpi_outputs``).
+    banks have run; the submodels' own are left alone. The call's plan
+    (``_plan``) starts the banks from it, and raises ConfigError if it
+    holds another bank count. Each bank crosses each run it moves along
+    without reporting a sample, as the tangent pass does. ``z`` and the
+    memory keep the bits of a pass over every sample (``egpi_outputs``).
     """
-    memory = None if reset else model.memory
-    use2, outs, model.memory = _evaluate(model, _plan(model, t, v, memory), memory)
+    use2, outs, model.memory = _evaluate(model, _plan(model, t, v, None if reset else model.memory))
     return np.where(use2, outs[-1], outs[0]), np.where(use2, 2, 1)
 
 

@@ -43,7 +43,9 @@ def decaying_sinusoid(t_start: float = 0.0, t_end: float = 10.0, dt: float = 1e-
         raise ConfigError(f"need t_start < t_end, got [{t_start}, {t_end}]")
     if dt <= 0 or dt >= t_end - t_start:
         raise ConfigError(f"need 0 < dt < t_end - t_start, got dt={dt}")
-    n = int(np.floor((t_end - t_start) / dt + 1e-9))
+    if not np.isfinite(count := (t_end - t_start) / dt):
+        raise ConfigError(f"sample count ({t_end} - {t_start}) / {dt} is not finite")
+    n = int(np.floor(count + 1e-9))
     t = t_start + dt * np.arange(n + 1)
     v = 8.0 * np.exp(-0.04 * t) * np.sin(2 * np.pi * t + np.pi / 4)
     return Trajectory(t=t, v=v)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .envelopes import LinearEnvelope
 from .errors import ConfigError
-from .operators import GpiModel, _banks, _check, _init_bank, _states, _sweep
+from .operators import GpiModel, _banks, _init_bank, _states, _sweep
 
 
 def _bank_tangent(model: GpiModel, v, d, walk, slots: dict, P: int):
@@ -115,21 +115,21 @@ def model_jacobian(model, plan, slots):
     """Exact parameter Jacobian of the output of a fresh evaluation.
 
     One forward-mode tangent pass over either model kind with linear
-    envelopes, over the input of ``plan``: a fresh plan
-    (``operators._plan``) made for the model's structure, else
-    ConfigError. ``slots`` holds one dict per bank mapping that bank's
-    parameter names to Jacobian columns (see ``_bank_tangent``); banks may
-    share columns. Each bank's pass walks its walk of the plan, as the
-    forward pass does; each sample's row is then picked from the bank that
-    ``predict(model, t, v)`` reports there, as outputs are.
+    envelopes, over the input of a fresh ``plan`` (``operators._plan``;
+    one that continues a memory raises ConfigError). ``slots`` holds one
+    dict per bank mapping that bank's parameter names to Jacobian columns
+    (see ``_bank_tangent``); banks may share columns. Each bank's pass
+    walks its walk of the plan, as the forward pass does; each sample's
+    row is then picked from the bank the plan's ``use2`` reports there.
     """
     banks = _banks(model)
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
-    _check(model, plan)
+    if plan.start is not None:
+        raise ConfigError("the exact Jacobian needs a fresh plan, not one that continues a memory")
     P = 1 + max(max(s.values()) for s in slots)
     Js = [_bank_tangent(bank, plan.v, plan.d, walk, bank_slots, P)
-          for bank, walk, bank_slots in zip(banks, plan.walks, slots)]
+          for bank, walk, bank_slots in zip(banks, plan.walks, slots, strict=True)]
     # a fresh array, also for a lone bank: returning a bank's own J, which is
     # allocated before the pass's temporaries, gave fits 3 to 6 times the
     # page faults and about 6% more CPU time (Linux, glibc malloc)

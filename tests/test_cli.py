@@ -53,7 +53,8 @@ def test_simulate_requires_model_source(tmp_path):
     assert run("simulate", "--out", tmp_path / "x.csv") == 2
 
 
-@pytest.mark.parametrize("bound", [("--dt", "nan"), ("--t-end", "inf")])
+@pytest.mark.parametrize("bound", [("--dt", "nan"), ("--t-end", "inf"),
+                                   ("--t-end", "1e300", "--dt", "1e-300")])
 def test_simulate_non_finite_bounds_exit_2(tmp_path, capsys, bound):
     out = tmp_path / "x.csv"
     assert run("simulate", "--reference", *bound, "--out", out) == 2

@@ -29,7 +29,6 @@ from hystfit import (
     reference_model,
 )
 from hystfit.fitting import jacobian, residuals
-from hystfit import operators, tangent
 from hystfit.operators import (
     _BLOCK,
     _LONG,
@@ -555,39 +554,31 @@ def test_evaluation_that_raises_leaves_the_memory_unchanged():
 
 
 @pytest.mark.filterwarnings("ignore:empty play band")
-def test_a_plan_serves_only_the_model_and_memory_it_was_made_for(monkeypatch):
+def test_a_plan_holds_the_memory_it_continues_and_serves_only_its_bank_count():
     t, v = _recovery_sweep()
     model = _recovery_model()
+    use2, outs, memory = _evaluate(model, _plan(model, t[:1000], v[:1000]))
+    assert np.array_equal(np.where(use2, outs[1], outs[0]),
+                          predict(_recovery_model(), t[:1000], v[:1000]))
+    onward = _plan(model, t[1000:], v[1000:], memory)
+    assert onward.lead  # the banks start from their run-entering states
+    use2, outs, after = _evaluate(model, onward)
+    public = _recovery_model()
+    egpi_eval(public, t[:1000], v[:1000])
+    z, _ = egpi_eval(public, t[1000:], v[1000:], reset=False)
+    assert np.array_equal(np.where(use2, outs[1], outs[0]), z)
+    for f in fields(after):
+        assert np.array_equal(getattr(after, f.name), getattr(public.memory, f.name))
     fresh = _plan(model, t, v)
-    use2, outs, memory = _evaluate(model, fresh, None)
-    assert np.array_equal(np.where(use2, outs[1], outs[0]), predict(_recovery_model(), t, v))
-    onward = _plan(model, t, v, memory)
-    bank = model.submodels[0]
     three = _recovery_model()
-    three.submodels.append(bank)
-    others = (
-        replace(model, flag_desc=SWEEP_FLAG - 1.0),  # another flag
-        replace(model, mode=SwitchMode.TWO_FLAG, flag_asc=SWEEP_FLAG),  # another switch mode
-        bank,  # one bank
-        three,  # three banks
-    )
-
-    def no_bank(*args):
-        raise AssertionError("a bank ran")
-
-    monkeypatch.setattr(operators, "_bank_pass", no_bank)
-    monkeypatch.setattr(tangent, "_bank_tangent", no_bank)
+    three.submodels.append(model.submodels[0])
     slots = [{"lam": 0}] * 2
-    for other in others:
-        with pytest.raises(ConfigError, match="plan made for"):
-            _evaluate(other, fresh, None)
-        with pytest.raises(ConfigError, match="plan made for"):
+    for other in (model.submodels[0], three):
+        with pytest.raises(ValueError):
+            _evaluate(other, fresh)
+        with pytest.raises(ValueError):
             model_jacobian(other, fresh, slots)
-    assert memory.run_length != 0
-    for plan, other in ((fresh, memory), (onward, None), (onward, replace(memory, run_length=0))):
-        with pytest.raises(ConfigError, match="plan made for"):
-            _evaluate(model, plan, other)
-    with pytest.raises(ConfigError, match="plan made for"):
+    with pytest.raises(ConfigError, match="fresh plan"):
         model_jacobian(model, onward, slots)
 
 

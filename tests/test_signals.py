@@ -68,6 +68,9 @@ def test_decaying_sinusoid_validates_config():
 @pytest.mark.parametrize("bounds", [
     {"dt": np.nan}, {"dt": np.inf}, {"t_end": np.inf}, {"t_end": np.nan},
     {"t_start": -np.inf}, {"t_start": np.nan},
+    # finite bounds whose sample count overflows (int() raised OverflowError)
+    {"t_end": 1e308, "dt": 1e-10}, {"t_end": 1e300, "dt": 1e-300},
+    {"t_start": -1e308, "t_end": 1e308, "dt": 1.0},
 ])
 def test_decaying_sinusoid_rejects_non_finite_bounds(bounds):
     with pytest.raises(ConfigError, match="finite"):

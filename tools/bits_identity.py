@@ -21,6 +21,10 @@ temporary directory, each as one float array:
   at the end (``stored_memory``, which reads a tree that stores it in
   ``model.memory`` and one that keeps it in fields of each bank alike, so
   both trees save every stored value);
+- ``gpi_eval(reset=False)`` of the linear model's first bank alone over
+  the same chunks, with its ``stored_memory``: a lone bank's
+  continuation, which starts from the run-entering states when a chunk
+  goes on with the run the last one ended in;
 - ``fitting.residuals`` and ``fitting.jacobian`` in egpi and in gpi mode;
 - in both modes, the final parameters and ``loss_trace`` of a five-
   iteration ``lm_fit`` of the linear model, from 1.1 times its
@@ -114,7 +118,7 @@ def stored_memory(model) -> list:
 def save_all(cases_path: str, out: str) -> None:
     """Save every item of every case, evaluated with the ``hystfit`` on
     ``sys.path``, to ``out/<case>.npz``."""
-    from hystfit import Trajectory, build_model, egpi_eval, predict, reference_model
+    from hystfit import Trajectory, build_model, egpi_eval, gpi_eval, predict, reference_model
     from hystfit.fitting import FitConfig, jacobian, lm_fit, residuals
     from hystfit.operators import egpi_outputs
 
@@ -132,6 +136,10 @@ def save_all(cases_path: str, out: str) -> None:
                       for a, b in zip([0, *cuts], [*cuts, v.size])]
             items[f"{name} chunked egpi_eval"] = pack(
                 *(x for z, active in chunks for x in (z, active)), *stored_memory(model))
+        bank = build_model(params, "egpi", FLAG).submodels[0]
+        chunks = [gpi_eval(bank, t[a:b], v[a:b], reset=(a == 0))
+                  for a, b in zip([0, *cuts], [*cuts, v.size])]
+        items["linear chunked gpi_eval"] = pack(*chunks, *stored_memory(bank))
         traj = Trajectory(t=t, v=v, theta=np.zeros(v.size))
         gpi = params[[0, 1, 2, 3, 6, 7, 8, 9]]  # bank 1 of the egpi layout
         for mode, p, v_f in (("egpi", params, FLAG), ("gpi", gpi, None)):
