@@ -208,8 +208,7 @@ def _fit_pair(params, traj: Trajectory, v_f, mode: str, n: int):
     theta, slots = traj.theta, _BANK_SLOTS[mode]
 
     def fit_residuals(p):
-        use2, outs, _ = _evaluate(build_model(p, mode, v_f, n), plan)
-        return np.where(use2, outs[-1], outs[0]) - theta  # as ``predict``
+        return _evaluate(build_model(p, mode, v_f, n), plan)[0] - theta  # as ``predict``
 
     def fit_jacobian(p):
         return model_jacobian(build_model(p, mode, v_f, n), plan, slots)

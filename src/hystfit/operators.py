@@ -16,12 +16,14 @@ epsilon band around zero rate.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -179,25 +181,68 @@ def _validate_series(t, *series):
     return arrays
 
 
-def _init_bank(model: GpiModel, v0: float) -> np.ndarray:
-    """States at the first sample: 0 clamped into each operator's band.
+def _banks(model) -> list[GpiModel]:
+    """The banks of either model kind; a ``GpiModel`` is its own one bank."""
+    return model.submodels if isinstance(model, EgpiModel) else [model]
 
-    Where the band is empty (crossed envelopes) the state stays at 0 and
-    a warning is recorded.
+
+# a model's banks as the rows of one walk (``_stack``)
+_Stack = collections.namedtuple("_Stack", "banks slices bank p asc_off desc_off asc desc")
+
+
+def _stack(model, plan) -> _Stack:
+    """``model``'s banks as the rows of one walk: bank ``b`` owns rows
+    ``slices[b]``, in operator order; ``bank`` is each row's bank, and
+    ``p``, ``asc_off``, ``desc_off`` its weight, ``kappa_asc*r`` and
+    ``kappa_desc*r``. ``asc`` and ``desc`` hold each bank's envelope, or
+    one for all when the banks share one object. ValueError if ``plan``
+    was made for another bank count."""
+    banks = _banks(model)
+    if len(banks) != plan.banks:
+        raise ValueError(f"plan made for {plan.banks} bank(s), the model has {len(banks)}")
+    r = [bank.density.thresholds() for bank in banks]
+    rows = np.concatenate([*(b.density.weights() for b in banks),
+                           *(b.kappa_asc * x for b, x in zip(banks, r)),
+                           *(b.kappa_desc * x for b, x in zip(banks, r))]).reshape(3, -1)
+    envs = [b.asc_env for b in banks], [b.desc_env for b in banks]
+    return _Stack(banks, *_layout(tuple(x.size for x in r)), *rows,
+                  *(e[:1] if all(env is e[0] for env in e) else e for e in envs))
+
+
+@lru_cache(maxsize=16)
+def _layout(sizes: tuple) -> tuple:
+    """``_Stack.slices`` and a read-only ``_Stack.bank`` for banks of ``sizes`` rows."""
+    edges, bank = [0, *itertools.accumulate(sizes)], np.repeat(np.arange(len(sizes)), sizes)
+    bank.flags.writeable = False
+    return tuple(zip(edges, edges[1:])), bank
+
+
+def _targets(envs, v) -> np.ndarray:
+    """``T``, the values at ``v`` of ``envs`` (``_Stack.asc`` or ``desc``), a
+    row each; bank ``b`` reads row ``b % len(T)``."""
+    return np.array([env(v) for env in envs]) if len(envs) > 1 else np.asarray(envs[0](v))[None]
+
+
+def _rows(stack: _Stack, T) -> np.ndarray:
+    """``T`` (``_targets``) at each row of ``stack``; one row broadcasts."""
+    return T if len(T) == 1 else T.take(stack.bank, axis=0)
+
+
+def _init_bank(stack: _Stack, v0: float) -> np.ndarray:
+    """States of every row of ``stack`` at the first sample: 0 clamped into
+    each operator's band. Where the band is empty (crossed envelopes) the
+    state stays at 0, and a warning per bank with such operators is recorded.
     """
-    r = model.density.thresholds()
-    lo = model.asc_env(v0) - model.kappa_asc * r
-    hi = model.desc_env(v0) + model.kappa_desc * r
+    lo = _rows(stack, _targets(stack.asc, v0)) - stack.asc_off
+    hi = _rows(stack, _targets(stack.desc, v0)) + stack.desc_off
     ok = lo <= hi
     w = np.minimum(np.maximum(0.0, lo), hi)
     if not ok.all():
         w[~ok] = 0.0
-        warnings.warn(
-            f"empty play band at v0={v0} for {int((~ok).sum())} operator(s); "
-            "left at 0",
-            RuntimeWarning,
-            stacklevel=_caller_level(),
-        )
+        for a, e in stack.slices:
+            if empty := np.count_nonzero(~ok[a:e]):
+                warnings.warn(f"empty play band at v0={v0} for {empty} operator(s); left at 0",
+                              RuntimeWarning, stacklevel=_caller_level())
     return w
 
 
@@ -260,98 +305,90 @@ def _clip(x, lo, hi):
     return np.minimum(y, hi, out=y)
 
 
-def _run_states(model: GpiModel, E, T, rising: bool) -> np.ndarray:
-    """States (operators x samples) along one run entered with the states
-    ``E`` (a column), at the envelope values ``T`` of its samples:
+def _run_states(stack: _Stack, E, T, rising: bool) -> np.ndarray:
+    """States (rows x samples) along one run entered with the states ``E``
+    (a column), at the targets ``T`` (``_targets``) of its samples:
     ``max(E, T - kappa_asc*r)`` rising, ``min(E, T + kappa_desc*r)`` falling.
     """
-    r = model.density.thresholds()
     if rising:
-        S = T - (model.kappa_asc * r)[:, None]
+        S = np.subtract(_rows(stack, T), stack.asc_off[:, None])
         return np.maximum(S, E, out=S)
-    S = T + (model.kappa_desc * r)[:, None]
+    S = np.add(_rows(stack, T), stack.desc_off[:, None])
     return np.minimum(S, E, out=S)
 
 
-def _sweep(model: GpiModel, E, T, rising: bool):
-    """Which operators have moved along one run: ``(c, order, m)``.
+def _sweep(stack: _Stack, E, rising: bool):
+    """Which operators move along one run entered with the states ``E``:
+    ``(c, order, key)``.
 
-    The run is entered with the states ``E`` (one per operator) and
-    reaches the envelope values ``T``. Operator k has left ``E[k]`` at a
-    sample exactly when the target has passed ``c[k]``: ``T > c[k] =
-    E[k] + kappa_asc*r[k]`` rising, ``T < c[k] = E[k] - kappa_desc*r[k]``
-    falling; from then on it sits on the target, ``T - c[k] + E[k]``.
-    ``order`` sorts the operators stably by ``c``, descending on a fall,
-    so the operators that have moved at sample s are ``order[:m[s]]``. A
-    target equal to ``c[k]`` leaves operator k where it is.
+    Operator k has left ``E[k]`` at a sample exactly when the target has
+    passed ``c[k]``: ``T > c[k] = E[k] + kappa_asc*r[k]`` rising, ``T <
+    c[k] = E[k] - kappa_desc*r[k]`` falling; from then on it sits on the
+    target, ``T - c[k] + E[k]``. ``order`` sorts the rows by bank, then
+    stably by ``c``, descending on a fall; ``key`` is ``c`` (``-c``
+    falling) in that order. So the operators of the bank of rows ``a:e``
+    that have moved at its target ``T`` are ``order[a:a + m]``, ``m =
+    key[a:e].searchsorted(T)`` (``-T`` falling): a target equal to ``c[k]``
+    leaves operator k where it is.
     """
-    r = model.density.thresholds()
-    if rising:
-        c = E + model.kappa_asc * r
-        order = c.argsort(kind="stable")
-        return c, order, c[order].searchsorted(T)
-    c = E - model.kappa_desc * r
-    order = (-c).argsort(kind="stable")
-    return c, order, (-c[order]).searchsorted(-T)
+    c = E + stack.asc_off if rising else E - stack.desc_off
+    key = c if rising else -c
+    order = np.lexsort((key, stack.bank))  # stable: per bank, a stable sort by key
+    return c, order, key[order]
 
 
-def _states(model: GpiModel, v, d, walk, w):
-    """Bank states along ``v`` (directions ``d = _directions(v, prev)``),
-    starting from the state ``w`` before the step to ``v[0]``.
+def _states(stack: _Stack, v, d, walk, w):
+    """States of every row of ``stack`` along ``v`` (directions ``d =
+    _directions(v, prev)``), from the states ``w`` before the step to
+    ``v[0]``, along the plan's ``walk``.
 
-    ``walk`` is the bank's walk from ``_plan``. Yields ``(i, j, S, E, T)``
-    per entry ``v[i:j]``, with ``E`` the state each operator entered its
-    run with, within the entry:
+    Yields ``(i, j, S, E, T)`` per entry ``v[i:j]``, with ``E`` the state
+    each operator entered its run with:
     - a block of several runs: ``S`` and ``E`` hold a column per sample,
       ``S`` the states, and ``T`` is None;
     - a hold: ``S`` is ``E``, one column, and ``T`` is None;
-    - any other entry lies in one moving run: ``S`` and ``E`` are one
-      column each, ``S`` the state at its last sample, and ``T`` holds the
-      envelope value of each sample, from which ``_run_states`` and
-      ``_sweep`` give the states. On a crossed stretch ``T`` is empty: its
-      last target alone sets its end, and no sample of it is read.
+    - any other entry lies in one moving run: ``S`` (the state at its last
+      sample) and ``E`` are one column each, and ``T`` holds the targets
+      of its samples (``_targets``), from which ``_run_states`` and
+      ``_sweep`` give the states.
 
     Each step clamps the state: ``max(w, asc_env(v) - kappa_asc*r)``
     rising, ``min(w, desc_env(v) + kappa_desc*r)`` falling, the identity
-    on a hold. Both envelope families increase, so along a run the targets
-    are monotone and a sample's state is the run's entering state clamped
-    by the sample's own target. An entry inside one run evaluates only its
-    own branch. In a block of several runs a prefix scan over its runs
-    gives their entering states, as two clamps compose to one:
+    on a hold, each row at its own bank's envelopes. Both envelope
+    families increase, so along a run the targets are monotone and a
+    sample's state is the run's entering state clamped by its own target.
+    In a block a prefix scan over its moving runs gives their entering
+    states, as two clamps compose to one:
     ``clip(clip(w, l1, h1), l2, h2) = clip(w, clip(l1, l2, h2), clip(h1, l2, h2))``.
     Max and min only select values, so the states are exactly those of the
-    sample-by-sample recursion.
+    sample-by-sample recursion of each bank.
     """
-    r = model.density.thresholds()
-    asc_off = (model.kappa_asc * r)[:, None]
-    desc_off = (model.kappa_desc * r)[:, None]
+    asc_off, desc_off = stack.asc_off[:, None], stack.desc_off[:, None]
     for i, j, starts in walk:
         E, T = w[:, None], None
-        if starts is None or (not starts.size and d[i] != 0):
-            seg = v[j - 1 : j] if starts is None else v[i:j]
-            target = model.asc_env(seg) if d[i] > 0 else model.desc_env(seg)
-            S = _run_states(model, E, target[-1:], d[i] > 0)
-            T = target[:0] if starts is None else target
+        if not starts.size and d[i] != 0:
+            T = _targets(stack.asc if d[i] > 0 else stack.desc, v[i:j])
+            S = _run_states(stack, E, T[:, -1:], d[i] > 0)
         elif not starts.size:
             S = E
         else:
             seg, ds = v[i:j], d[i:j]
-            lo = np.where(ds > 0, model.asc_env(seg), -np.inf) - asc_off
-            hi = np.where(ds < 0, model.desc_env(seg), np.inf) + desc_off
-            # each run's clamp is that of its last sample; a Hillis-Steele
-            # scan composes them in log2(runs) steps
+            lo = _rows(stack, np.where(ds > 0, _targets(stack.asc, seg), -np.inf)) - asc_off
+            hi = _rows(stack, np.where(ds < 0, _targets(stack.desc, seg), np.inf)) + desc_off
+            # a run's clamp is that of its last sample, the identity on a
+            # hold; a Hillis-Steele scan composes them in log2(runs) steps
             ends = np.append(starts, ds.size) - 1
-            L, H = lo[:, ends], hi[:, ends]
+            ends = ends[ds[ends] != 0]
+            L, H = lo.T[ends], hi.T[ends]
             step = 1
             while step < ends.size:
-                l2, h2 = L[:, step:], H[:, step:]
-                L[:, step:], H[:, step:] = (_clip(L[:, :-step], l2, h2),
-                                            _clip(H[:, :-step], l2, h2))
+                l2, h2 = L[step:], H[step:]
+                L[step:], H[step:] = _clip(L[:-step], l2, h2), _clip(H[:-step], l2, h2)
                 step *= 2
-            entering = np.concatenate((E, _clip(E, L[:, :-1], H[:, :-1])), axis=1)
-            run = np.zeros(ds.size, dtype=np.intp)
-            run[starts] = 1
-            E = np.take(entering, np.cumsum(run), axis=1)
+            # a sample's run is entered after the moving runs that end before it
+            after = np.zeros(ds.size + 1, dtype=np.intp)
+            after[ends + 1] = 1
+            E = np.concatenate((E, _clip(E, L.T, H.T)), axis=1).take(np.cumsum(after[:-1]), axis=1)
             S = _clip(E, lo, hi)
         yield i, j, S, E, T
         # a copy, so that E (a view of w) does not keep this block's S alive
@@ -362,56 +399,63 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     """``p @ S``, summed over the operators in their order for every column.
 
     einsum adds row after row of a C-contiguous ``S`` with two or more
-    columns, so the bits of a column do not depend on the others. A single
-    column would be summed as a dot product, so it is doubled first.
+    columns, so the bits of a column do not depend on the others; a bank's
+    rows of a stacked ``S`` are C-contiguous too. A single column would be
+    summed as a dot product, so it is doubled first.
     """
     k = S.shape[1]
     S = S.repeat(2, axis=1) if k == 1 else np.ascontiguousarray(S)
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def _bank_pass(model: GpiModel, v, d, walk, w, lead: int = 0):
-    """One bank's output along ``v`` from the state ``w`` (see ``_states``)
-    and its memory at the last sample: ``(y, states, run_states)``.
+def _bank_pass(stack: _Stack, plan, w):
+    """The output along the input of ``plan`` from the states ``w``
+    (``_states``), each sample's from the bank ``plan.use2`` reports
+    there, and each bank's memory: ``(z, states, run_states)``.
 
-    A sample sums its operator states (``_contract``) when it lies among
-    the first ``_LONG`` samples of its run. Later samples of a run take
-    its closed form from one ``_sweep``: ``y = T*P[m] + (PE - PC)[m]``,
-    where ``P`` and ``PC`` are the prefix sums of ``p`` and ``p*c`` in
-    ``order``, from 0, and ``PE`` is ``p @ E`` over the run's entering
-    states, summed in operator order. So a sample's bits depend only on
-    its run's entering state and direction, its own target, and whether
-    it lies below ``_LONG``, never on where the input is cut. When
-    ``v[0]`` continues a run, ``lead`` (``_blocks``) counts its samples
-    before ``v[0]``, and ``w`` is the state it was entered with.
-
-    The samples of a crossed stretch of ``walk`` are left unset: no caller
-    reads them.
+    Each bank computes the samples it reports. A sample sums its bank's
+    operator states (``_contract``) when it lies in a block or among the
+    first ``_LONG`` samples of its run. Later samples take the run's
+    closed form from one ``_sweep``: ``y = T*P[m] + (PE - PC)[m]``, where
+    ``P`` and ``PC`` are the bank's prefix sums of ``p`` and ``p*c`` in
+    ``order``, from 0, and ``PE`` is ``p @ E`` summed in operator order.
+    So a sample's bits depend only on its run's entering state and
+    direction, its own target, and whether it lies below ``_LONG``, never
+    on where the input is cut or on the other banks. ``plan.lead``
+    (``_blocks``) counts the samples of a continued run before ``v[0]``,
+    which ``w`` entered.
     """
-    p = model.density.weights()
-    y = np.empty(v.size)
-    for i, j, S, E, T in _states(model, v, d, walk, w):
+    v, d, use2, p = plan.v, plan.d, plan.use2, stack.p
+    y = np.empty((len(stack.banks), v.size))  # a bank's unreported samples stay unset
+    for i, j, S, E, T in _states(stack, v, d, plan.walk, w):
         if T is None:
-            y[i:j] = _contract(p, S)
-        elif T.size:
-            k = min(_LONG - (lead if i == 0 else 0), j - i)
-            if k:
-                y[i : i + k] = _contract(p, _run_states(model, E, T[:k], d[i] > 0))
-            if k < j - i:
-                c, order, m = _sweep(model, E[:, 0], T[k:], d[i] > 0)
-                po = p[order]
-                P, Q = np.zeros((2, p.size + 1))
-                np.add.accumulate(po, out=P[1:])
-                np.add.accumulate(po * c[order], out=Q[1:])
-                np.subtract(np.add.accumulate(p * E[:, 0])[-1], Q, out=Q)
-                np.multiply(T[k:], P.take(m), out=y[i + k : j])
-                y[i + k : j] += Q.take(m)
-    return y, S[:, -1].copy(), E[:, -1].copy()  # each entry begins a run
-
-
-def _banks(model) -> list[GpiModel]:
-    """The banks of either model kind; a ``GpiModel`` is its own one bank."""
-    return model.submodels if isinstance(model, EgpiModel) else [model]
+            for b, (a, e) in enumerate(stack.slices):
+                y[b, i:j] = _contract(p[a:e], S[a:e])
+            continue
+        k = min(_LONG - (plan.lead if i == 0 else 0), j - i)
+        R = _run_states(stack, E, T[:, :k], d[i] > 0)
+        if k < j - i:
+            c, order, key = _sweep(stack, E[:, 0], d[i] > 0)
+            po, pe = p[order], p * E[:, 0]
+            pc = po * c[order]
+        # along a run the input is monotone, so bank 2 reports its last samples
+        q = j - np.count_nonzero(use2[i:j]) if len(y) > 1 else j
+        for b, ((a, e), (s, t)) in enumerate(zip(stack.slices, ((i, q), (q, j)))):
+            if s < min(t, i + k):
+                y[b, i : i + k] = _contract(p[a:e], R[a:e])
+            if (s := max(s, i + k)) < t:
+                Tb = T[b % len(T), s - i : t - i]
+                m = key[a:e].searchsorted(Tb if d[i] > 0 else -Tb)
+                P, Q = np.zeros((2, e - a + 1))
+                np.add.accumulate(po[a:e], out=P[1:])
+                np.add.accumulate(pc[a:e], out=Q[1:])
+                np.subtract(np.add.accumulate(pe[a:e])[-1], Q, out=Q)
+                np.multiply(Tb, P.take(m), out=y[b, s:t])
+                y[b, s:t] += Q.take(m)
+    z = np.where(use2, y[-1], y[0]) if len(y) > 1 else y[0]  # a lone bank reports every sample
+    S, E = S[:, -1], E[:, -1]  # each entry begins a run
+    return (z, tuple(S[a:e].copy() for a, e in stack.slices),
+            tuple(E[a:e].copy() for a, e in stack.slices))
 
 
 def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -430,40 +474,38 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Plan:
-    """One validated input and the walks of every pass over it (``_plan``).
+    """One validated input and the walk of every pass over it (``_plan``).
 
     ``v`` is the validated input, ``d`` its directions, ``use2`` the
-    samples submodel 2 reports, ``walks`` one walk per bank, ``lead`` and
-    ``run`` those of ``_blocks``, and ``start`` the state each bank begins
-    from, None when fresh (``_init_bank``). The plan decides what an
-    evaluation continues from and how it switches; the model supplies only
-    its banks, so a fit plans its input once for all its parameter vectors.
+    samples submodel 2 reports, ``walk`` the walk entries, ``banks`` the
+    bank count, ``lead`` and ``run`` those of ``_blocks``, and ``start``
+    the state each bank begins from, None when fresh (``_init_bank``). The
+    plan decides what an evaluation continues from and how it switches;
+    the model supplies only its banks, so a fit plans its input once.
     """
 
     v: np.ndarray
     d: np.ndarray
     use2: np.ndarray
-    walks: tuple
+    walk: list
+    banks: int
     lead: int
     run: int
     start: tuple | None
 
 
-def _plan(model, t, v, memory: Memory | None = None, every: bool = False) -> Plan:
-    """Validate ``t`` and ``v`` (``_validate_series``) and plan the passes
-    of ``model``'s banks over ``v``, continuing from ``memory`` (fresh
-    where it is None).
+def _plan(model, t, v, memory: Memory | None = None) -> Plan:
+    """Validate ``t`` and ``v`` (``_validate_series``) and plan the pass of
+    ``model``'s banks over ``v``, continuing from ``memory`` (fresh where
+    it is None).
 
-    The directions step from ``memory``'s last input, and ``_blocks``
-    cuts one walk per evaluation, continuing ``memory``'s run; each bank
-    starts from its run-entering state if ``v[0]`` goes on with that run
-    (``lead``), else from its last state. A bank of a switched model
-    reports the samples ``use2`` gives it, and each run it moves along
-    without reporting a sample of is one crossed entry ``(i, j, None)``.
-    Under ``every``, and for a lone bank, which reports every sample, no
-    entry is crossed. Every pass over the plan, forward or tangent, walks
-    these lists. ConfigError if ``memory`` holds another number of banks
-    than ``model``.
+    The directions step from ``memory``'s last input, and ``_blocks`` cuts
+    one walk for all banks, continuing ``memory``'s run; each bank starts
+    from its run-entering state if ``v[0]`` goes on with that run
+    (``lead``), else from its last state. Every pass, forward or tangent,
+    walks the rows of all banks at once (``_Stack``) along it, and takes
+    each sample's output or Jacobian row from the bank ``use2`` reports.
+    ConfigError if ``memory`` holds another number of banks than ``model``.
     """
     _, v = _validate_series(t, v)
     banks = len(_banks(model))
@@ -471,34 +513,20 @@ def _plan(model, t, v, memory: Memory | None = None, every: bool = False) -> Pla
         raise ConfigError(f"memory holds {len(memory.states)} bank(s), the model has {banks}")
     prev, run = (None, 0) if memory is None else (memory.last_input, memory.run_length)
     d = _directions(v, prev)
-    use2 = _reports_second(model, v, d)
     walk, lead, run = _blocks(d, run)
     start = None if memory is None else memory.run_states if lead else memory.states
-    if every or isinstance(model, GpiModel):
-        walks = (walk,) * banks
-    else:
-        walks = ([], [])
-        for i, j, starts in walk:
-            # the samples of a moving run that bank 2 reports
-            second = np.count_nonzero(use2[i:j]) if d[i] and not starts.size else -1
-            walks[0].append((i, j, None if second == j - i else starts))
-            walks[1].append((i, j, None if second == 0 else starts))
-    return Plan(v, d, use2, walks, lead, run, start)
+    return Plan(v, d, _reports_second(model, v, d), walk, banks, lead, run, start)
 
 
 def _evaluate(model, plan: Plan):
-    """One pass of each of ``model``'s banks over the input of ``plan``
-    (``_plan``), from its start states: ``(use2, outputs, memory)``.
-
-    The plan's walks and ``use2`` decide where each bank crosses and which
-    reports; a model with another bank count raises ValueError. The model
-    is only read; the caller stores the memory returned.
+    """One pass of ``model``'s banks over ``plan`` from its start states:
+    ``(z, memory)`` (``_bank_pass``). ValueError for a model of another
+    bank count. The model is only read; the caller stores the memory.
     """
-    v, start = plan.v, plan.start or (None,) * len(plan.walks)
-    outs, states, entries = zip(*(
-        _bank_pass(bank, v, plan.d, walk, _init_bank(bank, v[0]) if w is None else w, plan.lead)
-        for bank, walk, w in zip(_banks(model), plan.walks, start, strict=True)))
-    return plan.use2, outs, Memory(float(v[-1]), plan.run, states, entries)
+    stack, v = _stack(model, plan), plan.v
+    w = _init_bank(stack, v[0]) if plan.start is None else np.concatenate(plan.start)
+    z, states, entries = _bank_pass(stack, plan, w)
+    return z, Memory(float(v[-1]), plan.run, states, entries)
 
 
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
@@ -513,20 +541,23 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     """
     if not isinstance(model, GpiModel):
         raise ConfigError(f"gpi_eval takes a GpiModel, got {type(model).__name__}")
-    _, (y,), model.memory = _evaluate(model, _plan(model, t, v, None if reset else model.memory))
+    y, model.memory = _evaluate(model, _plan(model, t, v, None if reset else model.memory))
     return y
 
 
 def egpi_outputs(model, t, v):
-    """One fresh pass of each bank over every sample: ``(z, active, z1, z2)``.
+    """Fresh passes of the banks: ``(z, active, z1, z2)``.
 
-    ``z1`` and ``z2`` are the submodel outputs; ``z`` and ``active`` are
-    what ``egpi_eval`` returns, and ``model.memory`` is replaced as there.
-    A ``GpiModel`` gives ``z1 = z2 = z`` and ``active = 1``.
+    ``z1`` and ``z2``, the submodel outputs, come from one pass each in
+    which that bank reports every sample; ``z``, ``active`` and
+    ``model.memory`` are as in ``egpi_eval``, with the same bits. A
+    ``GpiModel`` gives ``z1 = z2 = z`` and ``active = 1``.
     """
-    use2, outs, model.memory = _evaluate(model, _plan(model, t, v, every=True))
-    z1, z2 = outs[0], outs[-1]
-    return np.where(use2, z2, z1), np.where(use2, 2, 1), z1, z2
+    plan = _plan(model, t, v)
+    passes = [_evaluate(model, replace(plan, use2=np.full(plan.v.size, b > 0)))
+              for b in range(plan.banks)]
+    (z1, model.memory), (z2, _) = passes[0], passes[-1]
+    return np.where(plan.use2, z2, z1), np.where(plan.use2, 2, 1), z1, z2
 
 
 def egpi_eval(model, t, v, reset: bool = True):
@@ -539,15 +570,15 @@ def egpi_eval(model, t, v, reset: bool = True):
     always report submodel 1. Holds follow the non-ascending rule. A
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
-    ``model.memory`` is read and replaced as in ``gpi_eval``, once both
+    ``model.memory`` is read and replaced as in ``gpi_eval``, once the
     banks have run; the submodels' own are left alone. The call's plan
     (``_plan``) starts the banks from it, and raises ConfigError if it
-    holds another bank count. Each bank crosses each run it moves along
-    without reporting a sample, as the tangent pass does. ``z`` and the
-    memory keep the bits of a pass over every sample (``egpi_outputs``).
+    holds another bank count. Each sample keeps the bits of its bank
+    evaluated alone (``gpi_eval``).
     """
-    use2, outs, model.memory = _evaluate(model, _plan(model, t, v, None if reset else model.memory))
-    return np.where(use2, outs[-1], outs[0]), np.where(use2, 2, 1)
+    plan = _plan(model, t, v, None if reset else model.memory)
+    z, model.memory = _evaluate(model, plan)
+    return z, np.where(plan.use2, 2, 1)
 
 
 def predict(model, t, v) -> np.ndarray:

@@ -46,8 +46,11 @@ def decaying_sinusoid(t_start: float = 0.0, t_end: float = 10.0, dt: float = 1e-
     if not np.isfinite(count := (t_end - t_start) / dt):
         raise ConfigError(f"sample count ({t_end} - {t_start}) / {dt} is not finite")
     n = int(np.floor(count + 1e-9))
-    t = t_start + dt * np.arange(n + 1)
-    v = 8.0 * np.exp(-0.04 * t) * np.sin(2 * np.pi * t + np.pi / 4)
+    try:
+        t = t_start + dt * np.arange(n + 1)
+        v = 8.0 * np.exp(-0.04 * t) * np.sin(2 * np.pi * t + np.pi / 4)
+    except MemoryError:
+        raise ConfigError(f"sample count {n + 1} does not fit in memory") from None
     return Trajectory(t=t, v=v)
 
 

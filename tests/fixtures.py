@@ -10,7 +10,16 @@ two-staged descending branch.
 
 import numpy as np
 
-from hystfit import Trajectory, build_model, gen_synthetic
+from hystfit import (
+    DensitySpec,
+    EgpiModel,
+    LinearEnvelope,
+    SwitchMode,
+    TanhEnvelope,
+    Trajectory,
+    build_model,
+    gen_synthetic,
+)
 from hystfit.operators import _BLOCK, GpiModel
 
 SWEEP_N = 5000
@@ -74,6 +83,45 @@ def recovery_dataset(seed, noise_std=0.1, n=SWEEP_N):
     noisy_model = build_model(params, "egpi", SWEEP_FLAG)
     noisy = gen_synthetic(noisy_model, base, noise_std=noise_std, seed=seed)
     return noisy, clean, params
+
+
+def unequal_banks_model(kind: str) -> EgpiModel:
+    """A switched model whose banks differ in operator count, density,
+    regulators and envelope family, so that each sits on rows of its own
+    length in a pass over both (``operators._Stack``).
+
+    ``"wide-narrow"``: 31 linear operators, then 2 tanh ones, two flags.
+    ``"narrow-mid"``: the 2 tanh operators, then 8 linear ones with their
+    own ``lam`` and ``sigma``, descend flag. ``"one-bank"``: the 31 linear
+    operators in both slots, one object, two flags.
+    """
+    wide = GpiModel(density=DensitySpec(lam=0.3, sigma=0.2, r1=0.1, rn=2.5, n=30),
+                    asc_env=LinearEnvelope(a=1.0, b=0.2), desc_env=LinearEnvelope(a=1.1, b=0.9),
+                    kappa_asc=0.7, kappa_desc=1.3)
+    narrow = GpiModel(density=DensitySpec(lam=0.9, sigma=0.05, r1=0.4, rn=0.4, n=1),
+                      asc_env=TanhEnvelope(c=3.0, d=0.8, e=0.1, f=-0.5),
+                      desc_env=TanhEnvelope(c=3.2, d=0.7, e=-0.2, f=0.6),
+                      kappa_asc=2.0, kappa_desc=3.5)
+    mid = GpiModel(density=DensitySpec(lam=0.5, sigma=0.4, r1=0.3, rn=1.9, n=7),
+                   asc_env=LinearEnvelope(a=0.8, b=-0.1), desc_env=LinearEnvelope(a=1.3, b=1.4),
+                   kappa_asc=1.5, kappa_desc=0.6)
+    if kind == "narrow-mid":
+        return EgpiModel(submodels=[narrow, mid], mode=SwitchMode.DESCEND_FLAG, flag_desc=0.5)
+    banks = {"wide-narrow": [wide, narrow], "one-bank": [wide, wide]}[kind]
+    return EgpiModel(submodels=banks, mode=SwitchMode.TWO_FLAG, flag_asc=1.0, flag_desc=0.5)
+
+
+def refuse_huge_arange(monkeypatch):
+    """Make ``np.arange`` raise MemoryError for more than 10**9 samples, as
+    numpy does where they do not fit, without asking for the memory."""
+    arange = np.arange
+
+    def refuse(n, *args, **kwargs):
+        if n > 10**9:
+            raise MemoryError(f"unable to allocate {n} samples")
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", refuse)
 
 
 def oracle_kwargs(model: GpiModel) -> dict:

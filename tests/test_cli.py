@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fixtures import SWEEP_FLAG, recovery_params, sweep_input
+from fixtures import SWEEP_FLAG, recovery_params, refuse_huge_arange, sweep_input
 
 from hystfit import (
     Trajectory,
@@ -59,6 +59,14 @@ def test_simulate_non_finite_bounds_exit_2(tmp_path, capsys, bound):
     out = tmp_path / "x.csv"
     assert run("simulate", "--reference", *bound, "--out", out) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_too_many_samples_exit_2(tmp_path, capsys, monkeypatch):
+    refuse_huge_arange(monkeypatch)
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--reference", "--dt", "1e-12", "--out", out) == 2
+    assert "does not fit in memory" in capsys.readouterr().err
     assert not out.exists()
 
 

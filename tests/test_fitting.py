@@ -381,21 +381,24 @@ def test_tangent_matches_central_differences_on_a_reversal_below_the_flag(seed, 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_tangent_rows_equal_passes_over_every_row(seed):
-    # model_jacobian crosses each run a bank reports no row of; every
-    # reported row keeps the bits of a pass of that bank that computes
-    # every row. On the short-tail input bank 2 crosses a rise longer than
-    # three blocks, one walk entry, in one step.
+    # model_jacobian walks both banks' rows at once and computes each
+    # sample's row from the bank reported there only; every row keeps the
+    # bits of a pass of that bank alone, which computes every row. On the
+    # short-tail input bank 2 reports no sample of a rise longer than
+    # three blocks, one walk entry.
     from hystfit.fitting import _bank_slots
-    from hystfit.operators import _plan
+    from hystfit.operators import _plan, _stack
     from hystfit.tangent import _bank_tangent, model_jacobian
 
     model = build_model(recovery_params(seed), "egpi", SWEEP_FLAG)
     slots = _bank_slots("egpi")
     for traj in (sweep_input(), short_tail_input()):
-        J = model_jacobian(model, _plan(model, traj.t, traj.v), slots)
-        plan = _plan(model, traj.t, traj.v, every=True)
-        every = [_bank_tangent(bank, plan.v, plan.d, walk, bank_slots, J.shape[1])
-                 for bank, walk, bank_slots in zip(model.submodels, plan.walks, slots)]
+        plan = _plan(model, traj.t, traj.v)
+        J = model_jacobian(model, plan, slots)
+        every = []
+        for bank, bank_slots in zip(model.submodels, slots):
+            alone = _plan(bank, traj.t, traj.v)
+            every.append(_bank_tangent(_stack(bank, alone), alone, [bank_slots], J.shape[1]))
         assert np.array_equal(J, np.where(plan.use2[:, None], every[1], every[0]))
 
 

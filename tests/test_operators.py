@@ -11,6 +11,7 @@ from fixtures import (
     recovery_params,
     short_tail_input,
     sweep_input,
+    unequal_banks_model,
 )
 
 from hystfit import (
@@ -37,6 +38,7 @@ from hystfit.operators import (
     _directions,
     _evaluate,
     _plan,
+    _stack,
     _sweep,
     egpi_outputs,
 )
@@ -557,16 +559,14 @@ def test_evaluation_that_raises_leaves_the_memory_unchanged():
 def test_a_plan_holds_the_memory_it_continues_and_serves_only_its_bank_count():
     t, v = _recovery_sweep()
     model = _recovery_model()
-    use2, outs, memory = _evaluate(model, _plan(model, t[:1000], v[:1000]))
-    assert np.array_equal(np.where(use2, outs[1], outs[0]),
-                          predict(_recovery_model(), t[:1000], v[:1000]))
+    z, memory = _evaluate(model, _plan(model, t[:1000], v[:1000]))
+    assert np.array_equal(z, predict(_recovery_model(), t[:1000], v[:1000]))
     onward = _plan(model, t[1000:], v[1000:], memory)
     assert onward.lead  # the banks start from their run-entering states
-    use2, outs, after = _evaluate(model, onward)
+    z, after = _evaluate(model, onward)
     public = _recovery_model()
     egpi_eval(public, t[:1000], v[:1000])
-    z, _ = egpi_eval(public, t[1000:], v[1000:], reset=False)
-    assert np.array_equal(np.where(use2, outs[1], outs[0]), z)
+    assert np.array_equal(z, egpi_eval(public, t[1000:], v[1000:], reset=False)[0])
     for f in fields(after):
         assert np.array_equal(getattr(after, f.name), getattr(public.memory, f.name))
     fresh = _plan(model, t, v)
@@ -1063,6 +1063,34 @@ def test_degenerate_inputs_match_bruteforce(make_model, mode, make_input):
         assert np.max(np.abs(y - np.array(bruteforce.run_gpi(list(v), **kwargs)))) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("kind", ["wide-narrow", "narrow-mid", "one-bank"])
+@pytest.mark.parametrize("make_input", [*DEGENERATE_INPUTS.values(), lambda: _dither_input()[1]],
+                         ids=[*DEGENERATE_INPUTS, "dither"])
+def test_unequal_banks_match_bruteforce_and_stream(kind, make_input):
+    # one pass walks both banks' operators as rows of one array, each bank
+    # on its own rows; banks of different sizes, densities, regulators and
+    # envelope families, or one bank in both slots, keep each bank's rows
+    # apart: the output matches the oracle, and a chunked evaluation keeps
+    # the bits of a one-shot one, memory included
+    v = make_input()
+    t = 1e-3 * np.arange(v.size)
+    model = unequal_banks_model(kind)
+    sub1, sub2 = (oracle_kwargs(sub) for sub in model.submodels)
+    zb, ab = bruteforce.run_egpi(list(v), sub1, sub2, model.mode.value,
+                                 flag_asc=model.flag_asc, flag_desc=model.flag_desc)
+    z, active = egpi_eval(model, t, v)
+    assert np.max(np.abs(z - np.array(zb))) < 1e-12
+    assert np.array_equal(active, np.array(ab))
+    chunked = unequal_banks_model(kind)
+    cuts = [*range(0, v.size, 37), v.size]
+    parts = [egpi_eval(chunked, t[a:b], v[a:b], reset=(a == 0)) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate([x for x, _ in parts]), z)
+    assert np.array_equal(np.concatenate([a for _, a in parts]), active)
+    for mine, theirs in zip(_memory(chunked), _memory(model), strict=True):
+        assert np.array_equal(mine, theirs)
+
+
 def _dither_mid_run_then_rise():
     """990 samples of the dither input from its sample 2, where sample 512
     lies inside a run, then a 100-sample rise to 10."""
@@ -1108,5 +1136,5 @@ def test_saturated_rerise_has_ties():
     bank = _saturated_ties_model().submodels[0]
     gpi_eval(bank, 1e-3 * np.arange(start), v[:start])
     T = bank.asc_env(v[start:start + 150])
-    c, _, _ = _sweep(bank, bank.memory.states[0], T, True)
+    c, _, _ = _sweep(_stack(bank, _plan(bank, [0.0], [0.0])), bank.memory.states[0], True)
     assert np.isin(T[_LONG:], c).any()

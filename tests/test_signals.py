@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fixtures import refuse_huge_arange
+
 from hystfit import (
     ConfigError,
     DetectionError,
@@ -75,6 +77,15 @@ def test_decaying_sinusoid_validates_config():
 def test_decaying_sinusoid_rejects_non_finite_bounds(bounds):
     with pytest.raises(ConfigError, match="finite"):
         decaying_sinusoid(**bounds)
+
+
+def test_decaying_sinusoid_too_many_samples_is_a_config_error(monkeypatch):
+    # dt=1e-12 over 10 s asks for about 10**13 samples; the MemoryError
+    # ended in an _ArrayMemoryError traceback
+    refuse_huge_arange(monkeypatch)
+    count = int(np.floor(10.0 / 1e-12 + 1e-9)) + 1
+    with pytest.raises(ConfigError, match=f"sample count {count} does not fit"):
+        decaying_sinusoid(dt=1e-12)
 
 
 @pytest.mark.parametrize("name,value", [("dt", "x"), ("t_end", True), ("t_start", None)])

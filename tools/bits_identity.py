@@ -21,10 +21,16 @@ temporary directory, each as one float array:
   at the end (``stored_memory``, which reads a tree that stores it in
   ``model.memory`` and one that keeps it in fields of each bank alike, so
   both trees save every stored value);
-- ``gpi_eval(reset=False)`` of the linear model's first bank alone over
-  the same chunks, with its ``stored_memory``: a lone bank's
-  continuation, which starts from the run-entering states when a chunk
-  goes on with the run the last one ended in;
+- the same three items of the two unequal-bank models of
+  ``tests/fixtures.unequal_banks_model`` (``wide-narrow``: 31 linear and
+  2 tanh operators, two flags; ``narrow-mid``: 2 tanh and 8 linear ones,
+  descend flag), whose banks sit on rows of different lengths in a pass
+  over both;
+- ``gpi_eval(reset=False)`` of the linear model's first bank alone, and
+  of each bank of the unequal-bank models alone, over the same chunks,
+  with its ``stored_memory``: a lone bank's continuation, which starts
+  from the run-entering states when a chunk goes on with the run the
+  last one ended in;
 - ``fitting.residuals`` and ``fitting.jacobian`` in egpi and in gpi mode;
 - in both modes, the final parameters and ``loss_trace`` of a five-
   iteration ``lm_fit`` of the linear model, from 1.1 times its
@@ -43,6 +49,7 @@ speed is measured. Needs git, numpy and the Python standard library.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -55,6 +62,7 @@ from cli_identity import ROOT, export_src
 
 CASES = 40
 FLAG = 6.0  # the linear model's descending flag, that of the recovery models
+UNEQUAL = ("wide-narrow", "narrow-mid")  # kinds of tests/fixtures.unequal_banks_model
 
 
 def make_input(rng: np.random.Generator) -> np.ndarray:
@@ -122,24 +130,29 @@ def save_all(cases_path: str, out: str) -> None:
     from hystfit.fitting import FitConfig, jacobian, lm_fit, residuals
     from hystfit.operators import egpi_outputs
 
+    sys.path.append(str(ROOT / "tests"))  # after the tree's src, which PYTHONPATH puts first
+    from fixtures import unequal_banks_model
+
     data = np.load(cases_path)
     for case in range(CASES):
         v, cuts, params = data[f"v{case}"], data[f"cuts{case}"], data[f"params{case}"]
         t = 1e-3 * np.arange(v.size)
+        spans = list(zip([0, *cuts], [*cuts, v.size]))
         items = {}
-        for name, make in (("reference", reference_model),
-                           ("linear", lambda: build_model(params, "egpi", FLAG))):
+        models = {"reference": reference_model, "linear": lambda: build_model(params, "egpi", FLAG),
+                  **{kind: functools.partial(unequal_banks_model, kind) for kind in UNEQUAL}}
+        for name, make in models.items():
             items[f"{name} egpi_outputs"] = pack(*egpi_outputs(make(), t, v))
             items[f"{name} predict"] = pack(predict(make(), t, v))
             model = make()
-            chunks = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0))
-                      for a, b in zip([0, *cuts], [*cuts, v.size])]
+            chunks = [egpi_eval(model, t[a:b], v[a:b], reset=(a == 0)) for a, b in spans]
             items[f"{name} chunked egpi_eval"] = pack(
                 *(x for z, active in chunks for x in (z, active)), *stored_memory(model))
-        bank = build_model(params, "egpi", FLAG).submodels[0]
-        chunks = [gpi_eval(bank, t[a:b], v[a:b], reset=(a == 0))
-                  for a, b in zip([0, *cuts], [*cuts, v.size])]
-        items["linear chunked gpi_eval"] = pack(*chunks, *stored_memory(bank))
+        for name, banks in (("linear", models["linear"]().submodels[:1]),
+                            *((kind, models[kind]().submodels) for kind in UNEQUAL)):
+            for k, bank in enumerate(banks, 1):
+                chunks = [gpi_eval(bank, t[a:b], v[a:b], reset=(a == 0)) for a, b in spans]
+                items[f"{name} chunked gpi_eval of bank {k}"] = pack(*chunks, *stored_memory(bank))
         traj = Trajectory(t=t, v=v, theta=np.zeros(v.size))
         gpi = params[[0, 1, 2, 3, 6, 7, 8, 9]]  # bank 1 of the egpi layout
         for mode, p, v_f in (("egpi", params, FLAG), ("gpi", gpi, None)):
