@@ -29,6 +29,7 @@ from .errors import (
     check_number,
 )
 from .fileio import (
+    _created_stamp,
     load_dataset,
     load_json,
     load_model,
@@ -47,7 +48,7 @@ from .metrics import Metrics, compute_metrics
 from .operators import egpi_outputs, predict, reference_model
 from .signals import decaying_sinusoid, detect_flag_point, gen_synthetic
 
-_HANDLED_ERRORS = (HystError, FileNotFoundError, IsADirectoryError)
+_HANDLED_ERRORS = (HystError, OSError)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -102,6 +103,7 @@ def _cmd_generate(args):
 # --------------------------------------------------------------------- fit
 
 def _make_config(args, mode) -> FitConfig:
+    _created_stamp()  # the model files embed it: a malformed SOURCE_DATE_EPOCH fails before a fit
     fields = {}
     if args.config:
         doc = load_json(args.config)

@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import re
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -49,7 +50,7 @@ def _atomic_write(path, chunks):
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+        with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
 
@@ -57,10 +58,10 @@ def _atomic_write(path, chunks):
 def _created_stamp() -> str:
     # honor SOURCE_DATE_EPOCH so reruns can be byte-identical
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        dt = datetime.now(tz=timezone.utc)
+    try:
+        dt = datetime.fromtimestamp(time.time() if epoch is None else int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(f"SOURCE_DATE_EPOCH must be whole seconds, got {epoch!r}") from None
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

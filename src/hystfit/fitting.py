@@ -36,7 +36,7 @@ from .errors import (
     is_number,
 )
 from .metrics import Metrics, compute_metrics
-from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, _evaluate, _plan, predict
+from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, _evaluate, _plan
 from .signals import Trajectory
 from .tangent import model_jacobian
 
@@ -157,12 +157,11 @@ def build_model(params, mode: str, v_f: float | None = None, n: int = 30):
 
 
 def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
-    """Model output minus measured angles, per sample; the input is
-    validated and planned per call (``lm_fit`` does it once, ``_fit_pair``)."""
+    """Model output minus measured angles, per sample: ``_fit_pair``'s
+    residual function at ``params``, over a plan of its own."""
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    model = build_model(params, mode, v_f, n)
-    return predict(model, traj.t, traj.v) - traj.theta
+    return _fit_pair(params, traj, v_f, mode, n)[0](params)
 
 
 def _bank_slots(mode: str) -> tuple:
@@ -191,24 +190,23 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
 
     Where the output is not differentiable (an operator state exactly at
     its crossover) it takes the one-sided derivative of the branch the
-    state is on. The measured angles do not enter it. The input is
-    validated and planned per call, as in ``residuals``.
-    """
-    model = build_model(params, mode, v_f, n)
-    return model_jacobian(model, _plan(model, traj.t, traj.v), _BANK_SLOTS[mode])
+    state is on. The measured angles do not enter it: ``_fit_pair``'s
+    Jacobian function at ``params``, over a plan of its own."""
+    return _fit_pair(params, traj, v_f, mode, n)[1](params)
 
 
 def _fit_pair(params, traj: Trajectory, v_f, mode: str, n: int):
-    """``residuals`` and ``jacobian`` of ``traj`` as functions of the
-    parameters alone, over one fresh plan of its input (``operators._plan``)
-    made for the model of ``params``. The plan decides the switching from
-    the mode and flag, which every model the fit builds shares.
+    """The residuals (which need ``traj.theta``) and the residual Jacobian
+    of ``traj`` as functions of the parameters alone, over one fresh plan
+    of its input (``operators._plan``) made for the model of ``params``.
+    The plan decides the switching from the mode and flag, which every
+    model of the mode shares. Every residual and Jacobian goes through one.
     """
     plan = _plan(build_model(params, mode, v_f, n), traj.t, traj.v)
     theta, slots = traj.theta, _BANK_SLOTS[mode]
 
     def fit_residuals(p):
-        return _evaluate(build_model(p, mode, v_f, n), plan)[0] - theta  # as ``predict``
+        return _evaluate(build_model(p, mode, v_f, n), plan)[0] - theta
 
     def fit_jacobian(p):
         return model_jacobian(build_model(p, mode, v_f, n), plan, slots)
@@ -230,10 +228,14 @@ def jacobian_fd(
     Central differences with per-parameter step max(rel_step*|p|, rel_step);
     a step that would cross a bound falls back to the one-sided difference
     on the feasible side. ``scheme="forward"`` forces one-sided steps (used
-    for step-size diagnostics).
+    for step-size diagnostics). Every column's residuals come from one
+    ``_fit_pair``, so the input is validated and planned once.
     """
     params = validate_params(params, mode)
-    base = residuals(params, traj, v_f, mode, n)
+    if traj.theta is None:
+        raise InputError("trajectory has no measured angles to fit against")
+    fit_residuals = _fit_pair(params, traj, v_f, mode, n)[0]
+    base = fit_residuals(params)
     J = np.empty((base.size, params.size))
     for k in range(params.size):
         h = max(rel_step * abs(params[k]), rel_step)
@@ -244,13 +246,11 @@ def jacobian_fd(
         plus_ok = np.array_equal(project_params(plus, mode), plus)
         minus_ok = np.array_equal(project_params(minus, mode), minus)
         if scheme == "central" and plus_ok and minus_ok:
-            col = (residuals(plus, traj, v_f, mode, n) - residuals(minus, traj, v_f, mode, n)) / (
-                2 * h
-            )
+            col = (fit_residuals(plus) - fit_residuals(minus)) / (2 * h)
         elif plus_ok:
-            col = (residuals(plus, traj, v_f, mode, n) - base) / h
+            col = (fit_residuals(plus) - base) / h
         elif minus_ok:
-            col = (base - residuals(minus, traj, v_f, mode, n)) / h
+            col = (base - fit_residuals(minus)) / h
         else:
             # pinned by active bounds from both sides (e.g. r1 == rn at the
             # positivity floor); treat as a dead column
@@ -358,22 +358,20 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
 
     Each iteration takes J from one tangent pass (as ``jacobian``); e
     comes from the residuals (as ``residuals``), before the loop and then
-    from the accepted trial. The input is validated and planned once per
-    fit, and every residual and Jacobian call of the fit walks that plan
-    (``_fit_pair``); the public ``residuals`` and ``jacobian`` plan theirs
-    per call, with the same bits. A trial solves (J'J + mu*D) delta = -J'e with D = diag(J'J), probes
-    the residuals at p + h*delta (h = 0.1) for the second directional
-    derivative r'' = (2/h)*((e_h - e)/h - J*delta), and solves the same
-    system for the acceleration a with J'r'' on the right. It is rejected
-    unevaluated when 2*|D^1/2 a| > 0.75*|D^1/2 delta|; otherwise the
-    candidate p + delta + a/2 is evaluated and accepted only if the
-    objective strictly decreases. So a trial costs one probe and at most
-    one candidate evaluation. mu is divided by 3 on acceptance and
-    multiplied by 2 on rejection (Transtrum & Sethna 2012); every point
-    is projected onto the bounds. Stops on relative loss change, gradient
-    norm, max_iterations, or as ``stalled`` once mu passes 1e12. A step
-    is taken only if it lowers the loss, so the last parameters are the
-    best seen.
+    from the accepted trial, both from one ``_fit_pair``: the input is
+    validated and planned once per fit. A trial solves
+    (J'J + mu*D) delta = -J'e with D = diag(J'J), probes the residuals at
+    p + h*delta (h = 0.1) for the second directional derivative
+    r'' = (2/h)*((e_h - e)/h - J*delta), and solves the same system for
+    the acceleration a with J'r'' on the right. It is rejected unevaluated
+    when 2*|D^1/2 a| > 0.75*|D^1/2 delta|; otherwise the candidate
+    p + delta + a/2 is evaluated and accepted only if the objective
+    strictly decreases. So a trial costs one probe and at most one candidate
+    evaluation. mu is divided by 3 on acceptance and multiplied by 2 on
+    rejection (Transtrum & Sethna 2012); every point is projected onto the
+    bounds. Stops on relative loss change, gradient norm, max_iterations,
+    or as ``stalled`` once mu passes 1e12. A step is taken only if it
+    lowers the loss, so the last parameters are the best seen.
     """
     config = config or FitConfig()
     if traj.theta is None:

@@ -21,7 +21,7 @@ import itertools
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -194,9 +194,8 @@ def _stack(model, plan) -> _Stack:
     """``model``'s banks as the rows of one walk: bank ``b`` owns rows
     ``slices[b]``, in operator order; ``bank`` is each row's bank, and
     ``p``, ``asc_off``, ``desc_off`` its weight, ``kappa_asc*r`` and
-    ``kappa_desc*r``. ``asc`` and ``desc`` hold each bank's envelope, or
-    one for all when the banks share one object. ValueError if ``plan``
-    was made for another bank count."""
+    ``kappa_desc*r``, and ``asc`` and ``desc`` each bank's envelope.
+    ValueError if ``plan`` was made for another bank count."""
     banks = _banks(model)
     if len(banks) != plan.banks:
         raise ValueError(f"plan made for {plan.banks} bank(s), the model has {len(banks)}")
@@ -204,9 +203,8 @@ def _stack(model, plan) -> _Stack:
     rows = np.concatenate([*(b.density.weights() for b in banks),
                            *(b.kappa_asc * x for b, x in zip(banks, r)),
                            *(b.kappa_desc * x for b, x in zip(banks, r))]).reshape(3, -1)
-    envs = [b.asc_env for b in banks], [b.desc_env for b in banks]
     return _Stack(banks, *_layout(tuple(x.size for x in r)), *rows,
-                  *(e[:1] if all(env is e[0] for env in e) else e for e in envs))
+                  [b.asc_env for b in banks], [b.desc_env for b in banks])
 
 
 @lru_cache(maxsize=16)
@@ -219,12 +217,12 @@ def _layout(sizes: tuple) -> tuple:
 
 def _targets(envs, v) -> np.ndarray:
     """``T``, the values at ``v`` of ``envs`` (``_Stack.asc`` or ``desc``), a
-    row each; bank ``b`` reads row ``b % len(T)``."""
-    return np.array([env(v) for env in envs]) if len(envs) > 1 else np.asarray(envs[0](v))[None]
+    row per bank."""
+    return np.array([env(v) for env in envs])
 
 
 def _rows(stack: _Stack, T) -> np.ndarray:
-    """``T`` (``_targets``) at each row of ``stack``; one row broadcasts."""
+    """``T`` (``_targets``) at each row of ``stack``; a lone bank's row broadcasts."""
     return T if len(T) == 1 else T.take(stack.bank, axis=0)
 
 
@@ -444,7 +442,7 @@ def _bank_pass(stack: _Stack, plan, w):
             if s < min(t, i + k):
                 y[b, i : i + k] = _contract(p[a:e], R[a:e])
             if (s := max(s, i + k)) < t:
-                Tb = T[b % len(T), s - i : t - i]
+                Tb = T[b, s - i : t - i]
                 m = key[a:e].searchsorted(Tb if d[i] > 0 else -Tb)
                 P, Q = np.zeros((2, e - a + 1))
                 np.add.accumulate(po[a:e], out=P[1:])
@@ -546,18 +544,17 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
 
 
 def egpi_outputs(model, t, v):
-    """Fresh passes of the banks: ``(z, active, z1, z2)``.
+    """Fresh evaluations of each bank alone: ``(z, active, z1, z2)``.
 
-    ``z1`` and ``z2``, the submodel outputs, come from one pass each in
-    which that bank reports every sample; ``z``, ``active`` and
-    ``model.memory`` are as in ``egpi_eval``, with the same bits. A
+    ``z1`` and ``z2`` are the submodel outputs, each bank reporting every
+    sample; ``z`` and ``active`` pick from them by the model's switching,
+    with the bits of ``egpi_eval``. ``model.memory`` is left as it was. A
     ``GpiModel`` gives ``z1 = z2 = z`` and ``active = 1``.
     """
-    plan = _plan(model, t, v)
-    passes = [_evaluate(model, replace(plan, use2=np.full(plan.v.size, b > 0)))
-              for b in range(plan.banks)]
-    (z1, model.memory), (z2, _) = passes[0], passes[-1]
-    return np.where(plan.use2, z2, z1), np.where(plan.use2, 2, 1), z1, z2
+    plan = _plan(_banks(model)[0], t, v)  # a lone bank's fresh plan serves each bank
+    zs = [_evaluate(bank, plan)[0] for bank in _banks(model)]
+    use2 = _reports_second(model, plan.v, plan.d)
+    return np.where(use2, zs[-1], zs[0]), np.where(use2, 2, 1), zs[0], zs[-1]
 
 
 def egpi_eval(model, t, v, reset: bool = True):
@@ -570,8 +567,8 @@ def egpi_eval(model, t, v, reset: bool = True):
     always report submodel 1. Holds follow the non-ascending rule. A
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
-    ``model.memory`` is read and replaced as in ``gpi_eval``, once the
-    banks have run; the submodels' own are left alone. The call's plan
+    ``model.memory`` is read as in ``gpi_eval``, and the new one stored
+    once the banks have run; the submodels' own are left alone. The call's plan
     (``_plan``) starts the banks from it, and raises ConfigError if it
     holds another bank count. Each sample keeps the bits of its bank
     evaluated alone (``gpi_eval``).

@@ -98,7 +98,7 @@ def _bank_tangent(stack, plan, slots, P: int):
                 if T is None:
                     J[s:e] = J0
                     continue
-                Tb = T[b % len(T), s - i : e - i]
+                Tb = T[b, s - i : e - i]
                 m = key[a0:a1].searchsorted(Tb if rising else -Tb)
                 X, Y = np.zeros((2, a1 - a0 + 1, P))
                 np.add.accumulate(Xo[a0:a1], out=X[1:])

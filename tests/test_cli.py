@@ -38,6 +38,38 @@ def small_data(tmp_path):
     return data_path, model_path, params
 
 
+# ------------------------------------------------------------- path errors
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "fit-all"])
+def test_path_errors_exit_2_with_one_line(tmp_path, small_data, capsys, command):
+    # a path through a regular file, and an output directory that is one
+    data_path, model_path, _ = small_data
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = {"simulate": ("--reference", "--t-end", 1.0, "--out", afile / "x.csv"),
+            "evaluate": ("--data", afile / "x.csv", "--params", model_path,
+                         "--out", tmp_path / "o.csv"),
+            "fit-all": ("--data", data_path, "--out-dir", afile)}[command]
+    assert run(command, *argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(afile) in err[0]
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-all"])
+@pytest.mark.parametrize("epoch", ["yesterday", "1e20", "99999999999999"])
+def test_malformed_source_date_epoch_exits_2_before_the_fit(tmp_path, small_data, capsys,
+                                                           monkeypatch, command, epoch):
+    data_path, _, _ = small_data
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    monkeypatch.setattr("hystfit.cli.lm_fit", None)  # a fit would raise TypeError
+    out = ("--out-prefix", tmp_path / "out") if command == "fit" else ("--out-dir", tmp_path / "out")
+    assert run(command, "--data", data_path, "--flag-point", SWEEP_FLAG, *out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "SOURCE_DATE_EPOCH" in err[0]
+    assert not list(tmp_path.glob("out*"))
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_reference_deterministic(tmp_path):

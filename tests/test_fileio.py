@@ -353,6 +353,24 @@ def test_model_json_deterministic_under_source_date_epoch(tmp_path, monkeypatch)
     assert json.loads(p1.read_text())["meta"]["created"] == "2023-11-14T22:13:20Z"
 
 
+def test_failed_write_through_a_file_raises_one_error(tmp_path):
+    # removing the temp file fails the same way as creating it; that second
+    # error is dropped, not chained onto the first
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    with pytest.raises(NotADirectoryError) as info:
+        save_model(afile / "m.json", reference_model())
+    assert info.value.__context__ is None
+
+
+@pytest.mark.parametrize("epoch", ["yesterday", "1e20", "99999999999999"])
+def test_malformed_source_date_epoch_is_a_config_error(tmp_path, monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    with pytest.raises(ConfigError, match="SOURCE_DATE_EPOCH"):
+        save_model(tmp_path / "m.json", reference_model())
+    assert not list(tmp_path.iterdir())
+
+
 def test_load_model_bad_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{not json")

@@ -180,9 +180,14 @@ def test_objective_matches_independent_summation(small_fixture):
 
 
 def test_residuals_require_theta(small_fixture):
-    base, params, _, _ = small_fixture
+    base, params, clean, _ = small_fixture
     with pytest.raises(InputError):
         residuals(params, base, SWEEP_FLAG, "egpi")
+    with pytest.raises(InputError):
+        jacobian_fd(params, base, SWEEP_FLAG, "egpi")
+    # the angles do not enter the Jacobian
+    assert np.array_equal(jacobian(params, base, SWEEP_FLAG, "egpi"),
+                          jacobian(params, clean, SWEEP_FLAG, "egpi"))
 
 
 def test_residuals_reject_out_of_bounds(small_fixture):

@@ -471,12 +471,15 @@ REPORTED_CASES = {
 @pytest.mark.parametrize("make_model,make_input", REPORTED_CASES.values(), ids=REPORTED_CASES)
 def test_reported_samples_only_keeps_every_bit(make_model, make_input):
     # predict and egpi_eval evaluate each bank only where it is reported;
-    # the output and the final bank states keep the bits of a pass of both
-    # banks over every sample
+    # the output and the final bank states keep the bits of each bank
+    # evaluated alone over every sample
     t, v = make_input()
-    full = make_model()
-    _, active_full, z1, z2 = egpi_outputs(full, t, v)
+    _, active_full, z1, z2 = egpi_outputs(make_model(), t, v)
     want = np.where(active_full == 2, z2, z1)
+    alone = []
+    for bank in make_model().submodels:
+        gpi_eval(bank, t, v)
+        alone.append(bank.memory)
     partial = make_model()
     assert np.array_equal(predict(partial, t, v), want)
     streamed = make_model()
@@ -484,9 +487,33 @@ def test_reported_samples_only_keeps_every_bit(make_model, make_input):
     assert np.array_equal(z, want)
     assert np.array_equal(active, active_full)
     for model in (partial, streamed):
-        for got, ref in zip(model.memory.states, full.memory.states):
-            assert np.array_equal(got, ref)
-        assert model.memory.last_input == full.memory.last_input
+        for got, ref in zip(model.memory.states, alone):
+            assert np.array_equal(got, ref.states[0])
+        assert model.memory.last_input == alone[0].last_input
+
+
+OUTPUTS_CASES = {
+    "reference-sinusoid": (reference_model, _long_sinusoid),
+    "gpi-dither": (_second_reference_bank, _dither_input),
+    "narrow-mid-dither": (lambda: unequal_banks_model("narrow-mid"), _dither_input),
+}
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make_model,make_input", OUTPUTS_CASES.values(), ids=OUTPUTS_CASES)
+def test_egpi_outputs_are_the_banks_alone_and_leave_the_memory(make_model, make_input):
+    t, v = make_input()
+    model = make_model()
+    egpi_eval(model, t[:100], v[:100])
+    before = model.memory
+    z, active, z1, z2 = egpi_outputs(model, t, v)
+    assert model.memory is before
+    banks = _banks(make_model())
+    assert np.array_equal(z1, gpi_eval(banks[0], t, v))
+    assert np.array_equal(z2, gpi_eval(banks[-1], t, v))
+    want, want_active = egpi_eval(make_model(), t, v)
+    assert np.array_equal(z, want)
+    assert np.array_equal(active, want_active)
 
 
 @pytest.mark.filterwarnings("ignore:empty play band")

@@ -31,12 +31,13 @@ temporary directory, each as one float array:
   with its ``stored_memory``: a lone bank's continuation, which starts
   from the run-entering states when a chunk goes on with the run the
   last one ended in;
-- ``fitting.residuals`` and ``fitting.jacobian`` in egpi and in gpi mode;
+- ``fitting.residuals``, ``fitting.jacobian`` and the central-difference
+  ``fitting.jacobian_fd`` in egpi and in gpi mode;
 - in both modes, the final parameters and ``loss_trace`` of a five-
   iteration ``lm_fit`` of the linear model, from 1.1 times its
   parameters, to that model's own output. The fit plans its input once
-  and evaluates through its own residual and Jacobian functions, not the
-  public ones above.
+  for all its residual and Jacobian calls; each public function above
+  plans per call.
 
 It prints one ``DIFF`` line per item whose bits differ, with how many of
 its values differ (and, for a Jacobian, of its rows) and the largest
@@ -127,7 +128,7 @@ def save_all(cases_path: str, out: str) -> None:
     """Save every item of every case, evaluated with the ``hystfit`` on
     ``sys.path``, to ``out/<case>.npz``."""
     from hystfit import Trajectory, build_model, egpi_eval, gpi_eval, predict, reference_model
-    from hystfit.fitting import FitConfig, jacobian, lm_fit, residuals
+    from hystfit.fitting import FitConfig, jacobian, jacobian_fd, lm_fit, residuals
     from hystfit.operators import egpi_outputs
 
     sys.path.append(str(ROOT / "tests"))  # after the tree's src, which PYTHONPATH puts first
@@ -158,6 +159,7 @@ def save_all(cases_path: str, out: str) -> None:
         for mode, p, v_f in (("egpi", params, FLAG), ("gpi", gpi, None)):
             items[f"{mode} residuals"] = pack(residuals(p, traj, v_f, mode))
             items[f"{mode} jacobian"] = pack(jacobian(p, traj, v_f, mode))
+            items[f"{mode} jacobian_fd"] = pack(jacobian_fd(p, traj, v_f, mode))
             own = Trajectory(t=t, v=v, theta=predict(build_model(p, mode, v_f), t, v))
             fit = lm_fit(own, FitConfig(max_iterations=5, v_f=v_f, initial=1.1 * p), mode)
             items[f"{mode} lm_fit"] = pack(fit.params, fit.loss_trace)
