@@ -209,9 +209,8 @@ def _cmd_fit_all(args):
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes or not set(modes) <= set(FIT_MODES):
         raise ConfigError(f"--modes must list fit modes from {FIT_MODES}, got {args.modes!r}")
-    tasks = [
-        (data, mode, _make_config(args, mode), args.eps) for data in args.data for mode in modes
-    ]
+    configs = {mode: _make_config(args, mode) for mode in modes}
+    tasks = [(data, mode, configs[mode], args.eps) for data in args.data for mode in modes]
     stems = [os.path.splitext(os.path.basename(d))[0] + f".{m}" for d, m, _, _ in tasks]
     for k, stem in enumerate(stems):
         if stem in stems[:k]:

@@ -83,7 +83,7 @@ def load_dataset(path) -> Trajectory:
     """
     path = os.fspath(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -135,7 +135,7 @@ def _read_rows(path, width: int) -> tuple[np.ndarray, list[int]]:
     holds the file line of each row (blank lines hold no row). An
     InputError names a bad line."""
     values, lines = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
@@ -304,7 +304,7 @@ def save_model(path, model, source=""):
 
 def load_json(path) -> dict:
     """Parse a JSON file that must hold one object; errors name the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -161,7 +161,7 @@ def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 3
     residual function at ``params``, over a plan of its own."""
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    return _fit_pair(params, traj, v_f, mode, n)[0](params)
+    return _fit_pair(traj, v_f, mode, n)[0](params)
 
 
 def _bank_slots(mode: str) -> tuple:
@@ -192,24 +192,23 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
     its crossover) it takes the one-sided derivative of the branch the
     state is on. The measured angles do not enter it: ``_fit_pair``'s
     Jacobian function at ``params``, over a plan of its own."""
-    return _fit_pair(params, traj, v_f, mode, n)[1](params)
+    return _fit_pair(traj, v_f, mode, n)[1](params)
 
 
-def _fit_pair(params, traj: Trajectory, v_f, mode: str, n: int):
+def _fit_pair(traj: Trajectory, v_f, mode: str, n: int):
     """The residuals (which need ``traj.theta``) and the residual Jacobian
     of ``traj`` as functions of the parameters alone, over one fresh plan
-    of its input (``operators._plan``) made for the model of ``params``.
-    The plan decides the switching from the mode and flag, which every
-    model of the mode shares. Every residual and Jacobian goes through one.
+    of its input (``operators._plan``), which serves every model. Each call
+    builds its model once, which brings the switching of ``mode`` and
+    ``v_f``. Every residual and Jacobian goes through one.
     """
-    plan = _plan(build_model(params, mode, v_f, n), traj.t, traj.v)
-    theta, slots = traj.theta, _BANK_SLOTS[mode]
+    plan, theta = _plan(traj.t, traj.v), traj.theta
 
     def fit_residuals(p):
         return _evaluate(build_model(p, mode, v_f, n), plan)[0] - theta
 
     def fit_jacobian(p):
-        return model_jacobian(build_model(p, mode, v_f, n), plan, slots)
+        return model_jacobian(build_model(p, mode, v_f, n), plan, _BANK_SLOTS[mode])
 
     return fit_residuals, fit_jacobian
 
@@ -234,7 +233,7 @@ def jacobian_fd(
     params = validate_params(params, mode)
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    fit_residuals = _fit_pair(params, traj, v_f, mode, n)[0]
+    fit_residuals = _fit_pair(traj, v_f, mode, n)[0]
     base = fit_residuals(params)
     J = np.empty((base.size, params.size))
     for k in range(params.size):
@@ -390,7 +389,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     else:
         p = default_initial_guess(traj, v_f, mode)
 
-    fit_residuals, fit_jacobian = _fit_pair(p, traj, v_f, mode, n)
+    fit_residuals, fit_jacobian = _fit_pair(traj, v_f, mode, n)
     e = fit_residuals(p)
     loss = float(e @ e)
     trace = [loss]

@@ -127,18 +127,19 @@ class EgpiModel:
     """Two independent banks with flag-point output switching.
 
     Both submodels evolve in parallel over the same input; the flags only
-    select which output is reported, they never transfer state. ``memory``
-    (``Memory``) is the model's, apart from each submodel's own, so one
-    bank may fill both slots.
+    select which output is reported, they never transfer state; the pair
+    is kept as a tuple. ``memory`` (``Memory``) is the model's, apart from
+    each submodel's own, so one bank may fill both slots.
     """
 
-    submodels: list[GpiModel]
+    submodels: tuple[GpiModel, ...]
     mode: SwitchMode = SwitchMode.TWO_FLAG
     flag_asc: float | None = None
     flag_desc: float | None = None
     memory: Memory | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        self.submodels = tuple(self.submodels)
         if len(self.submodels) != 2:
             raise ConfigError(f"exactly two submodels required, got {len(self.submodels)}")
         for k, bank in enumerate(self.submodels, 1):
@@ -181,9 +182,9 @@ def _validate_series(t, *series):
     return arrays
 
 
-def _banks(model) -> list[GpiModel]:
+def _banks(model) -> tuple[GpiModel, ...]:
     """The banks of either model kind; a ``GpiModel`` is its own one bank."""
-    return model.submodels if isinstance(model, EgpiModel) else [model]
+    return model.submodels if isinstance(model, EgpiModel) else (model,)
 
 
 # a model's banks as the rows of one walk (``_stack``)
@@ -195,15 +196,16 @@ def _stack(model, plan) -> _Stack:
     ``slices[b]``, in operator order; ``bank`` is each row's bank, and
     ``p``, ``asc_off``, ``desc_off`` its weight, ``kappa_asc*r`` and
     ``kappa_desc*r``, and ``asc`` and ``desc`` each bank's envelope.
-    ValueError if ``plan`` was made for another bank count."""
+    ConfigError if ``plan`` continues a memory of other operator counts."""
     banks = _banks(model)
-    if len(banks) != plan.banks:
-        raise ValueError(f"plan made for {plan.banks} bank(s), the model has {len(banks)}")
     r = [bank.density.thresholds() for bank in banks]
+    sizes = tuple(x.size for x in r)
+    if plan.start is not None and (held := tuple(x.size for x in plan.start)) != sizes:
+        raise ConfigError(f"memory holds banks of {held} operators, the model has {sizes}")
     rows = np.concatenate([*(b.density.weights() for b in banks),
                            *(b.kappa_asc * x for b, x in zip(banks, r)),
                            *(b.kappa_desc * x for b, x in zip(banks, r))]).reshape(3, -1)
-    return _Stack(banks, *_layout(tuple(x.size for x in r)), *rows,
+    return _Stack(banks, *_layout(sizes), *rows,
                   [b.asc_env for b in banks], [b.desc_env for b in banks])
 
 
@@ -406,10 +408,10 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def _bank_pass(stack: _Stack, plan, w):
+def _bank_pass(stack: _Stack, plan, use2, w):
     """The output along the input of ``plan`` from the states ``w``
-    (``_states``), each sample's from the bank ``plan.use2`` reports
-    there, and each bank's memory: ``(z, states, run_states)``.
+    (``_states``), each sample's from the bank ``use2`` reports there,
+    and each bank's memory: ``(z, states, run_states)``.
 
     Each bank computes the samples it reports. A sample sums its bank's
     operator states (``_contract``) when it lies in a block or among the
@@ -423,7 +425,7 @@ def _bank_pass(stack: _Stack, plan, w):
     (``_blocks``) counts the samples of a continued run before ``v[0]``,
     which ``w`` entered.
     """
-    v, d, use2, p = plan.v, plan.d, plan.use2, stack.p
+    v, d, p = plan.v, plan.d, stack.p
     y = np.empty((len(stack.banks), v.size))  # a bank's unreported samples stay unset
     for i, j, S, E, T in _states(stack, v, d, plan.walk, w):
         if T is None:
@@ -464,67 +466,59 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """
     if isinstance(model, GpiModel):
         return np.zeros(v.size, dtype=bool)
-    asc = d > 0
     if model.mode is SwitchMode.TWO_FLAG:
-        return np.where(asc, v >= model.flag_asc, v <= model.flag_desc)
-    return ~asc & (v <= model.flag_desc)
+        return np.where(d > 0, v >= model.flag_asc, v <= model.flag_desc)
+    return (d <= 0) & (v <= model.flag_desc)
 
 
 @dataclass(frozen=True)
 class Plan:
     """One validated input and the walk of every pass over it (``_plan``).
 
-    ``v`` is the validated input, ``d`` its directions, ``use2`` the
-    samples submodel 2 reports, ``walk`` the walk entries, ``banks`` the
-    bank count, ``lead`` and ``run`` those of ``_blocks``, and ``start``
-    the state each bank begins from, None when fresh (``_init_bank``). The
-    plan decides what an evaluation continues from and how it switches;
-    the model supplies only its banks, so a fit plans its input once.
+    ``v`` is the validated input, ``d`` its directions, ``walk`` the walk
+    entries, ``lead`` and ``run`` those of ``_blocks``, and ``start`` the
+    state each bank begins from, None when fresh (``_init_bank``). The
+    input and the memory it continues decide all of it; a model brings its
+    banks and its switching where it meets the plan, so one fresh plan
+    serves every model over that input, and a fit plans its input once.
     """
 
     v: np.ndarray
     d: np.ndarray
-    use2: np.ndarray
     walk: list
-    banks: int
     lead: int
     run: int
     start: tuple | None
 
 
-def _plan(model, t, v, memory: Memory | None = None) -> Plan:
-    """Validate ``t`` and ``v`` (``_validate_series``) and plan the pass of
-    ``model``'s banks over ``v``, continuing from ``memory`` (fresh where
-    it is None).
+def _plan(t, v, memory: Memory | None = None) -> Plan:
+    """Validate ``t`` and ``v`` (``_validate_series``) and plan every pass
+    over ``v``, continuing from ``memory`` (fresh where it is None).
 
     The directions step from ``memory``'s last input, and ``_blocks`` cuts
     one walk for all banks, continuing ``memory``'s run; each bank starts
     from its run-entering state if ``v[0]`` goes on with that run
     (``lead``), else from its last state. Every pass, forward or tangent,
-    walks the rows of all banks at once (``_Stack``) along it, and takes
-    each sample's output or Jacobian row from the bank ``use2`` reports.
-    ConfigError if ``memory`` holds another number of banks than ``model``.
+    walks the rows of all of a model's banks at once (``_Stack``) along it.
     """
     _, v = _validate_series(t, v)
-    banks = len(_banks(model))
-    if memory is not None and len(memory.states) != banks:
-        raise ConfigError(f"memory holds {len(memory.states)} bank(s), the model has {banks}")
     prev, run = (None, 0) if memory is None else (memory.last_input, memory.run_length)
     d = _directions(v, prev)
     walk, lead, run = _blocks(d, run)
     start = None if memory is None else memory.run_states if lead else memory.states
-    return Plan(v, d, _reports_second(model, v, d), walk, banks, lead, run, start)
+    return Plan(v, d, walk, lead, run, start)
 
 
 def _evaluate(model, plan: Plan):
     """One pass of ``model``'s banks over ``plan`` from its start states:
-    ``(z, memory)`` (``_bank_pass``). ValueError for a model of another
-    bank count. The model is only read; the caller stores the memory.
+    ``(z, use2, memory)`` (``_bank_pass``), ``use2`` the samples submodel 2
+    reports (``_reports_second``). The model is only read.
     """
     stack, v = _stack(model, plan), plan.v
+    use2 = _reports_second(model, v, plan.d)
     w = _init_bank(stack, v[0]) if plan.start is None else np.concatenate(plan.start)
-    z, states, entries = _bank_pass(stack, plan, w)
-    return z, Memory(float(v[-1]), plan.run, states, entries)
+    z, states, entries = _bank_pass(stack, plan, use2, w)
+    return z, use2, Memory(float(v[-1]), plan.run, states, entries)
 
 
 def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
@@ -539,7 +533,7 @@ def gpi_eval(model: GpiModel, t, v, reset: bool = True) -> np.ndarray:
     """
     if not isinstance(model, GpiModel):
         raise ConfigError(f"gpi_eval takes a GpiModel, got {type(model).__name__}")
-    y, model.memory = _evaluate(model, _plan(model, t, v, None if reset else model.memory))
+    y, _, model.memory = _evaluate(model, _plan(t, v, None if reset else model.memory))
     return y
 
 
@@ -548,10 +542,10 @@ def egpi_outputs(model, t, v):
 
     ``z1`` and ``z2`` are the submodel outputs, each bank reporting every
     sample; ``z`` and ``active`` pick from them by the model's switching,
-    with the bits of ``egpi_eval``. ``model.memory`` is left as it was. A
-    ``GpiModel`` gives ``z1 = z2 = z`` and ``active = 1``.
+    with the bits of ``egpi_eval``, each bank over one plan. ``model.memory``
+    is left as it was. A ``GpiModel`` gives ``z1 = z2 = z`` and ``active = 1``.
     """
-    plan = _plan(_banks(model)[0], t, v)  # a lone bank's fresh plan serves each bank
+    plan = _plan(t, v)
     zs = [_evaluate(bank, plan)[0] for bank in _banks(model)]
     use2 = _reports_second(model, plan.v, plan.d)
     return np.where(use2, zs[-1], zs[0]), np.where(use2, 2, 1), zs[0], zs[-1]
@@ -568,14 +562,13 @@ def egpi_eval(model, t, v, reset: bool = True):
     ``GpiModel`` is the one-bank case: it always reports its bank.
 
     ``model.memory`` is read as in ``gpi_eval``, and the new one stored
-    once the banks have run; the submodels' own are left alone. The call's plan
-    (``_plan``) starts the banks from it, and raises ConfigError if it
-    holds another bank count. Each sample keeps the bits of its bank
-    evaluated alone (``gpi_eval``).
+    once the banks have run; the submodels' own are left alone. The call's
+    plan (``_plan``) starts the banks from it (ConfigError if it holds other
+    banks), and the model's switching gives ``active``. Each sample keeps
+    the bits of its bank evaluated alone (``gpi_eval``).
     """
-    plan = _plan(model, t, v, None if reset else model.memory)
-    z, model.memory = _evaluate(model, plan)
-    return z, np.where(plan.use2, 2, 1)
+    z, use2, model.memory = _evaluate(model, _plan(t, v, None if reset else model.memory))
+    return z, np.where(use2, 2, 1)
 
 
 def predict(model, t, v) -> np.ndarray:

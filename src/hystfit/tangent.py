@@ -14,7 +14,7 @@ import numpy as np
 
 from .envelopes import LinearEnvelope
 from .errors import ConfigError
-from .operators import _banks, _init_bank, _stack, _states, _sweep
+from .operators import _banks, _init_bank, _reports_second, _stack, _states, _sweep
 
 
 def _tables(bank, slots: dict, P: int):
@@ -40,10 +40,10 @@ def _tables(bank, slots: dict, P: int):
             ones * (bank.asc_env.a, bank.asc_env.b), ones * (bank.desc_env.a, bank.desc_env.b))
 
 
-def _bank_tangent(stack, plan, slots, P: int):
-    """Forward-mode pass of a fresh model's banks (``operators._Stack``)
+def _bank_tangent(model, plan, slots, P: int):
+    """Forward-mode pass of a fresh ``model``'s banks (``operators._Stack``)
     with linear envelopes over ``plan``: the Jacobian, one row per sample
-    and ``P`` columns, each row from the bank ``plan.use2`` reports.
+    and ``P`` columns, each row from the bank the model's switching reports.
     ``slots`` maps each bank's parameter names (``asc_slope``,
     ``asc_intercept``, ``desc_slope``, ``desc_intercept``, ``lam``,
     ``sigma``, ``r1``, ``rn``, ``kappa_desc``) to columns; others are fixed.
@@ -64,13 +64,14 @@ def _bank_tangent(stack, plan, slots, P: int):
     one of its samples (BLAS bits depend on the matrix shape); a hold's
     one row fills its span.
     """
+    stack = _stack(model, plan)
     dp, dasc, ddesc, a_asc, a_desc, asc, desc = map(np.concatenate, zip(*(
         _tables(bank, bank_slots, P) for bank, bank_slots in zip(stack.banks, slots, strict=True))))
     branch = {True: (dasc, a_asc, *asc.T), False: (ddesc, a_desc, *desc.T)}
 
     # clamped initial state: the tangent of whichever bound is active. As
     # w = clip(0, lo, hi), a state above 0 sits on lo and one below 0 on hi.
-    v, d, use2 = plan.v, plan.d, plan.use2
+    v, d, use2 = plan.v, plan.d, _reports_second(model, plan.v, plan.d)
     v0, w = float(v[0]), _init_bank(stack, v[0])
     dw = np.where(w[:, None] > 0.0, v0 * a_asc + dasc,
                   np.where(w[:, None] < 0.0, v0 * a_desc + ddesc, 0.0))
@@ -137,13 +138,13 @@ def model_jacobian(model, plan, slots):
 
     One forward-mode tangent pass (``_bank_tangent``) over either model
     kind with linear envelopes, over a fresh ``plan`` (``operators._plan``;
-    one that continues a memory raises ConfigError, one made for another
-    bank count ValueError). ``slots`` holds one dict per bank mapping that
-    bank's parameter names to Jacobian columns; banks may share columns.
+    one that continues a memory raises ConfigError). ``slots`` holds one
+    dict per bank mapping that bank's parameter names to Jacobian columns;
+    banks may share columns.
     """
     banks = _banks(model)
     if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
         raise ConfigError("the exact Jacobian needs linear envelopes")
     if plan.start is not None:
         raise ConfigError("the exact Jacobian needs a fresh plan, not one that continues a memory")
-    return _bank_tangent(_stack(model, plan), plan, slots, 1 + max(max(s.values()) for s in slots))
+    return _bank_tangent(model, plan, slots, 1 + max(max(s.values()) for s in slots))

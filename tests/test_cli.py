@@ -14,6 +14,7 @@ from hystfit import (
     predict,
     reference_model,
 )
+from hystfit import cli
 from hystfit.cli import main
 from hystfit.fileio import load_dataset, load_model, model_to_doc, save_dataset, save_model
 
@@ -67,6 +68,37 @@ def test_malformed_source_date_epoch_exits_2_before_the_fit(tmp_path, small_data
     assert run(command, "--data", data_path, "--flag-point", SWEEP_FLAG, *out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "SOURCE_DATE_EPOCH" in err[0]
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("initial-missing", "initial guess missing parameters: ['kappa']"),
+    ("evaluate-no-theta", "dataset has no theta column to evaluate against"),
+    *((f"report-no-{key}", f"not a fit result file (missing {key!r})")
+      for key in ("dataset", "fit_mode", "metrics")),
+])
+def test_input_errors_exit_2_with_one_line(tmp_path, small_data, capsys, case, message):
+    data_path, model_path, params = small_data
+    out = tmp_path / "out"
+    if case == "initial-missing":
+        path = tmp_path / "cfg.json"
+        initial = dict(zip(param_names("egpi")[:-1], map(float, params)))
+        path.write_text(json.dumps({"initial": initial}))
+        argv = ("fit", "--data", data_path, "--config", path, "--flag-point", SWEEP_FLAG,
+                "--out-prefix", out)
+    elif case == "evaluate-no-theta":
+        path = tmp_path / "nt.csv"
+        save_dataset(path, Trajectory(t=np.arange(100.0), v=np.sin(np.arange(100.0))))
+        argv = ("evaluate", "--data", path, "--params", model_path, "--out", out)
+    else:
+        path = tmp_path / "r.result.json"
+        doc = {"dataset": "d.csv", "fit_mode": "egpi", "metrics": _METRICS}
+        del doc[case.removeprefix("report-no-")]
+        path.write_text(json.dumps(doc))
+        argv = ("report", "--results", path, "--out", out)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not list(tmp_path.glob("out*"))
 
 
@@ -613,6 +645,20 @@ def test_fit_all_rejects_bad_modes(tmp_path, capsys, modes):
     assert "--modes must list fit modes" in err and repr(modes) in err
     assert "failed" not in err
     assert not out_dir.exists()
+
+
+def test_fit_all_builds_one_config_per_mode(tmp_path, monkeypatch):
+    # each (dataset, mode) task used to reread --config and SOURCE_DATE_EPOCH
+    made, make = [], cli._make_config
+    monkeypatch.setattr(cli, "_make_config", lambda args, mode: made.append(mode) or make(args, mode))
+    paths = [tmp_path / f"d{k}.csv" for k in range(3)]
+    for path in paths:
+        path.write_text("not a dataset\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iterations": 3}))
+    assert run("fit-all", "--data", *paths, "--modes", "egpi,gpi", "--config", cfg,
+               "--flag-point", SWEEP_FLAG, "--out-dir", tmp_path / "out") == 2
+    assert made == ["egpi", "gpi"]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,13 @@ def test_dataset_empty_file(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("")
     with pytest.raises(InputError):
+        load_dataset(path)
+
+
+def test_dataset_header_without_rows(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("t,v,theta\n\n")
+    with pytest.raises(InputError, match="d.csv: no data rows"):
         load_dataset(path)
 
 
@@ -238,6 +246,23 @@ def test_reader_quoted_fields_take_row_parser(tmp_path, row_parses):
     assert row_parses == [str(path)]
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+def test_dataset_with_byte_order_mark_loads_as_plain(tmp_path, row_parses, quoted):
+    # spreadsheet exports begin with U+FEFF, which was read into the header
+    # as '\ufefft'; a quoted field makes the row parser reread the file
+    lines = _dataset_lines(5000)
+    if quoted:
+        t, v, theta = lines[10].split(",")
+        lines[10] = f'{t},"{v}",{theta}'
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("t,v,theta\n" + "".join(lines), newline="")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = load_dataset(plain), load_dataset(marked)
+    for name in ("t", "v", "theta"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert len(row_parses) == 2 * quoted
+
+
 @pytest.mark.parametrize("bad, message", [
     (["1e3,oops,2\n"], "malformed row"),
     (["1e3,2\n"], "expected 3 columns, got 2"),
@@ -333,15 +358,38 @@ def test_model_doc_rejects_unknown_names_but_in_units_and_meta():
 
 
 def test_model_doc_requires_shared_density():
-    model = reference_model()
-    sub1, sub2 = model.submodels
-    model.submodels[1] = GpiModel(
+    sub1, sub2 = reference_model().submodels
+    model = replace(reference_model(), submodels=[sub1, GpiModel(
         density=DensitySpec(lam=0.2, sigma=0.0, r1=0.1, rn=1.0, n=3),
         asc_env=sub2.asc_env,
         desc_env=sub2.desc_env,
-    )
+    )])
     with pytest.raises(ConfigError):
         model_to_doc(model)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["density"].pop("sigma"), "density block missing field 'sigma'"),
+    (lambda doc: doc["submodels"][0].pop("desc_env"), "submodel block missing field 'desc_env'"),
+    (lambda doc: doc.pop("mode"), "model document must be an object with a 'mode' field"),
+    (lambda doc: doc["submodels"].__setitem__(1, 3), "submodel 2 must be an object, got int"),
+])
+def test_model_doc_missing_field_or_mistyped_block(edit, message):
+    doc = model_to_doc(reference_model())
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
+        model_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "egpi_two_flag", None])
+def test_model_doc_that_is_not_an_object(doc):
+    with pytest.raises(ConfigError, match="model document must be an object"):
+        model_from_doc(doc)
+
+
+def test_model_to_doc_rejects_what_is_not_a_model():
+    with pytest.raises(ConfigError, match="cannot serialize object of type str"):
+        model_to_doc("egpi_two_flag")
 
 
 def test_model_json_deterministic_under_source_date_epoch(tmp_path, monkeypatch):
@@ -384,6 +432,19 @@ def test_load_json_rejects_non_object(tmp_path, text):
     path.write_text(text)
     with pytest.raises(InputError, match=r"m\.json: expected a JSON object"):
         load_model(path)
+
+
+def test_json_with_byte_order_mark_loads_as_plain(tmp_path):
+    # a fit config and a model file: json.load raised "Unexpected UTF-8 BOM"
+    config = {"max_iterations": 3, "v_f": SWEEP_FLAG, "initial": list(recovery_params(0))}
+    save_model(tmp_path / "model.json", reference_model())
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    for name in ("config.json", "model.json"):
+        plain, marked = tmp_path / name, tmp_path / f"marked-{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert fileio.load_json(marked) == fileio.load_json(plain)
+    assert fileio.load_json(tmp_path / "marked-config.json") == config
+    assert load_model(tmp_path / "marked-model.json") == load_model(tmp_path / "model.json")
 
 
 # ------------------------------------------------------------------ reports

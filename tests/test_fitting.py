@@ -150,6 +150,18 @@ def test_flag_point_must_be_a_number(small_fixture, v_f):
             call()
 
 
+@pytest.mark.parametrize("mode, params, message", [
+    ("egpi", np.ones(10), r"mode 'egpi' takes 11 parameters, got shape \(10,\)"),
+    ("gpi", np.ones((2, 8)), r"mode 'gpi' takes 8 parameters, got shape \(2, 8\)"),
+    ("gpi", [1.0] * 9, r"mode 'gpi' takes 8 parameters, got shape \(9,\)"),
+    ("gpi", np.array([1.0, np.nan, 1.0, 1.0, 0.07, 0.1, 0.3, 2.0]), "parameters must be finite"),
+    ("egpi", np.r_[recovery_params(0)[:10], np.inf], "parameters must be finite"),
+])
+def test_validate_params_rejects_shape_and_non_finite_values(mode, params, message):
+    with pytest.raises(ParameterError, match=message):
+        validate_params(params, mode)
+
+
 def test_integer_flag_point_is_stored_as_a_float():
     flag = build_model(recovery_params(1), "egpi", 6).flag_desc
     assert type(flag) is float and flag == 6.0
@@ -233,6 +245,28 @@ def test_jacobian_forward_central_step_halving(small_fixture):
         J_f = jacobian_fd(params, noisy, SWEEP_FLAG, "egpi", rel_step=h, scheme="forward")
         errs.append(float(np.max(np.abs(J_f[:, sigma_idx] - J_ref[:, sigma_idx]))))
     assert errs[1] <= 0.75 * errs[0] + 1e-12
+
+
+@pytest.mark.parametrize("r", [0.3, 1e-6])
+def test_jacobian_fd_at_r1_equal_to_rn(small_fixture, r):
+    # r1 == rn: r1 cannot step up, so its column takes the minus step; at
+    # the floor it cannot step down either, and the column is pinned to 0
+    noisy = small_fixture[3]
+    names = list(param_names("gpi"))
+    i1, i2 = names.index("r1"), names.index("rn")
+    p = recovery_params(0)[[0, 1, 2, 3, 6, 7, 8, 9]]
+    p[i1] = p[i2] = r
+    J = jacobian_fd(p, noisy, mode="gpi")
+    h = max(1e-6 * r, 1e-6)
+    if r > 1e-6:
+        minus = p.copy()
+        minus[i1] -= h
+        base = residuals(p, noisy, mode="gpi")
+        assert np.array_equal(J[:, i1], (base - residuals(minus, noisy, mode="gpi")) / h)
+        assert np.any(J[:, i1])
+    else:
+        assert not np.any(J[:, i1])
+    assert np.all(np.isfinite(J)) and np.any(J[:, i2])
 
 
 def test_jacobian_falls_back_to_one_sided_at_bounds(small_fixture):
@@ -392,19 +426,19 @@ def test_tangent_rows_equal_passes_over_every_row(seed):
     # short-tail input bank 2 reports no sample of a rise longer than
     # three blocks, one walk entry.
     from hystfit.fitting import _bank_slots
-    from hystfit.operators import _plan, _stack
+    from hystfit.operators import _plan, _reports_second
     from hystfit.tangent import _bank_tangent, model_jacobian
 
     model = build_model(recovery_params(seed), "egpi", SWEEP_FLAG)
     slots = _bank_slots("egpi")
     for traj in (sweep_input(), short_tail_input()):
-        plan = _plan(model, traj.t, traj.v)
+        plan = _plan(traj.t, traj.v)
         J = model_jacobian(model, plan, slots)
         every = []
         for bank, bank_slots in zip(model.submodels, slots):
-            alone = _plan(bank, traj.t, traj.v)
-            every.append(_bank_tangent(_stack(bank, alone), alone, [bank_slots], J.shape[1]))
-        assert np.array_equal(J, np.where(plan.use2[:, None], every[1], every[0]))
+            every.append(_bank_tangent(bank, plan, [bank_slots], J.shape[1]))
+        use2 = _reports_second(model, plan.v, plan.d)
+        assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))
 
 
 def test_tangent_pass_rejects_tanh_envelopes():
@@ -414,7 +448,7 @@ def test_tangent_pass_rejects_tanh_envelopes():
 
     model, v = reference_model(), np.linspace(0.0, 1.0, 10)
     with pytest.raises(ConfigError):
-        model_jacobian(model, _plan(model, v, v), [{"lam": 0}] * 2)
+        model_jacobian(model, _plan(v, v), [{"lam": 0}] * 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -424,7 +458,7 @@ def test_fit_pair_keeps_the_bits_of_the_public_residuals_and_jacobian(seed, mode
     traj, _, params = recovery_dataset(seed)
     truth = params if mode == "egpi" else params[[0, 1, 2, 3, 6, 7, 8, 9]]
     guess = default_initial_guess(traj, SWEEP_FLAG, mode)
-    fit_residuals, fit_jacobian = _fit_pair(guess, traj, SWEEP_FLAG, mode, 30)
+    fit_residuals, fit_jacobian = _fit_pair(traj, SWEEP_FLAG, mode, 30)
     for p in (truth, guess):
         assert np.array_equal(fit_residuals(p), residuals(p, traj, SWEEP_FLAG, mode))
         assert np.array_equal(fit_jacobian(p), jacobian(p, traj, SWEEP_FLAG, mode))
@@ -590,6 +624,8 @@ def test_fit_config_validation():
         FitConfig(mu0=-1.0)
     with pytest.raises(ConfigError):
         FitConfig(loss_tol=0.0)
+    with pytest.raises(ConfigError, match="n_operators must be >= 1"):
+        FitConfig(n_operators=0)
 
 
 # ---------------------------------------------------------- initial guess
@@ -613,6 +649,31 @@ def test_default_guess_requires_descending_data():
     traj = Trajectory(t=np.arange(200.0), v=v, theta=2 * v)
     with pytest.raises(InitializationError):
         default_initial_guess(traj, mode="gpi")
+
+
+def _guess_input(v, theta=True):
+    v = np.asarray(v, dtype=float)
+    return Trajectory(t=np.arange(float(v.size)), v=v, theta=2.0 * v if theta else None)
+
+
+@pytest.mark.parametrize("traj, v_f, error, message", [
+    (_guess_input(np.r_[0:10, 10:0:-1], theta=False), None, InputError,
+     "initial guess needs measured angles"),
+    (_guess_input(np.r_[10:0:-1, 1, 2, 1, 0]), None, InitializationError,
+     "too few ascending samples for a regression"),
+    # the flag lies above every descending sample, or below all but one
+    (_guess_input(np.r_[0:10, 10:0:-1]), 20.0, InitializationError,
+     "too few samples for the upper descending regression"),
+    (_guess_input(np.r_[0:10, 10:0:-1]), 1.5, InitializationError,
+     "too few samples for the lower descending regression"),
+    # two of the three ascending samples lie in the upper half of their span
+    (_guess_input(np.r_[0, 1, 0, 2, 0, 3, 2, 1, 0]), None, InitializationError,
+     "too few samples for the ascending regression"),
+])
+def test_default_guess_error_paths(traj, v_f, error, message):
+    mode = "gpi" if v_f is None else "egpi"
+    with pytest.raises(error, match=message):
+        default_initial_guess(traj, v_f, mode)
 
 
 def test_default_guess_in_bounds_on_reference_output():

@@ -1,3 +1,4 @@
+import operator
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,13 +24,14 @@ from hystfit import (
     LinearEnvelope,
     SwitchMode,
     TanhEnvelope,
+    Trajectory,
     build_model,
     egpi_eval,
     gpi_eval,
     predict,
     reference_model,
 )
-from hystfit.fitting import jacobian, residuals
+from hystfit.fitting import _bank_slots, jacobian, residuals
 from hystfit.operators import (
     _BLOCK,
     _LONG,
@@ -263,6 +265,13 @@ def test_constructors_reject_ints_too_large_for_a_float(cls, name, named):
     with pytest.raises(ConfigError, match="finite number") as info:
         cls(**{**_valid_fields(cls), name: 10**400})
     assert named in str(info.value)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_a_switched_model_needs_exactly_two_banks(count):
+    bank = reference_model().submodels[0]
+    with pytest.raises(ConfigError, match=f"exactly two submodels required, got {count}"):
+        EgpiModel([bank] * count, SwitchMode.DESCEND_FLAG, flag_desc=0.0)
 
 
 # ----------------------------------------------------------------- gpi_eval
@@ -538,6 +547,23 @@ def test_streaming_cuts_inside_unreported_stretches():
 
 
 @pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("change, error", [
+    (lambda banks: banks.append(banks[0]), AttributeError),
+    (lambda banks: banks.pop(), AttributeError),
+    (lambda banks: operator.setitem(banks, 1, banks[0]), TypeError),
+])
+def test_a_switched_model_keeps_its_two_banks(change, error):
+    # the banks were a list: with a third appended egpi_eval read unset
+    # rows (values up to 2.5e296), with one popped it was up to 9.7 deg off
+    t, v = _recovery_sweep()
+    model = _recovery_model()
+    with pytest.raises(error):
+        change(model.submodels)
+    assert len(model.submodels) == 2
+    assert np.array_equal(egpi_eval(model, t, v)[0], predict(_recovery_model(), t, v))
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
 def test_submodel_stepped_alone_keeps_its_own_memory():
     # stepping bank 1 through gpi_eval between two calls of its switched
     # model used to overwrite the bank memory that the model's next
@@ -583,30 +609,67 @@ def test_evaluation_that_raises_leaves_the_memory_unchanged():
 
 
 @pytest.mark.filterwarnings("ignore:empty play band")
-def test_a_plan_holds_the_memory_it_continues_and_serves_only_its_bank_count():
+def test_a_plan_holds_the_memory_it_continues():
     t, v = _recovery_sweep()
     model = _recovery_model()
-    z, memory = _evaluate(model, _plan(model, t[:1000], v[:1000]))
+    z, _, memory = _evaluate(model, _plan(t[:1000], v[:1000]))
     assert np.array_equal(z, predict(_recovery_model(), t[:1000], v[:1000]))
-    onward = _plan(model, t[1000:], v[1000:], memory)
+    onward = _plan(t[1000:], v[1000:], memory)
     assert onward.lead  # the banks start from their run-entering states
-    z, after = _evaluate(model, onward)
+    z, _, after = _evaluate(model, onward)
     public = _recovery_model()
     egpi_eval(public, t[:1000], v[:1000])
     assert np.array_equal(z, egpi_eval(public, t[1000:], v[1000:], reset=False)[0])
     for f in fields(after):
         assert np.array_equal(getattr(after, f.name), getattr(public.memory, f.name))
-    fresh = _plan(model, t, v)
-    three = _recovery_model()
-    three.submodels.append(model.submodels[0])
-    slots = [{"lam": 0}] * 2
-    for other in (model.submodels[0], three):
-        with pytest.raises(ValueError):
-            _evaluate(other, fresh)
-        with pytest.raises(ValueError):
-            model_jacobian(other, fresh, slots)
     with pytest.raises(ConfigError, match="fresh plan"):
-        model_jacobian(model, onward, slots)
+        model_jacobian(model, onward, [{"lam": 0}] * 2)
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make_input", [_recovery_sweep, _short_tail_sweep])
+def test_one_fresh_plan_serves_every_model(make_input):
+    # the plan holds only what the input decides; each model brings its
+    # banks and its switching, so one plan gives the bits of each public
+    # call, which plans for itself
+    t, v = make_input()
+    model, plan = _recovery_model(), _plan(t, v)
+    for k, bank in enumerate(model.submodels):
+        z, use2, _ = _evaluate(bank, plan)
+        assert np.array_equal(z, gpi_eval(_recovery_model().submodels[k], t, v))
+        assert not use2.any()
+    z, use2, _ = _evaluate(model, plan)
+    want, active = egpi_eval(_recovery_model(), t, v)
+    assert np.array_equal(z, want)
+    assert np.array_equal(np.where(use2, 2, 1), active)
+    params, traj = recovery_params(0), Trajectory(t=t, v=v)
+    for mode, p, target in (("egpi", params, model),
+                            ("gpi", params[[0, 1, 2, 3, 6, 7, 8, 9]], model.submodels[0])):
+        J = model_jacobian(target, plan, _bank_slots(mode))
+        assert np.array_equal(J, jacobian(p, traj, SWEEP_FLAG, mode))
+    assert model.memory is None and model.submodels[0].memory is None
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+def test_a_memory_of_other_operator_counts_raises_and_is_kept():
+    # before, a bank whose operator count changed after a call raised
+    # numpy's broadcast ValueError on the next reset=False call
+    t, v = _recovery_sweep()
+    model = _recovery_model()
+    egpi_eval(model, t[:1000], v[:1000])
+    memory = model.memory
+    bank = model.submodels[1]
+    bank.density = replace(bank.density, n=bank.density.n - 1)
+    message = r"memory holds banks of \(31, 31\) operators, the model has \(31, 30\)"
+    with pytest.raises(ConfigError, match=message):
+        egpi_eval(model, t[1000:], v[1000:], reset=False)
+    assert model.memory is memory
+    gpi_eval(bank, t[:1000], v[:1000])
+    memory = bank.memory
+    bank.density = replace(bank.density, n=bank.density.n + 1)
+    with pytest.raises(ConfigError, match="memory holds"):
+        gpi_eval(bank, t[1000:], v[1000:], reset=False)
+    assert bank.memory is memory
 
 
 @pytest.mark.filterwarnings("ignore:empty play band")
@@ -1163,5 +1226,5 @@ def test_saturated_rerise_has_ties():
     bank = _saturated_ties_model().submodels[0]
     gpi_eval(bank, 1e-3 * np.arange(start), v[:start])
     T = bank.asc_env(v[start:start + 150])
-    c, _, _ = _sweep(_stack(bank, _plan(bank, [0.0], [0.0])), bank.memory.states[0], True)
+    c, _, _ = _sweep(_stack(bank, _plan([0.0], [0.0])), bank.memory.states[0], True)
     assert np.isin(T[_LONG:], c).any()
