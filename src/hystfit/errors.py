@@ -51,21 +51,17 @@ def check_number(value, name: str, integer: bool = False):
     Anything else, a bool or an int too large for a float included, raises
     ConfigError naming the field ``name``.
     """
-    if not is_number(value, integer):
-        what = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
-def is_number(value, integer: bool = False) -> bool:
-    """The rule of ``check_number``: whether ``value`` passes it."""
     kind = numbers.Integral if integer else numbers.Real
     try:
-        return not isinstance(value, bool) and isinstance(value, kind) and (
+        ok = not isinstance(value, bool) and isinstance(value, kind) and (
             integer or math.isfinite(value)
         )
     except OverflowError:
-        return False
+        ok = False
+    if not ok:
+        what = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def check_names(doc, known, what: str) -> None:

@@ -19,6 +19,7 @@ not part of the search space.
 
 from __future__ import annotations
 
+import numbers
 import reprlib
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -33,7 +34,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     check_number,
-    is_number,
 )
 from .metrics import Metrics, compute_metrics
 from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, _evaluate, _plan
@@ -97,13 +97,16 @@ def param_bounds(mode: str) -> np.ndarray:
 def validate_params(params, mode: str) -> np.ndarray:
     names = param_names(mode)
     raw = params if isinstance(params, np.ndarray) else np.asarray(params, dtype=object)
-    # strings, bools and ints too large for a float would convert, or raise
+    # strings, bools and ints too large for a float would convert, or raise;
+    # NaN and infinities are numbers, and fail the finite check below
     if raw.dtype.kind not in "fiu":
         for k, x in enumerate(raw.flat):
-            if not is_number(x):
+            try:
+                float(x if isinstance(x, numbers.Real) and not isinstance(x, bool) else None)
+            except (TypeError, OverflowError):
                 raise ParameterError(
                     f"mode {mode!r} takes numeric parameters, got {reprlib.repr(x)} at index {k}"
-                )
+                ) from None
     params = raw.astype(float, copy=False)
     if params.shape != (len(names),):
         raise ParameterError(

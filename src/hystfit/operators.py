@@ -63,10 +63,7 @@ class DensitySpec:
     @cached_property
     def _grid(self):
         # computed once per instance; read-only, as every caller shares them
-        if self.n == 1:
-            r = np.array([0.0, self.r1])
-        else:
-            r = np.concatenate(([0.0], np.linspace(self.r1, self.rn, self.n)))
+        r = np.concatenate(([0.0], np.linspace(self.r1, self.rn, self.n)))
         p = self.lam * np.exp(-self.sigma * r)
         r.flags.writeable = p.flags.writeable = False
         return r, p

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fixtures import SWEEP_FLAG, recovery_params, refuse_huge_arange, sweep_input
 
 from hystfit import (
+    ConfigError,
     Trajectory,
     build_model,
     gen_synthetic,
@@ -407,6 +409,18 @@ def test_fit_config_rejects_wrong_types(tmp_path, small_data, capsys, field, val
     assert run("fit", "--data", data_path, "--config", cfg, "--out-prefix", tmp_path / "fit") == 2
     assert f"fit config field {field!r}" in capsys.readouterr().err
     assert not (tmp_path / "fit.result.json").exists()
+
+
+def test_fit_config_initial_with_nan_is_not_finite(tmp_path):
+    # json reads NaN, and the list used to be named non-numeric
+    initial = [float(x) for x in recovery_params(0)]
+    initial[6] = float("nan")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial": initial}))
+    args = SimpleNamespace(config=cfg, flag_point=None)
+    with pytest.raises(ConfigError, match="^fit config field 'initial': parameters must be finite$"):
+        cli._make_config(args, "egpi")
+
 
 def test_full_pipeline_roundtrip_noiseless(tmp_path, small_data, capsys):
     # generate(model, noise 0) -> fit initialized at the truth -> evaluate

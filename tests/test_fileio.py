@@ -24,6 +24,7 @@ from hystfit import (
 )
 from hystfit import fileio
 from hystfit.fileio import (
+    _read_rows,
     load_dataset,
     load_model,
     model_from_doc,
@@ -143,7 +144,7 @@ def test_failed_write_removes_temp_and_keeps_target(tmp_path):
     assert path.read_text() == "old\n"
 
 
-# ------------------------------------------------------- block-wise CSV I/O
+# ---------------------------------------- CSV writer blocks and reader paths
 
 def _reference_text(header, columns):
     """Dataset text as written one value at a time through ``csv.writer``."""
@@ -217,8 +218,8 @@ def _check_loads_like_reference(path):
 
 def test_reader_blank_lines_at_block_edges(tmp_path, row_parses):
     lines = _dataset_lines(10000)
-    # blank lines end the first block of lines and start the second, and
-    # a run of them fills the third block entirely
+    # blank lines of each ending around data line 4,096, and a run of them
+    # as long as a written block: numpy skips them all, with no row parse
     lines[4094:4094] = ["\n", "\r\n", "\n"]
     lines[8190:8190] = ["\n"] * fileio._ROWS
     path = tmp_path / "d.csv"
@@ -278,6 +279,37 @@ def test_reader_error_in_second_block_names_file_line(tmp_path, bad, message):
     path.write_text("t,v,theta\n" + "".join(lines), newline="")
     with pytest.raises(InputError, match=rf"d\.csv:5002: {message}"):
         load_dataset(path)
+
+
+# the data lines after a "t,v,theta" header, and the InputError's text after
+# the path, or None for a file that loads through one row parse
+@pytest.mark.parametrize("body, message", [
+    pytest.param(b"0,1,2\n   \n1,2,3\n", ":3: expected 3 columns, got 1", id="whitespace-line"),
+    pytest.param(b"0,1,2\n1,2#c,3\n", ":3: malformed row ['1', '2#c', '3']", id="hash-in-field"),
+    pytest.param(b"0,1,2,\n", ":2: expected 3 columns, got 4", id="trailing-comma"),
+    pytest.param(b"0,1_000,2\n1,2,3\n", None, id="underscore-digits"),
+    pytest.param("0,\u0661\u0662,2\n1,2,3\n".encode(), None, id="non-ascii-digits"),
+    pytest.param(b"0,1,2\n\nnan,2,3\n", ":4: non-finite value at line 4", id="nan"),
+    pytest.param(b"\n", ": no data rows", id="no-rows"),
+    # numpy alone reads these as a table of another width
+    pytest.param(b"0,1\n1,2\n", ":2: expected 3 columns, got 2", id="one-field-short"),
+    pytest.param(b"0,1,2,3\n1,2,3,4\n", ":2: expected 3 columns, got 4", id="one-field-beyond"),
+    # far enough in that the header's read does not decode it
+    pytest.param("".join(_dataset_lines(5000)).encode() + b"1e6,\xff,0\n", ": not UTF-8 text",
+                 id="non-utf8-row"),
+])
+def test_reader_edge_files_read_as_the_row_parser(tmp_path, row_parses, body, message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"t,v,theta\n" + body)
+    if message is not None:
+        with pytest.raises(InputError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}{message}"
+        return
+    traj = load_dataset(path)
+    assert row_parses == [str(path)]
+    want, _ = _read_rows(path, 3)
+    assert np.array_equal(np.column_stack([traj.t, traj.v, traj.theta]), want)
 
 
 # -------------------------------------------------------------- model files

@@ -156,6 +156,11 @@ def test_flag_point_must_be_a_number(small_fixture, v_f):
     ("gpi", [1.0] * 9, r"mode 'gpi' takes 8 parameters, got shape \(9,\)"),
     ("gpi", np.array([1.0, np.nan, 1.0, 1.0, 0.07, 0.1, 0.3, 2.0]), "parameters must be finite"),
     ("egpi", np.r_[recovery_params(0)[:10], np.inf], "parameters must be finite"),
+    # as a list or tuple, as a config's "initial" arrives: these were named
+    # non-numeric ("takes numeric parameters, got nan at index 1")
+    ("gpi", [1.0, float("nan"), 1, 1, 0.07, 0.1, 0.3, 2], "parameters must be finite"),
+    ("egpi", (*recovery_params(0)[:10].tolist(), float("inf")), "parameters must be finite"),
+    ("gpi", [np.float64(-np.inf), 1.0, 1, 1, 0.07, 0.1, 0.3, 2], "parameters must be finite"),
 ])
 def test_validate_params_rejects_shape_and_non_finite_values(mode, params, message):
     with pytest.raises(ParameterError, match=message):

@@ -13,11 +13,12 @@ one-bank GPI variant) and a fit config, generates its datasets with
 ``hystfit generate``, then runs ``simulate``, ``fit`` (egpi and gpi, and
 one egpi fit that reads the config and detects its flag point),
 ``evaluate``, ``fit-all --jobs 2`` and ``report``. Its last steps cross
-the 4,096-row blocks of the dataset CSV reader and writer: a
-``simulate --reference`` at the default ``--dt`` (10,001 rows), and
-``evaluate`` on a 10,001-row dataset rewritten twice, once with CRLF line
-endings and blank lines (read block by block) and once with a quoted
-field in its second block (read row by row). The scenario closes on a
+the 4,096-row blocks of the dataset CSV writer and take both paths of the
+reader: a ``simulate --reference`` at the default ``--dt`` (10,001 rows),
+and ``evaluate`` on a 10,001-row dataset rewritten twice, once with CRLF
+line endings and blank lines (parsed by numpy) and once with a quoted
+field past its 4,096th row (which numpy rejects, so the file is read row
+by row). The scenario closes on a
 quantized dither input (``dither_rows``, no RNG), whose short runs and
 holds fill blocks of several runs: ``generate --input`` and
 ``evaluate`` run on it.
@@ -100,7 +101,7 @@ SCENARIO = (
 
 
 def rewrite_crlf(lines: list[str]) -> list[str]:
-    """CRLF line endings, with blank lines on both sides of the block edge."""
+    """CRLF line endings, and two blank lines after file line 4,096."""
     lines = lines[:4096] + ["", ""] + lines[4096:]
     return [line + "\r\n" for line in lines]
 
