@@ -22,7 +22,6 @@ from __future__ import annotations
 import numbers
 import reprlib
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -36,9 +35,10 @@ from .errors import (
     check_number,
 )
 from .metrics import Metrics, compute_metrics
-from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, _evaluate, _plan
+from .operators import (DensitySpec, EgpiModel, GpiModel, SwitchMode, _bank_pass, _grid,
+                        _init_bank, _plan, _reports_second, _stack)
 from .signals import Trajectory
-from .tangent import model_jacobian
+from .tangent import _bank_tangent, _tables
 
 EGPI_PARAM_NAMES = (
     "asc_slope",
@@ -138,21 +138,17 @@ def project_params(params, mode: str) -> np.ndarray:
 def build_model(params, mode: str, v_f: float | None = None, n: int = 30):
     """Materialize the model a parameter vector describes.
 
-    One bank per ``_BANK_SLOTS`` entry, so the model and its Jacobian read
-    one layout. All banks share the density and the ascending envelope.
+    Bank ``b`` takes its fields from the columns ``_COLUMNS[mode][b]``, the
+    table a fit lays its banks out with (``_fit_pair``). All banks share
+    the density and the ascending envelope.
     """
     params = validate_params(params, mode)
     if mode == "egpi" and v_f is None:
         raise ConfigError("egpi mode requires a flag point v_f")
-    values = [{name: params[i] for name, i in s.items()} for s in _BANK_SLOTS[mode]]
-    shared = values[0]  # the density and the ascending envelope of every bank
-    density = DensitySpec(**{k: shared[k] for k in ("lam", "sigma", "r1", "rn")}, n=n)
-    asc = LinearEnvelope(a=shared["asc_slope"], b=shared["asc_intercept"])
-    banks = [
-        GpiModel(density, asc, LinearEnvelope(a=b["desc_slope"], b=b["desc_intercept"]),
-                 kappa_desc=b.get("kappa_desc", 1.0))
-        for b in values
-    ]
+    fields = np.append(params, 1.0)[_COLUMNS[mode]]
+    density = DensitySpec(*fields[0, 4:8], n=n)
+    asc = LinearEnvelope(*fields[0, :2])
+    banks = [GpiModel(density, asc, LinearEnvelope(*f[2:4]), kappa_desc=f[8]) for f in fields]
     if mode == "gpi":
         return banks[0]
     v_f = float(check_number(v_f, "flag point v_f"))
@@ -164,28 +160,18 @@ def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 3
     residual function at ``params``, over a plan of its own."""
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    return _fit_pair(traj, v_f, mode, n)[0](params)
-
-
-def _bank_slots(mode: str) -> tuple:
-    """Column of each bank parameter in the layout, one read-only dict per bank."""
-    col = {name: i for i, name in enumerate(param_names(mode))}
-    if mode == "gpi":
-        return (MappingProxyType(col),)
-    shared = {k: col[k] for k in ("asc_slope", "asc_intercept", "lam", "sigma", "r1", "rn")}
-    return (
-        MappingProxyType({**shared, "desc_slope": col["desc1_slope"],
-                          "desc_intercept": col["desc1_intercept"]}),
-        MappingProxyType({**shared, "desc_slope": col["desc2_slope"],
-                          "desc_intercept": col["desc2_intercept"], "kappa_desc": col["kappa"]}),
-    )
+    return _fit_pair(traj, params, v_f, mode, n)[0](params)
 
 
 # built once per mode, as every call reads them
 _LOWER = {mode: tuple(_FLOOR if name.endswith("slope") or name in ("lam", "r1", "rn", "kappa")
                       else 0.0 if name == "sigma" else -np.inf for name in param_names(mode))
           for mode in FIT_MODES}
-_BANK_SLOTS = {mode: _bank_slots(mode) for mode in FIT_MODES}
+# the column of each bank field (asc_slope, asc_intercept, desc_slope,
+# desc_intercept, lam, sigma, r1, rn, kappa_desc) in a mode's layout, a row
+# per bank; the column past the layout stands for the fixed regulator 1
+_COLUMNS = {"egpi": np.array([[0, 1, 2, 3, 6, 7, 8, 9, 11], [0, 1, 4, 5, 6, 7, 8, 9, 10]]),
+            "gpi": np.array([[0, 1, 2, 3, 4, 5, 6, 7, 8]])}
 
 
 def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
@@ -195,23 +181,42 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
     its crossover) it takes the one-sided derivative of the branch the
     state is on. The measured angles do not enter it: ``_fit_pair``'s
     Jacobian function at ``params``, over a plan of its own."""
-    return _fit_pair(traj, v_f, mode, n)[1](params)
+    return _fit_pair(traj, params, v_f, mode, n)[1](params)
 
 
-def _fit_pair(traj: Trajectory, v_f, mode: str, n: int):
+def _line(a, b):
+    """The function of ``LinearEnvelope(a, b)``, for fields already checked."""
+    return lambda v: a * v + b
+
+
+def _fit_pair(traj: Trajectory, params, v_f, mode: str, n: int):
     """The residuals (which need ``traj.theta``) and the residual Jacobian
     of ``traj`` as functions of the parameters alone, over one fresh plan
-    of its input (``operators._plan``), which serves every model. Each call
-    builds its model once, which brings the switching of ``mode`` and
-    ``v_f``. Every residual and Jacobian goes through one.
+    of its input (``operators._plan``). Every residual and Jacobian goes
+    through one. ``build_model(params, mode, v_f, n)`` runs once: it checks
+    ``v_f`` and ``n`` and gives the switch mask (``_reports_second``). Each
+    call checks its vector (``validate_params``) and lays its banks out by
+    ``_COLUMNS[mode]`` as the rows of one walk (``operators._stack``) on
+    one grid (``operators._grid``), with the bits of ``build_model``'s.
     """
     plan, theta = _plan(traj.t, traj.v), traj.theta
+    use2 = _reports_second(build_model(params, mode, v_f, n), plan.v, plan.d)
+    columns = _COLUMNS[mode]
+    units = np.eye(columns.max() + 1)[columns, :-1]  # the fixed regulator has no column
+
+    def lay_out(p):
+        fields = np.append(validate_params(p, mode), 1.0)[columns]
+        grid = _grid(*fields[0, 4:8], n)
+        return fields, grid, _stack((*grid, 1.0, f[8], _line(*f[:2]), _line(*f[2:4]))
+                                    for f in fields)
 
     def fit_residuals(p):
-        return _evaluate(build_model(p, mode, v_f, n), plan)[0] - theta
+        stack = lay_out(p)[2]
+        return _bank_pass(stack, plan, use2, _init_bank(stack, plan.v[0]))[0] - theta
 
     def fit_jacobian(p):
-        return model_jacobian(build_model(p, mode, v_f, n), plan, _BANK_SLOTS[mode])
+        fields, grid, stack = lay_out(p)
+        return _bank_tangent(stack, _tables(fields, units, *grid), plan, use2)
 
     return fit_residuals, fit_jacobian
 
@@ -236,7 +241,7 @@ def jacobian_fd(
     params = validate_params(params, mode)
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    fit_residuals = _fit_pair(traj, v_f, mode, n)[0]
+    fit_residuals = _fit_pair(traj, params, v_f, mode, n)[0]
     base = fit_residuals(params)
     J = np.empty((base.size, params.size))
     for k in range(params.size):
@@ -348,6 +353,7 @@ def default_initial_guess(traj: Trajectory, v_f=None, mode: str = "egpi") -> np.
     else:
         if v_f is None:
             raise ConfigError("egpi mode requires a flag point v_f")
+        check_number(v_f, "flag point v_f")
         a3, a4 = ols(desc_idx[traj.v[desc_idx] > v_f], "upper descending")
         a5, a6 = ols(desc_idx[traj.v[desc_idx] <= v_f], "lower descending")
         guess = [a1, a2, a3, a4, a5, a6, *tail, 1.0]
@@ -392,7 +398,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     else:
         p = default_initial_guess(traj, v_f, mode)
 
-    fit_residuals, fit_jacobian = _fit_pair(traj, v_f, mode, n)
+    fit_residuals, fit_jacobian = _fit_pair(traj, p, v_f, mode, n)
     e = fit_residuals(p)
     loss = float(e @ e)
     trace = [loss]

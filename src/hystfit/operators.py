@@ -62,11 +62,8 @@ class DensitySpec:
 
     @cached_property
     def _grid(self):
-        # computed once per instance; read-only, as every caller shares them
-        r = np.concatenate(([0.0], np.linspace(self.r1, self.rn, self.n)))
-        p = self.lam * np.exp(-self.sigma * r)
-        r.flags.writeable = p.flags.writeable = False
-        return r, p
+        # computed once per instance, as every caller shares it
+        return _grid(self.lam, self.sigma, self.r1, self.rn, self.n)
 
     def thresholds(self) -> np.ndarray:
         """Backlash values [0, r1, ..., rn], length n+1 (read-only)."""
@@ -75,6 +72,15 @@ class DensitySpec:
     def weights(self) -> np.ndarray:
         """Weight of each threshold, all strictly positive (read-only)."""
         return self._grid[1]
+
+
+def _grid(lam, sigma, r1, rn, n: int):
+    """Thresholds ``r``, 0 and then ``n`` values from ``r1`` to ``rn``, and
+    their weights ``lam * exp(-sigma * r)``, both read-only: ``(r, p)``."""
+    r = np.concatenate(([0.0], np.linspace(r1, rn, n)))
+    p = lam * np.exp(-sigma * r)
+    r.flags.writeable = p.flags.writeable = False
+    return r, p
 
 
 @dataclass(frozen=True)
@@ -184,26 +190,27 @@ def _banks(model) -> tuple[GpiModel, ...]:
     return model.submodels if isinstance(model, EgpiModel) else (model,)
 
 
-# a model's banks as the rows of one walk (``_stack``)
-_Stack = collections.namedtuple("_Stack", "banks slices bank p asc_off desc_off asc desc")
+# banks as the rows of one walk (``_stack``)
+_Stack = collections.namedtuple("_Stack", "slices bank p asc_off desc_off asc desc")
 
 
-def _stack(model, plan) -> _Stack:
-    """``model``'s banks as the rows of one walk: bank ``b`` owns rows
-    ``slices[b]``, in operator order; ``bank`` is each row's bank, and
-    ``p``, ``asc_off``, ``desc_off`` its weight, ``kappa_asc*r`` and
-    ``kappa_desc*r``, and ``asc`` and ``desc`` each bank's envelope.
-    ConfigError if ``plan`` continues a memory of other operator counts."""
-    banks = _banks(model)
-    r = [bank.density.thresholds() for bank in banks]
+def _stack(banks, start=None) -> _Stack:
+    """``banks``, each ``(r, p, kappa_asc, kappa_desc, asc, desc)`` (its
+    grid, ``_grid``, its regulators and its envelopes), as the rows of one
+    walk: bank ``b`` owns rows ``slices[b]``, in operator order; ``bank`` is
+    each row's bank, and ``p``, ``asc_off``, ``desc_off`` its weight,
+    ``kappa_asc*r`` and ``kappa_desc*r``, and ``asc`` and ``desc`` each
+    bank's envelope. A model's banks give theirs (``_evaluate``), and so
+    does a fit's parameter vector (``fitting._fit_pair``). ConfigError if
+    the states ``start`` of a continued memory (``Plan.start``) hold other
+    operator counts."""
+    r, p, kappa_asc, kappa_desc, asc, desc = zip(*banks)
     sizes = tuple(x.size for x in r)
-    if plan.start is not None and (held := tuple(x.size for x in plan.start)) != sizes:
+    if start is not None and (held := tuple(x.size for x in start)) != sizes:
         raise ConfigError(f"memory holds banks of {held} operators, the model has {sizes}")
-    rows = np.concatenate([*(b.density.weights() for b in banks),
-                           *(b.kappa_asc * x for b, x in zip(banks, r)),
-                           *(b.kappa_desc * x for b, x in zip(banks, r))]).reshape(3, -1)
-    return _Stack(banks, *_layout(sizes), *rows,
-                  [b.asc_env for b in banks], [b.desc_env for b in banks])
+    rows = np.concatenate([*p, *(k * x for k, x in zip(kappa_asc, r)),
+                           *(k * x for k, x in zip(kappa_desc, r))]).reshape(3, -1)
+    return _Stack(*_layout(sizes), *rows, asc, desc)
 
 
 @lru_cache(maxsize=16)
@@ -423,7 +430,7 @@ def _bank_pass(stack: _Stack, plan, use2, w):
     which ``w`` entered.
     """
     v, d, p = plan.v, plan.d, stack.p
-    y = np.empty((len(stack.banks), v.size))  # a bank's unreported samples stay unset
+    y = np.empty((len(stack.slices), v.size))  # a bank's unreported samples stay unset
     for i, j, S, E, T in _states(stack, v, d, plan.walk, w):
         if T is None:
             for b, (a, e) in enumerate(stack.slices):
@@ -511,7 +518,9 @@ def _evaluate(model, plan: Plan):
     ``(z, use2, memory)`` (``_bank_pass``), ``use2`` the samples submodel 2
     reports (``_reports_second``). The model is only read.
     """
-    stack, v = _stack(model, plan), plan.v
+    stack = _stack(((*b.density._grid, b.kappa_asc, b.kappa_desc, b.asc_env, b.desc_env)
+                    for b in _banks(model)), plan.start)
+    v = plan.v
     use2 = _reports_second(model, v, plan.d)
     w = _init_bank(stack, v[0]) if plan.start is None else np.concatenate(plan.start)
     z, states, entries = _bank_pass(stack, plan, use2, w)

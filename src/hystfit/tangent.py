@@ -1,52 +1,51 @@
-"""Exact forward-mode tangent pass of a fresh model evaluation.
+"""Exact forward-mode tangent pass of a fit's fresh evaluation.
 
 The fit's Jacobian along the forward pass's one walk over the rows of all
 banks (``operators._states``), whose entries each begin a run: along a
 long run, one entry, each bank's operators move in the order of its
 closed form (``operators._sweep``). So the Jacobian is taken at exactly
 the states ``predict`` reports, each sample's row from the bank reported
-there. Linear envelopes only.
+there. It serves the banks a fit lays out (``fitting._fit_pair``): linear
+envelopes, ``kappa_asc`` 1 and one grid shared by every bank.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .envelopes import LinearEnvelope
-from .errors import ConfigError
-from .operators import _banks, _init_bank, _reports_second, _stack, _states, _sweep
+from .operators import _init_bank, _states, _sweep
 
 
-def _tables(bank, slots: dict, P: int):
-    """One bank's tangent tables, a row per operator: ``dp`` of the
-    weights, ``dasc`` and ``ddesc`` of the branch targets less the slope
-    term v*a, then the slope columns and the envelopes' (a, b)."""
+def _tables(fields, units, r, p):
+    """The tangent tables of banks that share the grid ``(r, p)``
+    (``operators._grid``), a row per operator of each, bank after bank:
+    ``dp`` of the weights, ``dasc`` and ``ddesc`` of the branch targets
+    less the slope term v*a, then the slope columns and the envelopes'
+    (a, b).
 
-    def unit(name):
-        u = np.zeros(P)
-        if name in slots:
-            u[slots[name]] = 1.0
-        return u
+    ``fields`` holds a row per bank: asc_slope, asc_intercept, desc_slope,
+    desc_intercept, lam, sigma, r1, rn and kappa_desc, the density the same
+    in every row; ``units`` holds each field's column as a one-hot row,
+    zero for a fixed field.
+    """
+    lam, sigma, n = fields[0, 4], fields[0, 5], r.size - 1
+    u_lam, u_sigma, u_r1, u_rn = units[0, 4:8]
+    frac = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+    dr = np.zeros((r.size, u_lam.size))
+    dr[1:] = np.outer(1.0 - frac, u_r1) + np.outer(frac, u_rn)
+    dp = p[:, None] * (u_lam / lam - np.outer(r, u_sigma) - sigma * dr)
+    ones, tables = np.ones((r.size, 1)), []
+    for f, (u_aa, u_ab, u_da, u_db, *_, u_kappa) in zip(fields, units):
+        tables.append((dp, u_ab - dr, u_db + f[8] * dr + np.outer(r, u_kappa),
+                       ones * u_aa, ones * u_da, ones * f[:2], ones * f[2:4]))
+    return tuple(map(np.concatenate, zip(*tables)))
 
-    density, ones = bank.density, np.ones((bank.density.n + 1, 1))
-    r, p = density.thresholds(), density.weights()
-    frac = np.arange(density.n) / (density.n - 1) if density.n > 1 else np.zeros(1)
-    dr = np.zeros((r.size, P))
-    dr[1:] = np.outer(1.0 - frac, unit("r1")) + np.outer(frac, unit("rn"))
-    dp = p[:, None] * (unit("lam") / density.lam - np.outer(r, unit("sigma")) - density.sigma * dr)
-    return (dp, unit("asc_intercept") - bank.kappa_asc * dr,
-            unit("desc_intercept") + bank.kappa_desc * dr + np.outer(r, unit("kappa_desc")),
-            ones * unit("asc_slope"), ones * unit("desc_slope"),
-            ones * (bank.asc_env.a, bank.asc_env.b), ones * (bank.desc_env.a, bank.desc_env.b))
 
-
-def _bank_tangent(model, plan, slots, P: int):
-    """Forward-mode pass of a fresh ``model``'s banks (``operators._Stack``)
-    with linear envelopes over ``plan``: the Jacobian, one row per sample
-    and ``P`` columns, each row from the bank the model's switching reports.
-    ``slots`` maps each bank's parameter names (``asc_slope``,
-    ``asc_intercept``, ``desc_slope``, ``desc_intercept``, ``lam``,
-    ``sigma``, ``r1``, ``rn``, ``kappa_desc``) to columns; others are fixed.
+def _bank_tangent(stack, tables, plan, use2):
+    """Forward-mode pass of a fit's banks (``operators._Stack``) over a
+    fresh ``plan``: the Jacobian, one row per sample and a column per
+    parameter, each row from the bank ``use2`` reports there (submodel 2
+    where True). ``tables`` are the banks' tangent tables (``_tables``).
 
     Along ``_states`` a state that moved off its entering value sits on
     the branch target of that sample until it moves again. So a state
@@ -57,26 +56,25 @@ def _bank_tangent(model, plan, slots, P: int):
     the forward pass reads, so a sample's row is the row at the run's
     entering states plus prefix sums over its bank's part of that order,
     gathered at the count ``m`` of operators that have moved: O(samples x
-    P) per run. A target equal to a state's ``c`` leaves it unmoved, so a
-    tie takes the derivative from the side where it does not move.
+    parameters) per run. A target equal to a state's ``c`` leaves it
+    unmoved, so a tie takes the derivative from the side where it does not
+    move.
 
     A block of several runs is computed whole for each bank that reports
     one of its samples (BLAS bits depend on the matrix shape); a hold's
     one row fills its span.
     """
-    stack = _stack(model, plan)
-    dp, dasc, ddesc, a_asc, a_desc, asc, desc = map(np.concatenate, zip(*(
-        _tables(bank, bank_slots, P) for bank, bank_slots in zip(stack.banks, slots, strict=True))))
+    dp, dasc, ddesc, a_asc, a_desc, asc, desc = tables
     branch = {True: (dasc, a_asc, *asc.T), False: (ddesc, a_desc, *desc.T)}
 
     # clamped initial state: the tangent of whichever bound is active. As
     # w = clip(0, lo, hi), a state above 0 sits on lo and one below 0 on hi.
-    v, d, use2 = plan.v, plan.d, _reports_second(model, plan.v, plan.d)
+    v, d = plan.v, plan.d
     v0, w = float(v[0]), _init_bank(stack, v[0])
     dw = np.where(w[:, None] > 0.0, v0 * a_asc + dasc,
                   np.where(w[:, None] < 0.0, v0 * a_desc + ddesc, 0.0))
 
-    J = np.empty((v.size, P))
+    J = np.empty((v.size, dp.shape[1]))
     p = stack.p
     pcol = p[:, None]
     for i, j, S, E, T in _states(stack, v, d, plan.walk, w):
@@ -101,7 +99,7 @@ def _bank_tangent(model, plan, slots, P: int):
                     continue
                 Tb = T[b, s - i : e - i]
                 m = key[a0:a1].searchsorted(Tb if rising else -Tb)
-                X, Y = np.zeros((2, a1 - a0 + 1, P))
+                X, Y = np.zeros((2, a1 - a0 + 1, J.shape[1]))
                 np.add.accumulate(Xo[a0:a1], out=X[1:])
                 np.add.accumulate(Yo[a0:a1], out=Y[1:])
                 X += J0
@@ -132,19 +130,3 @@ def _bank_tangent(model, plan, slots, P: int):
             dw = np.where(s > 0, x * a_asc + dasc, np.where(s < 0, x * a_desc + ddesc, dw))
     return J
 
-
-def model_jacobian(model, plan, slots):
-    """Exact parameter Jacobian of the output of a fresh evaluation.
-
-    One forward-mode tangent pass (``_bank_tangent``) over either model
-    kind with linear envelopes, over a fresh ``plan`` (``operators._plan``;
-    one that continues a memory raises ConfigError). ``slots`` holds one
-    dict per bank mapping that bank's parameter names to Jacobian columns;
-    banks may share columns.
-    """
-    banks = _banks(model)
-    if not all(isinstance(env, LinearEnvelope) for b in banks for env in (b.asc_env, b.desc_env)):
-        raise ConfigError("the exact Jacobian needs linear envelopes")
-    if plan.start is not None:
-        raise ConfigError("the exact Jacobian needs a fresh plan, not one that continues a memory")
-    return _bank_tangent(model, plan, slots, 1 + max(max(s.values()) for s in slots))

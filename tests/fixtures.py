@@ -20,7 +20,7 @@ from hystfit import (
     build_model,
     gen_synthetic,
 )
-from hystfit.operators import _BLOCK, GpiModel
+from hystfit.operators import _BLOCK, GpiModel, _stack
 
 SWEEP_N = 5000
 SWEEP_DT = 1e-3
@@ -83,6 +83,13 @@ def recovery_dataset(seed, noise_std=0.1, n=SWEEP_N):
     noisy_model = build_model(params, "egpi", SWEEP_FLAG)
     noisy = gen_synthetic(noisy_model, base, noise_std=noise_std, seed=seed)
     return noisy, clean, params
+
+
+def bank_stack(bank: GpiModel):
+    """``bank`` alone as the rows of one walk (``operators._stack``), as a
+    model's evaluation lays it out."""
+    return _stack([(*bank.density._grid, bank.kappa_asc, bank.kappa_desc, bank.asc_env,
+                    bank.desc_env)])
 
 
 def unequal_banks_model(kind: str) -> EgpiModel:

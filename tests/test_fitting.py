@@ -140,12 +140,14 @@ def test_build_model_shares_ascending_envelope_and_density():
         build_model(recovery_params(1), "egpi", v_f=None)
 
 
-@pytest.mark.parametrize("v_f", [True, "6", np.nan, [6.0]])
+@pytest.mark.parametrize("v_f", [True, "6", np.nan, [6.0], np.inf])
 def test_flag_point_must_be_a_number(small_fixture, v_f):
     _, params, clean, _ = small_fixture
     for call in (lambda: build_model(params, "egpi", v_f),
                  lambda: residuals(params, clean, v_f, "egpi"),
-                 lambda: jacobian(params, clean, v_f, "egpi")):
+                 lambda: jacobian(params, clean, v_f, "egpi"),
+                 lambda: jacobian_fd(params, clean, v_f, "egpi"),
+                 lambda: default_initial_guess(clean, v_f, "egpi")):
         with pytest.raises(ConfigError, match="v_f"):
             call()
 
@@ -425,35 +427,87 @@ def test_tangent_matches_central_differences_on_a_reversal_below_the_flag(seed, 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_tangent_rows_equal_passes_over_every_row(seed):
-    # model_jacobian walks both banks' rows at once and computes each
+    # a fit's tangent pass walks both banks' rows at once and computes each
     # sample's row from the bank reported there only; every row keeps the
     # bits of a pass of that bank alone, which computes every row. On the
     # short-tail input bank 2 reports no sample of a rise longer than
     # three blocks, one walk entry.
-    from hystfit.fitting import _bank_slots
+    from fixtures import bank_stack
+    from hystfit.fitting import _COLUMNS
     from hystfit.operators import _plan, _reports_second
-    from hystfit.tangent import _bank_tangent, model_jacobian
+    from hystfit.tangent import _bank_tangent, _tables
 
-    model = build_model(recovery_params(seed), "egpi", SWEEP_FLAG)
-    slots = _bank_slots("egpi")
+    params = recovery_params(seed)
+    model = build_model(params, "egpi", SWEEP_FLAG)
+    fields, units = np.append(params, 1.0)[_COLUMNS["egpi"]], np.eye(12, 11)[_COLUMNS["egpi"]]
+    grid = model.submodels[0].density._grid
     for traj in (sweep_input(), short_tail_input()):
         plan = _plan(traj.t, traj.v)
-        J = model_jacobian(model, plan, slots)
-        every = []
-        for bank, bank_slots in zip(model.submodels, slots):
-            every.append(_bank_tangent(bank, plan, [bank_slots], J.shape[1]))
+        J = _fit_pair(traj, params, SWEEP_FLAG, "egpi", 30)[1](params)
+        every = [_bank_tangent(bank_stack(bank), _tables(fields[b:b + 1], units[b:b + 1], *grid),
+                               plan, np.zeros(plan.v.size, dtype=bool))
+                 for b, bank in enumerate(model.submodels)]
         use2 = _reports_second(model, plan.v, plan.d)
         assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))
 
 
-def test_tangent_pass_rejects_tanh_envelopes():
-    from hystfit import reference_model
-    from hystfit.operators import _plan
-    from hystfit.tangent import model_jacobian
+def _layout_vectors():
+    """Seeded in-bounds vectors of both modes, with the edges of the bounds:
+    r1 == rn at the floor, sigma == 0, and large negative intercepts."""
+    rng = np.random.default_rng(28)
+    names = param_names("egpi")
+    vectors = []
+    for k in range(6):
+        p = project_params(recovery_params(k) * rng.lognormal(0.0, 0.3, 11), "egpi")
+        if k == 1:
+            p[names.index("r1")] = p[names.index("rn")] = 1e-6
+        if k == 2:
+            p[names.index("sigma")] = 0.0
+        if k == 3:
+            p[[1, 3, 5]] = -1e6, -3e5, -2e7
+        vectors += [("egpi", p), ("gpi", p[GPI_COLUMNS])]
+    return vectors
 
-    model, v = reference_model(), np.linspace(0.0, 1.0, 10)
-    with pytest.raises(ConfigError):
-        model_jacobian(model, _plan(v, v), [{"lam": 0}] * 2)
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_the_fit_rows_are_the_model_rows(n):
+    # a fit lays each vector's banks out itself (``_fit_pair``), and
+    # builds no model per call; every vector validate_params accepts
+    # builds a model, whose evaluation has the bits of the fit's residuals
+    from hystfit.operators import _evaluate, _plan
+
+    traj = recovery_dataset(0, n=1200)[0]
+    plan = _plan(traj.t, traj.v)
+    for mode, p in _layout_vectors():
+        validate_params(p, mode)
+        model = build_model(p, mode, SWEEP_FLAG, n)
+        fit_residuals = _fit_pair(traj, p, SWEEP_FLAG, mode, n)[0]
+        assert np.array_equal(fit_residuals(p), _evaluate(model, plan)[0] - traj.theta)
+
+
+@pytest.mark.parametrize("n, message", [(0, "threshold count n must be >= 1, got 0"),
+                                        (2.5, "threshold count n must be an integer"),
+                                        (True, "threshold count n must be an integer")])
+def test_the_public_fit_functions_check_the_threshold_count(small_fixture, n, message):
+    _, params, clean, _ = small_fixture
+    for call in (residuals, jacobian, jacobian_fd):
+        with pytest.raises(ConfigError, match=message):
+            call(params, clean, SWEEP_FLAG, "egpi", n)
+
+
+def test_a_fit_builds_its_model_once(small_fixture, monkeypatch):
+    # every residual and Jacobian call of a fit lays its banks out itself;
+    # the one model gives the switching and checks v_f and n
+    import hystfit.fitting as fitting
+
+    _, params, _, noisy = small_fixture
+    built = []
+    real = fitting.build_model
+    monkeypatch.setattr(fitting, "build_model", lambda *a, **k: built.append(a) or real(*a, **k))
+    start = project_params(params * 1.1, "egpi")
+    result = lm_fit(noisy, FitConfig(max_iterations=4, v_f=SWEEP_FLAG, initial=start), "egpi")
+    assert result.iterations == 4
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -463,7 +517,7 @@ def test_fit_pair_keeps_the_bits_of_the_public_residuals_and_jacobian(seed, mode
     traj, _, params = recovery_dataset(seed)
     truth = params if mode == "egpi" else params[[0, 1, 2, 3, 6, 7, 8, 9]]
     guess = default_initial_guess(traj, SWEEP_FLAG, mode)
-    fit_residuals, fit_jacobian = _fit_pair(traj, SWEEP_FLAG, mode, 30)
+    fit_residuals, fit_jacobian = _fit_pair(traj, truth, SWEEP_FLAG, mode, 30)
     for p in (truth, guess):
         assert np.array_equal(fit_residuals(p), residuals(p, traj, SWEEP_FLAG, mode))
         assert np.array_equal(fit_jacobian(p), jacobian(p, traj, SWEEP_FLAG, mode))

@@ -7,6 +7,7 @@ import pytest
 import bruteforce
 from fixtures import (
     SWEEP_FLAG,
+    bank_stack,
     oracle_kwargs,
     recovery_dataset,
     recovery_params,
@@ -31,7 +32,7 @@ from hystfit import (
     predict,
     reference_model,
 )
-from hystfit.fitting import _bank_slots, jacobian, residuals
+from hystfit.fitting import _fit_pair, jacobian, residuals
 from hystfit.operators import (
     _BLOCK,
     _LONG,
@@ -40,11 +41,9 @@ from hystfit.operators import (
     _directions,
     _evaluate,
     _plan,
-    _stack,
     _sweep,
     egpi_outputs,
 )
-from hystfit.tangent import model_jacobian
 from hystfit.signals import decaying_sinusoid
 
 IDENTITY = LinearEnvelope(a=1.0, b=0.0)
@@ -622,8 +621,6 @@ def test_a_plan_holds_the_memory_it_continues():
     assert np.array_equal(z, egpi_eval(public, t[1000:], v[1000:], reset=False)[0])
     for f in fields(after):
         assert np.array_equal(getattr(after, f.name), getattr(public.memory, f.name))
-    with pytest.raises(ConfigError, match="fresh plan"):
-        model_jacobian(model, onward, [{"lam": 0}] * 2)
 
 
 @pytest.mark.filterwarnings("ignore:empty play band")
@@ -631,7 +628,7 @@ def test_a_plan_holds_the_memory_it_continues():
 def test_one_fresh_plan_serves_every_model(make_input):
     # the plan holds only what the input decides; each model brings its
     # banks and its switching, so one plan gives the bits of each public
-    # call, which plans for itself
+    # call, which plans for itself, and of a fit's own layout of the banks
     t, v = make_input()
     model, plan = _recovery_model(), _plan(t, v)
     for k, bank in enumerate(model.submodels):
@@ -642,11 +639,12 @@ def test_one_fresh_plan_serves_every_model(make_input):
     want, active = egpi_eval(_recovery_model(), t, v)
     assert np.array_equal(z, want)
     assert np.array_equal(np.where(use2, 2, 1), active)
-    params, traj = recovery_params(0), Trajectory(t=t, v=v)
+    params, traj = recovery_params(0), Trajectory(t=t, v=v, theta=np.zeros(v.size))
     for mode, p, target in (("egpi", params, model),
                             ("gpi", params[[0, 1, 2, 3, 6, 7, 8, 9]], model.submodels[0])):
-        J = model_jacobian(target, plan, _bank_slots(mode))
-        assert np.array_equal(J, jacobian(p, traj, SWEEP_FLAG, mode))
+        fit_residuals, fit_jacobian = _fit_pair(traj, p, SWEEP_FLAG, mode, 30)
+        assert np.array_equal(fit_residuals(p), _evaluate(target, plan)[0])
+        assert np.array_equal(fit_jacobian(p), jacobian(p, traj, SWEEP_FLAG, mode))
     assert model.memory is None and model.submodels[0].memory is None
 
 
@@ -1226,5 +1224,5 @@ def test_saturated_rerise_has_ties():
     bank = _saturated_ties_model().submodels[0]
     gpi_eval(bank, 1e-3 * np.arange(start), v[:start])
     T = bank.asc_env(v[start:start + 150])
-    c, _, _ = _sweep(_stack(bank, _plan([0.0], [0.0])), bank.memory.states[0], True)
+    c, _, _ = _sweep(bank_stack(bank), bank.memory.states[0], True)
     assert np.isin(T[_LONG:], c).any()

@@ -32,7 +32,10 @@ temporary directory, each as one float array:
   from the run-entering states when a chunk goes on with the run the
   last one ended in;
 - ``fitting.residuals``, ``fitting.jacobian`` and the central-difference
-  ``fitting.jacobian_fd`` in egpi and in gpi mode;
+  ``fitting.jacobian_fd`` in egpi and in gpi mode, and ``residuals`` and
+  ``jacobian`` of banks of one and of two thresholds (``n`` 1 and 2),
+  where the threshold grid and the tangent take their small-``n``
+  branches;
 - in both modes, the final parameters and ``loss_trace`` of a five-
   iteration ``lm_fit`` of the linear model, from 1.1 times its
   parameters, to that model's own output. The fit plans its input once
@@ -160,6 +163,9 @@ def save_all(cases_path: str, out: str) -> None:
             items[f"{mode} residuals"] = pack(residuals(p, traj, v_f, mode))
             items[f"{mode} jacobian"] = pack(jacobian(p, traj, v_f, mode))
             items[f"{mode} jacobian_fd"] = pack(jacobian_fd(p, traj, v_f, mode))
+            for n in (1, 2):
+                items[f"{mode} residuals n={n}"] = pack(residuals(p, traj, v_f, mode, n))
+                items[f"{mode} jacobian n={n}"] = pack(jacobian(p, traj, v_f, mode, n))
             own = Trajectory(t=t, v=v, theta=predict(build_model(p, mode, v_f), t, v))
             fit = lm_fit(own, FitConfig(max_iterations=5, v_f=v_f, initial=1.1 * p), mode)
             items[f"{mode} lm_fit"] = pack(fit.params, fit.loss_trace)
