@@ -217,8 +217,9 @@ def _cmd_fit_all(args):
             first = tasks[stems.index(stem)][0]
             raise ConfigError(f"{first} and {tasks[k][0]} would both write {stem}.*; rename one")
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool may start all its workers at once, so it gets no more than the tasks
+    if (jobs := min(args.jobs, len(tasks))) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_fit_all_worker, tasks))
     else:
         outcomes = [_fit_all_worker(task) for task in tasks]

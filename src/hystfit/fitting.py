@@ -35,10 +35,9 @@ from .errors import (
     check_number,
 )
 from .metrics import Metrics, compute_metrics
-from .operators import (DensitySpec, EgpiModel, GpiModel, SwitchMode, _bank_pass, _grid,
-                        _init_bank, _plan, _reports_second, _stack)
+from .operators import (DensitySpec, EgpiModel, GpiModel, SwitchMode, _bank_pass, _bank_tangent,
+                        _grid, _init_bank, _plan, _reports_second, _stack)
 from .signals import Trajectory
-from .tangent import _bank_tangent, _tables
 
 EGPI_PARAM_NAMES = (
     "asc_slope",
@@ -172,6 +171,30 @@ _LOWER = {mode: tuple(_FLOOR if name.endswith("slope") or name in ("lam", "r1", 
 # per bank; the column past the layout stands for the fixed regulator 1
 _COLUMNS = {"egpi": np.array([[0, 1, 2, 3, 6, 7, 8, 9, 11], [0, 1, 4, 5, 6, 7, 8, 9, 10]]),
             "gpi": np.array([[0, 1, 2, 3, 4, 5, 6, 7, 8]])}
+
+
+def _tables(fields, units, r, p):
+    """The tangent tables of banks that share the grid ``(r, p)``
+    (``operators._grid``), a row per operator of each, bank after bank:
+    ``dp`` of the weights, ``dasc`` and ``ddesc`` of the branch targets
+    less the slope term v*a, then the slope columns and the envelopes'
+    (a, b), for ``operators._bank_tangent``.
+
+    ``fields`` holds a row per bank in the layout of ``_COLUMNS``, the
+    density the same in every row; ``units`` holds each field's column as
+    a one-hot row, zero for a fixed field.
+    """
+    lam, sigma, n = fields[0, 4], fields[0, 5], r.size - 1
+    u_lam, u_sigma, u_r1, u_rn = units[0, 4:8]
+    frac = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+    dr = np.zeros((r.size, u_lam.size))
+    dr[1:] = np.outer(1.0 - frac, u_r1) + np.outer(frac, u_rn)
+    dp = p[:, None] * (u_lam / lam - np.outer(r, u_sigma) - sigma * dr)
+    ones, tables = np.ones((r.size, 1)), []
+    for f, (u_aa, u_ab, u_da, u_db, *_, u_kappa) in zip(fields, units):
+        tables.append((dp, u_ab - dr, u_db + f[8] * dr + np.outer(r, u_kappa),
+                       ones * u_aa, ones * u_da, ones * f[:2], ones * f[2:4]))
+    return tuple(map(np.concatenate, zip(*tables)))
 
 
 def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):

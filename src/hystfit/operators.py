@@ -12,6 +12,12 @@ Direction is the sign of each sample-to-sample input difference. The
 first sample steps from the last input seen, or is at rest in a fresh
 evaluation. Exact input repeats take the hold branch; there is no
 epsilon band around zero rate.
+
+The fit's exact Jacobian (``_bank_tangent``) takes the forward pass's
+walk (``_states``) and, along a long run, its closed form
+(``_closed_form``), so it is taken at exactly the states ``predict``
+reports. It serves the banks a fit lays out (``fitting._fit_pair``):
+linear envelopes, ``kappa_asc`` 1 and one grid shared by every bank.
 """
 
 from __future__ import annotations
@@ -412,22 +418,47 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("m,mn->n", p, S)[:k]
 
 
+def _reporting(stack: _Stack, use2, i: int, j: int):
+    """Each bank's rows and the span of the run ``v[i:j]`` it reports, by
+    ``use2`` (submodel 2 where True): ``(b, ((a, e), (s, t)))`` per bank.
+    Along a run the input is monotone, so bank 2 reports its last samples;
+    a lone bank reports every sample."""
+    q = j - np.count_nonzero(use2[i:j]) if len(stack.slices) > 1 else j
+    return enumerate(zip(stack.slices, ((i, q), (q, j))))
+
+
+def _closed_form(key, T, rising: bool, A, B, base, x, out):
+    """Write a run's closed form at its targets ``T`` to ``out``: ``x*PA[m]
+    + (base + PB)[m]``, where ``m = key.searchsorted(T)`` (``-T`` falling)
+    counts one bank's moved operators (``_sweep``; a tie leaves one
+    unmoved), and ``PA``, ``PB`` are the running sums from 0 of its rows
+    ``A``, ``B`` in sweep order. ``_bank_pass`` and ``_bank_tangent`` take it."""
+    m = key.searchsorted(T if rising else -T)
+    P = np.zeros((2, len(A) + 1, *A.shape[1:]))
+    np.add.accumulate(A, out=P[0, 1:])
+    np.add.accumulate(B, out=P[1, 1:])
+    P[1] += base
+    # m never exceeds the row count; "clip" skips a buffer
+    np.multiply(x, P[0].take(m, axis=0, mode="clip"), out=out)
+    out += P[1].take(m, axis=0, mode="clip")
+
+
 def _bank_pass(stack: _Stack, plan, use2, w):
     """The output along the input of ``plan`` from the states ``w``
-    (``_states``), each sample's from the bank ``use2`` reports there,
-    and each bank's memory: ``(z, states, run_states)``.
+    (``_states``), each sample's from the bank ``use2`` reports there
+    (``_reporting``), and each bank's memory: ``(z, states, run_states)``.
 
     Each bank computes the samples it reports. A sample sums its bank's
     operator states (``_contract``) when it lies in a block or among the
     first ``_LONG`` samples of its run. Later samples take the run's
-    closed form from one ``_sweep``: ``y = T*P[m] + (PE - PC)[m]``, where
-    ``P`` and ``PC`` are the bank's prefix sums of ``p`` and ``p*c`` in
-    ``order``, from 0, and ``PE`` is ``p @ E`` summed in operator order.
-    So a sample's bits depend only on its run's entering state and
-    direction, its own target, and whether it lies below ``_LONG``, never
-    on where the input is cut or on the other banks. ``plan.lead``
-    (``_blocks``) counts the samples of a continued run before ``v[0]``,
-    which ``w`` entered.
+    closed form (``_closed_form``) from one ``_sweep``: ``y = T*P[m] + (PE
+    - PC)[m]``, where ``P`` and ``PC`` are the bank's running sums of
+    ``p`` and ``p*c`` in ``order``, from 0, and ``PE`` is ``p @ E`` summed
+    in operator order. So a sample's bits depend only on its run's
+    entering state and direction, its own target, and whether it lies
+    below ``_LONG``, never on where the input is cut or on the other
+    banks. ``plan.lead`` (``_blocks``) counts the samples of a continued
+    run before ``v[0]``, which ``w`` entered.
     """
     v, d, p = plan.v, plan.d, stack.p
     y = np.empty((len(stack.slices), v.size))  # a bank's unreported samples stay unset
@@ -436,30 +467,99 @@ def _bank_pass(stack: _Stack, plan, use2, w):
             for b, (a, e) in enumerate(stack.slices):
                 y[b, i:j] = _contract(p[a:e], S[a:e])
             continue
-        k = min(_LONG - (plan.lead if i == 0 else 0), j - i)
-        R = _run_states(stack, E, T[:, :k], d[i] > 0)
+        rising, k = d[i] > 0, min(_LONG - (plan.lead if i == 0 else 0), j - i)
+        R = _run_states(stack, E, T[:, :k], rising)
         if k < j - i:
-            c, order, key = _sweep(stack, E[:, 0], d[i] > 0)
+            c, order, key = _sweep(stack, E[:, 0], rising)
             po, pe = p[order], p * E[:, 0]
-            pc = po * c[order]
-        # along a run the input is monotone, so bank 2 reports its last samples
-        q = j - np.count_nonzero(use2[i:j]) if len(y) > 1 else j
-        for b, ((a, e), (s, t)) in enumerate(zip(stack.slices, ((i, q), (q, j)))):
+            npc = po * -c[order]
+        for b, ((a, e), (s, t)) in _reporting(stack, use2, i, j):
             if s < min(t, i + k):
                 y[b, i : i + k] = _contract(p[a:e], R[a:e])
             if (s := max(s, i + k)) < t:
                 Tb = T[b, s - i : t - i]
-                m = key[a:e].searchsorted(Tb if d[i] > 0 else -Tb)
-                P, Q = np.zeros((2, e - a + 1))
-                np.add.accumulate(po[a:e], out=P[1:])
-                np.add.accumulate(pc[a:e], out=Q[1:])
-                np.subtract(np.add.accumulate(pe[a:e])[-1], Q, out=Q)
-                np.multiply(Tb, P.take(m), out=y[b, s:t])
-                y[b, s:t] += Q.take(m)
+                _closed_form(key[a:e], Tb, rising, po[a:e], npc[a:e],
+                             np.add.accumulate(pe[a:e])[-1], Tb, y[b, s:t])
     z = np.where(use2, y[-1], y[0]) if len(y) > 1 else y[0]  # a lone bank reports every sample
     S, E = S[:, -1], E[:, -1]  # each entry begins a run
     return (z, tuple(S[a:e].copy() for a, e in stack.slices),
             tuple(E[a:e].copy() for a, e in stack.slices))
+
+
+def _bank_tangent(stack: _Stack, tables, plan, use2):
+    """Forward-mode pass of a fit's banks over a fresh ``plan``: the
+    Jacobian, one row per sample and a column per parameter, each row from
+    the bank ``use2`` reports there (``_reporting``). ``tables`` are the
+    banks' tangent tables (``fitting._tables``).
+
+    Along ``_states`` a state that moved off its entering value sits on
+    the branch target of that sample until it moves again. So a state
+    takes the target's tangent at the last sample where it moved, or the
+    tangent it entered the entry with (at first that of the initial state).
+
+    Along a run a sample's row is the row at the run's entering states plus
+    running sums, in ``_sweep`` order, of what each moved operator adds
+    (``_closed_form``): O(samples x parameters) per run. A tie takes the
+    derivative from the side where the state does not move.
+
+    A block of several runs is computed whole for each bank that reports
+    one of its samples (BLAS bits depend on the matrix shape); a hold's
+    one row fills its span.
+    """
+    dp, dasc, ddesc, a_asc, a_desc, asc, desc = tables
+    branch = {True: (dasc, a_asc, *asc.T), False: (ddesc, a_desc, *desc.T)}
+
+    # clamped initial state: the tangent of whichever bound is active. As
+    # w = clip(0, lo, hi), a state above 0 sits on lo and one below 0 on hi.
+    v, d = plan.v, plan.d
+    v0, w = float(v[0]), _init_bank(stack, v[0])
+    dw = np.where(w[:, None] > 0.0, v0 * a_asc + dasc,
+                  np.where(w[:, None] < 0.0, v0 * a_desc + ddesc, 0.0))
+
+    J = np.empty((v.size, dp.shape[1]))
+    p = stack.p
+    pcol = p[:, None]
+    for i, j, S, E, T in _states(stack, v, d, plan.walk, w):
+        if E.shape[1] == 1:
+            rising = d[i] > 0
+            dT, a, env_a, env_b = branch[rising]
+            if T is not None:
+                # a state that has moved adds p*(v*a + dT - dw) + (T - c)*dp
+                # to its row, where T = env.a*v + env.b: X + v*Y, summed in
+                # the order in which the states move
+                c, order, key = _sweep(stack, E[:, 0], rising)
+                Xo = (pcol * (dT - dw) + (env_b - c)[:, None] * dp)[order]
+                Yo = (pcol * a + env_a[:, None] * dp)[order]
+            for b, ((a0, a1), (s, e)) in _reporting(stack, use2, i, j):
+                if s == e:
+                    continue
+                J0 = p[a0:a1] @ dw[a0:a1] + E[a0:a1].T @ dp[a0:a1]  # the row at E
+                if T is None:
+                    J[s:e] = J0
+                    continue
+                _closed_form(key[a0:a1], T[b, s - i : e - i], rising, Yo[a0:a1], Xo[a0:a1],
+                             J0, v[s:e, None], J[s:e])
+            if d[i]:
+                dw = np.where(S != E, v[j - 1] * a + dT, dw)
+        else:
+            # the last sample each state moved at in this block; sample 0,
+            # which never moves (d[0] == 0), stands for none
+            last = np.maximum.accumulate(np.where(S != E, np.arange(i, j), 0), axis=1)
+            ds, vs = d[last], v[last]
+            pa, pd, p0 = pcol * (ds > 0), pcol * (ds < 0), pcol * (ds == 0)
+            pav, pdv = pa * vs, pd * vs
+            for b, ((a0, a1), mine) in enumerate(zip(stack.slices, (~use2[i:j], use2[i:j]))):
+                if not mine.any():
+                    continue
+                own = slice(a0, a1)
+                Jb = (p0[own].T @ dw[own] + pa[own].T @ dasc[own] + pd[own].T @ ddesc[own]
+                      + S[own].T @ dp[own])
+                Jb += pav[own].sum(axis=0)[:, None] * a_asc[a0]
+                Jb += pdv[own].sum(axis=0)[:, None] * a_desc[a0]
+                np.copyto(J[i:j], Jb, where=mine[:, None])
+            s, x = ds[:, -1:], vs[:, -1:]
+            dw = np.where(s > 0, x * a_asc + dasc, np.where(s < 0, x * a_desc + ddesc, dw))
+    return J
 
 
 def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ def decaying_sinusoid(t_start: float = 0.0, t_end: float = 10.0, dt: float = 1e-
     try:
         t = t_start + dt * np.arange(n + 1)
         v = 8.0 * np.exp(-0.04 * t) * np.sin(2 * np.pi * t + np.pi / 4)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy refuses a size past its limit with ValueError
         raise ConfigError(f"sample count {n + 1} does not fit in memory") from None
     return Trajectory(t=t, v=v)
 

@@ -1,18 +1,21 @@
-"""Every name the traced benchmark wraps must exist in hystfit.
+"""Every name the benchmark takes from hystfit must exist in it.
 
-``bench/tracing.py`` replaces hystfit functions and methods by name; a
-name dropped from the package would break only the traced benchmark run.
-The tables are read from the file's source, so nothing under ``bench/``
-is imported or run.
+``bench/tracing.py`` replaces hystfit functions and methods by name, and
+``bench/run.py``, ``bench/workloads.py`` and ``bench/inputs.py`` call the
+package as ``hf.<name>``; a name dropped from the package would break only
+the benchmark run. The names are read from the files' source, so nothing
+under ``bench/`` is imported or run.
 """
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _table(name):
@@ -31,3 +34,35 @@ def test_traced_function_exists(module, attr, span):
 def test_traced_method_exists(module, cls, attr, span):
     klass = getattr(importlib.import_module(module), cls, None)
     assert klass is not None and callable(getattr(klass, attr, None))
+
+
+def _hf_names():
+    """The dotted names after ``hf.`` (or ``self.hf.``) in the benchmark's
+    run, workloads and inputs files, sub-chains included."""
+    names = set()
+    for name in ("run.py", "workloads.py", "inputs.py"):
+        for node in ast.walk(ast.parse((BENCH / name).read_text())):
+            parts = []
+            while isinstance(node, ast.Attribute) and node.attr != "hf":
+                parts.append(node.attr)
+                node = node.value
+            if parts and (isinstance(node, ast.Attribute) or getattr(node, "id", None) == "hf"):
+                names.add(".".join(reversed(parts)))
+    return sorted(names)
+
+
+HF_NAMES = _hf_names()
+
+
+def test_the_benchmark_names_are_found():
+    assert {"egpi_eval", "gpi_eval", "predict", "build_model", "fileio.load_model",
+            "cli.main"} <= set(HF_NAMES)
+
+
+@pytest.mark.parametrize("name", HF_NAMES)
+def test_benchmark_name_resolves(name):
+    # bench/run.py imports hystfit.cli and hystfit.fileio, which binds them on hf
+    hf = importlib.import_module("hystfit")
+    importlib.import_module("hystfit.cli")
+    importlib.import_module("hystfit.fileio")
+    assert functools.reduce(getattr, name.split("."), hf) is not None

@@ -129,11 +129,15 @@ def test_simulate_non_finite_bounds_exit_2(tmp_path, capsys, bound):
 
 
 def test_simulate_too_many_samples_exit_2(tmp_path, capsys, monkeypatch):
-    refuse_huge_arange(monkeypatch)
+    # --dt 1e-300 runs with the real np.arange, which refuses 1e301 samples
+    # with a ValueError before it allocates anything
     out = tmp_path / "x.csv"
-    assert run("simulate", "--reference", "--dt", "1e-12", "--out", out) == 2
-    assert "does not fit in memory" in capsys.readouterr().err
-    assert not out.exists()
+    for dt in ("1e-300", "1e-12"):
+        if dt == "1e-12":
+            refuse_huge_arange(monkeypatch)
+        assert run("simulate", "--reference", "--dt", dt, "--out", out) == 2
+        assert "does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_descend_flag_model_file(tmp_path, small_data):
@@ -623,6 +627,45 @@ def test_fit_all_parallel_jobs(tmp_path):
     s = json.loads((out_serial / "d.egpi.result.json").read_text())
     p = json.loads((out_par / "d.egpi.result.json").read_text())
     assert s["params"] == p["params"]
+
+
+@pytest.mark.parametrize("modes, started", [("egpi,gpi", [2]), ("gpi", [])])
+def test_fit_all_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, modes, started):
+    # a pool may fork every worker at its first task, so --jobs 64 over two
+    # tasks asks for two workers, and over one task runs it in-process; the
+    # files are those of --jobs 1. The stand-in pool maps in this process.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    base = sweep_input(n=700)
+    path = tmp_path / "d.csv"
+    save_dataset(path, gen_synthetic(build_model(recovery_params(2), "egpi", SWEEP_FLAG),
+                                     base, 0.1, seed=2))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iterations": 2}))
+    serial, wide = tmp_path / "serial", tmp_path / "wide"
+    for jobs, out in ((1, serial), (64, wide)):
+        assert run("fit-all", "--data", path, "--modes", modes, "--flag-point", SWEEP_FLAG,
+                   "--config", cfg, "--out-dir", out, "--jobs", jobs) == 0
+    assert asked == started
+    written = sorted(p.name for p in serial.iterdir())
+    assert written == sorted(p.name for p in wide.iterdir())
+    for name in written:
+        assert (wide / name).read_bytes() == (serial / name).read_bytes()
 
 
 @pytest.mark.parametrize("names,modes", [

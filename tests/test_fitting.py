@@ -433,9 +433,8 @@ def test_tangent_rows_equal_passes_over_every_row(seed):
     # short-tail input bank 2 reports no sample of a rise longer than
     # three blocks, one walk entry.
     from fixtures import bank_stack
-    from hystfit.fitting import _COLUMNS
-    from hystfit.operators import _plan, _reports_second
-    from hystfit.tangent import _bank_tangent, _tables
+    from hystfit.fitting import _COLUMNS, _tables
+    from hystfit.operators import _bank_tangent, _plan, _reports_second
 
     params = recovery_params(seed)
     model = build_model(params, "egpi", SWEEP_FLAG)

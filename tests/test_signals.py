@@ -81,11 +81,15 @@ def test_decaying_sinusoid_rejects_non_finite_bounds(bounds):
 
 def test_decaying_sinusoid_too_many_samples_is_a_config_error(monkeypatch):
     # dt=1e-12 over 10 s asks for about 10**13 samples; the MemoryError
-    # ended in an _ArrayMemoryError traceback
-    refuse_huge_arange(monkeypatch)
-    count = int(np.floor(10.0 / 1e-12 + 1e-9)) + 1
-    with pytest.raises(ConfigError, match=f"sample count {count} does not fit"):
-        decaying_sinusoid(dt=1e-12)
+    # ended in an _ArrayMemoryError traceback. dt=1e-300 asks for a finite
+    # 1e301, which numpy refuses with a ValueError before it allocates, so
+    # that case runs with the real np.arange
+    for dt in (1e-300, 1e-12):
+        if dt == 1e-12:
+            refuse_huge_arange(monkeypatch)
+        count = int(np.floor(10.0 / dt + 1e-9)) + 1
+        with pytest.raises(ConfigError, match=f"sample count {count} does not fit"):
+            decaying_sinusoid(dt=dt)
 
 
 @pytest.mark.parametrize("name,value", [("dt", "x"), ("t_end", True), ("t_start", None)])
