@@ -12,9 +12,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
+import shutil
+import signal
+import sys
+import threading
 import time
 import warnings
 from datetime import datetime, timezone
@@ -37,22 +42,68 @@ MODE_TAGS = {
 DEFAULT_UNITS = {"input": "count", "output": "deg"}
 
 
-def _atomic_write(path, chunks):
-    """Write the strings ``chunks`` to ``path`` through a temp file.
-
-    If writing fails partway, the temp file is removed and an existing
-    ``path`` is left as it was.
+def _atomic_write(path, chunks, parts=()):
+    """Write the strings ``chunks``, then those of each iterable in ``parts``,
+    to ``path`` through a temp file. Forked children write the ``parts`` to
+    part files meanwhile (this process does where it cannot fork). The temp
+    and part files are new files beside ``path`` named with this process's
+    id. Every child is reaped and every file made here but ``path`` removed
+    before this returns or raises; a failed write leaves ``path`` as it was.
     """
     path = os.fspath(path)
-    tmp = path + ".tmp"
+    stem = f"{path}.{os.getpid()}"
+    made, children = [], {}
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(stem + ".tmp", "x", newline="") as fh:
+            made.append(fh.name)
+            for k, part in enumerate(parts, start=1):
+                with open(f"{stem}.{k}.part", "x", newline="") as out:
+                    made.append(out.name)
+                    try:
+                        _fork(out, part, children)
+                    except OSError:
+                        out.writelines(part)
             fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+            fh.flush()
+            for name in made[1:]:
+                if name in children:
+                    code = os.waitstatus_to_exitcode(os.waitpid(children[name], 0)[1])
+                    del children[name]
+                    if code:
+                        raise OSError(code, os.strerror(code), name)
+                with open(name, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+        os.replace(made[0], path)
+        del made[0]
+    finally:
+        for pid in children.values():  # left running by a failure
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for name in made:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+
+
+def _fork(out, part, children):
+    """Fork a child that writes the strings of ``part`` to the open file
+    ``out`` and exits 0, or with the errno of an OSError (else 255), and
+    set ``children[out.name]`` to its pid. Signals wait until both are done."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                out.writelines(part)
+                out.close()
+                os._exit(0)
+            except OSError as exc:
+                os._exit(exc.errno or 255)
+            finally:
+                os._exit(255)
+        children[out.name] = pid
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _created_stamp() -> str:
@@ -68,6 +119,7 @@ def _created_stamp() -> str:
 # ---------------------------------------------------------------- datasets
 
 _ROWS = 4096  # rows per block when writing a dataset
+_FORK_ROWS = 8192  # fewest rows in a range that a forked child writes
 
 
 def load_dataset(path) -> Trajectory:
@@ -140,21 +192,31 @@ def _write_rows(path, header, columns):
     """Write ``header`` and the rows of ``columns`` as CSV, ``_ROWS`` rows at a time.
 
     Integer columns print as ``str(int(x))`` and all others as
-    ``repr(float(x))``, so a file reads back to the same floats.
+    ``repr(float(x))``, so a file reads back to the same floats. The rows
+    split into one range per usable CPU, of ``_FORK_ROWS`` rows or more;
+    forked children write all ranges but the first, unless forking is
+    unsafe: no ``os.fork``, other threads, or a daemonic multiprocessing worker.
     """
     columns = [np.asarray(col) for col in columns]
+    columns = [col if col.dtype.kind in "iu" else col.astype(float, copy=False) for col in columns]
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
 
-    def text():
-        yield ",".join(header) + "\n"
-        for lo in range(0, len(columns[0]), _ROWS):
-            fields = [
-                map(str, block.tolist()) if np.issubdtype(block.dtype, np.integer)
-                else map(repr, block.astype(float).tolist())
-                for block in (col[lo : lo + _ROWS] for col in columns)
-            ]
+    def text(lo, hi):
+        for a in range(lo, hi, _ROWS):
+            fields = [map(repr, col[a : min(a + _ROWS, hi)].tolist()) for col in columns]
             yield "".join([",".join(row) + "\n" for row in zip(*fields)])
 
-    _atomic_write(path, text())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    mp = sys.modules.get("multiprocessing")  # loaded in any multiprocessing worker
+    if not hasattr(os, "fork") or threading.active_count() > 1 or (
+            mp and mp.current_process().daemon):
+        cpus = 1
+    k = max(1, min(cpus or 1, n // _FORK_ROWS))
+    cuts = [n * i // k for i in range(k + 1)]
+    ranges = [text(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], ranges[0]), ranges[1:])
 
 
 def save_dataset(path, traj: Trajectory):

@@ -1,7 +1,11 @@
 import csv
+import errno
 import io
 import json
+import multiprocessing
 import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -129,19 +133,112 @@ def test_no_temp_residue_after_write(tmp_path):
     assert os.listdir(tmp_path) == ["d.csv"]
 
 
-def test_failed_write_removes_temp_and_keeps_target(tmp_path):
-    # the bad value sits in the second block of rows, so the first block
-    # is already in the temp file when formatting raises
+@pytest.fixture()
+def forks(monkeypatch):
+    """Three usable CPUs and ranges of 3,000 rows or more; lists the pid of
+    every process forked meanwhile."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(fileio, "_FORK_ROWS", 3000)
+    return pids
+
+
+def _all_reaped(pids):
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return True
+
+
+def test_failed_write_removes_temp_and_keeps_target(tmp_path, forks):
+    # the bad value sits in the last of three ranges, which a child would
+    # write: every value is converted before a file is opened or a child forked
     path = tmp_path / "sim.csv"
     path.write_text("old\n")
-    n = 5000
+    n = 10000
     z = np.zeros(n, dtype=object)
-    z[4500] = "not a number"
+    z[9000] = "not a number"
     t = np.arange(n, dtype=float)
     with pytest.raises(ValueError):
         save_simulation(path, t, t, z, t, t, np.ones(n, dtype=int))
     assert os.listdir(tmp_path) == ["sim.csv"]
     assert path.read_text() == "old\n"
+    assert forks == []
+
+
+def test_columns_of_unequal_length_are_an_error(tmp_path):
+    t = np.arange(5.0)
+    with pytest.raises(ValueError, match=r"\[5, 5, 3, 5, 5, 5\]"):
+        save_simulation(tmp_path / "s.csv", t, t, t[:3], t, t, np.ones(5))
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_keeps_files_it_did_not_make(tmp_path):
+    path = tmp_path / "d.csv"
+    traj = Trajectory(t=[0.0, 1.0], v=[0.0, 1.0])
+    (tmp_path / "d.csv.tmp").write_text("mine\n")
+    save_dataset(path, traj)
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv.tmp"]
+    assert (tmp_path / "d.csv.tmp").read_text() == "mine\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+    # a file at this process's own temp name is neither overwritten nor removed
+    ours = tmp_path / f"d.csv.{os.getpid()}.tmp"
+    ours.write_text("stale\n")
+    with pytest.raises(FileExistsError):
+        save_dataset(path, Trajectory(t=[0.0, 2.0], v=[0.0, 1.0]))
+    assert ours.read_text() == "stale\n"
+    assert load_dataset(path).t[1] == 1.0
+
+
+def _slow_part():
+    time.sleep(60)
+    yield "never\n"
+
+
+def _disk_full():
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    yield
+
+
+def _interrupted():
+    yield "a\n"
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("failure", [None, "child", "parent"])
+def test_write_leaves_no_child_or_part_file(tmp_path, forks, failure):
+    path = tmp_path / "d.csv"
+    path.write_text("old\n")
+    if failure is None:
+        fileio._atomic_write(path, ["a\n"], [iter(["b\n"]), iter(["c\n", "d\n"])])
+        assert path.read_text() == "a\nb\nc\nd\n"
+    elif failure == "child":
+        # the child's OSError comes back as one, as the CLI reports it
+        with pytest.raises(OSError) as info:
+            fileio._atomic_write(path, ["a\n"], [iter(["b\n"]), _disk_full()])
+        assert info.value.errno == errno.ENOSPC
+        assert info.value.filename.endswith(".2.part")
+    else:
+        # the children still run when this process is interrupted
+        with pytest.raises(KeyboardInterrupt):
+            fileio._atomic_write(path, _interrupted(), [_slow_part(), _slow_part()])
+    assert len(forks) == 2
+    assert _all_reaped(forks)
+    assert os.listdir(tmp_path) == ["d.csv"]
+    if failure:
+        assert path.read_text() == "old\n"
 
 
 # ---------------------------------------- CSV writer blocks and reader paths
@@ -171,8 +268,13 @@ def _reference_values(path):
 SPECIAL = [-0.0, 5e-324, 1e16, 9.999999999999999e-05, np.nan, np.inf, -np.inf, 0.1]
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10001])
-def test_writer_bytes_match_csv_writer_reference(tmp_path, n):
+# the inner range edges, as many as forked children, for each row count at
+# three CPUs and ranges of 3,000 rows or more
+EDGES = {1: [], 4095: [], 4096: [], 4097: [], 6001: [3000], 10001: [3333, 6667],
+         12289: [4096, 8192]}
+
+
+def _columns(n):
     rng = np.random.default_rng(n)
     columns = [
         np.arange(n) * 1e-4,
@@ -182,10 +284,78 @@ def test_writer_bytes_match_csv_writer_reference(tmp_path, n):
         rng.normal(0, 1e3, n),
         rng.integers(1, 3, n),  # int: written as 1 / 2
     ]
+    for edge in EDGES.get(n, []):
+        columns[4][edge - 4 : edge + 4] = SPECIAL
+    return columns
+
+
+HEADER = ["t", "v", "z", "z1", "z2", "active"]
+
+
+@pytest.mark.parametrize("n", list(EDGES))
+def test_writer_bytes_match_csv_writer_reference(tmp_path, forks, n):
+    columns = _columns(n)
     path = tmp_path / "sim.csv"
     save_simulation(path, *columns)
-    header = ["t", "v", "z", "z1", "z2", "active"]
-    assert path.read_bytes() == _reference_text(header, columns).encode()
+    assert path.read_bytes() == _reference_text(HEADER, columns).encode()
+    assert len(forks) == len(EDGES[n])
+    assert _all_reaped(forks)
+    assert os.listdir(tmp_path) == ["sim.csv"]
+
+
+def _save_counting_forks(path, columns):
+    """``save_simulation`` in a pool worker: the number of forks it made."""
+    count = []
+    fork = os.fork
+    os.fork = lambda: count.append(1) or fork()
+    try:
+        save_simulation(path, *columns)
+    finally:
+        os.fork = fork
+    return len(count)
+
+
+def test_writer_in_a_pool_worker_writes_alone(tmp_path, forks):
+    # a pool worker is daemonic: a process it forks would outlive a terminate
+    columns = _columns(10001)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_save_counting_forks, (tmp_path / "sim.csv", columns)) == 0
+    assert (tmp_path / "sim.csv").read_bytes() == _reference_text(HEADER, columns).encode()
+
+
+@pytest.mark.parametrize("case, children", [
+    ("one-cpu", 0), ("cpu-count-1", 0), ("cpu-count-2", 1), ("no-fork", 0), ("thread", 0),
+    ("fork-fails", 0),
+])
+def test_writer_forks_only_where_it_can_help(tmp_path, monkeypatch, forks, case, children):
+    if case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0})
+    elif case.startswith("cpu-count"):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: int(case[-1]))
+    elif case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "fork-fails":
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", fork)
+    columns = _columns(10001)
+    path = tmp_path / "sim.csv"
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if case == "thread":
+        other.start()
+    try:
+        save_simulation(path, *columns)
+    finally:
+        stop.set()
+    if case == "thread":
+        other.join(timeout=10)
+        assert not other.is_alive()
+    assert len(forks) == children
+    assert _all_reaped(forks)
+    assert path.read_bytes() == _reference_text(HEADER, columns).encode()
+    assert os.listdir(tmp_path) == ["sim.csv"]
 
 
 def _dataset_lines(n, seed=0):

@@ -18,10 +18,12 @@ reader: a ``simulate --reference`` at the default ``--dt`` (10,001 rows),
 and ``evaluate`` on a 10,001-row dataset rewritten twice, once with CRLF
 line endings and blank lines (parsed by numpy) and once with a quoted
 field past its 4,096th row (which numpy rejects, so the file is read row
-by row). The scenario closes on a
-quantized dither input (``dither_rows``, no RNG), whose short runs and
-holds fill blocks of several runs: ``generate --input`` and
-``evaluate`` run on it.
+by row). Then ``simulate --reference``, ``generate`` and ``evaluate`` at
+``--dt 2e-4`` write 50,001 rows each, enough for the writer to split the
+rows between forked processes on a machine with two or more usable CPUs.
+The scenario closes on a quantized dither input (``dither_rows``, no
+RNG), whose short runs and holds fill blocks of several runs:
+``generate --input`` and ``evaluate`` run on it.
 
 Every file the scenario leaves and every command's stdout and exit code
 are compared byte for byte, one line per item. A closing line gives the
@@ -93,6 +95,11 @@ SCENARIO = (
     ("rewrite_quoted", "long.csv", "long_quoted.csv"),
     ("evaluate", "--data", "long_quoted.csv", "--params", "fit_egpi.model.json",
      "--out", "eval_long_quoted.csv"),
+    ("simulate", "--reference", "--dt", "2e-4", "--out", "reference_forked.csv"),
+    ("generate", "--params", "model.json", "--dt", "2e-4", "--noise-std", "0.1", "--seed", "6",
+     "--out", "forked.csv"),
+    ("evaluate", "--data", "forked.csv", "--params", "fit_egpi.model.json",
+     "--out", "eval_forked.csv"),
     ("write_dither", "dither_input.csv"),
     ("generate", "--params", "model.json", "--input", "dither_input.csv", "--out", "dither.csv"),
     ("evaluate", "--data", "dither.csv", "--params", "fit_egpi.model.json",
