@@ -36,7 +36,8 @@ from .errors import (
 )
 from .metrics import Metrics, compute_metrics
 from .operators import (DensitySpec, EgpiModel, GpiModel, SwitchMode, _bank_pass, _bank_tangent,
-                        _grid, _init_bank, _plan, _reports_second, _stack)
+                        _grid, _init_bank, _layout, _plan, _reporting, _reports_second, _Stack,
+                        _warn_empty)
 from .signals import Trajectory
 
 EGPI_PARAM_NAMES = (
@@ -159,7 +160,9 @@ def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 3
     residual function at ``params``, over a plan of its own."""
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    return _fit_pair(traj, params, v_f, mode, n)[0](params)
+    fit_residuals, _, warn_empty = _fit_pair(traj, params, v_f, mode, n)
+    warn_empty(params)
+    return fit_residuals(params)
 
 
 # built once per mode, as every call reads them
@@ -188,13 +191,13 @@ def _tables(fields, units, r, p):
     u_lam, u_sigma, u_r1, u_rn = units[0, 4:8]
     frac = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
     dr = np.zeros((r.size, u_lam.size))
-    dr[1:] = np.outer(1.0 - frac, u_r1) + np.outer(frac, u_rn)
-    dp = p[:, None] * (u_lam / lam - np.outer(r, u_sigma) - sigma * dr)
-    ones, tables = np.ones((r.size, 1)), []
-    for f, (u_aa, u_ab, u_da, u_db, *_, u_kappa) in zip(fields, units):
-        tables.append((dp, u_ab - dr, u_db + f[8] * dr + np.outer(r, u_kappa),
-                       ones * u_aa, ones * u_da, ones * f[:2], ones * f[2:4]))
-    return tuple(map(np.concatenate, zip(*tables)))
+    dr[1:] = (1.0 - frac)[:, None] * u_r1 + frac[:, None] * u_rn  # np.outer's, unwrapped
+    dp = p[:, None] * (u_lam / lam - r[:, None] * u_sigma - sigma * dr)
+    u = units[:, None]  # each table holds a bank's rows, then the next bank's
+    ddesc = u[:, :, 3] + fields[:, 8, None, None] * dr + r[:, None] * u[:, :, 8]
+    per_bank = (units[:, 0], units[:, 2], fields[:, :2], fields[:, 2:4])
+    return (np.concatenate([dp] * len(fields)), (u[:, :, 1] - dr).reshape(-1, dp.shape[1]),
+            ddesc.reshape(-1, dp.shape[1]), *(np.repeat(x, r.size, axis=0) for x in per_bank))
 
 
 def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
@@ -204,7 +207,9 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
     its crossover) it takes the one-sided derivative of the branch the
     state is on. The measured angles do not enter it: ``_fit_pair``'s
     Jacobian function at ``params``, over a plan of its own."""
-    return _fit_pair(traj, params, v_f, mode, n)[1](params)
+    _, fit_jacobian, warn_empty = _fit_pair(traj, params, v_f, mode, n)
+    warn_empty(params)
+    return fit_jacobian(params)
 
 
 def _line(a, b):
@@ -213,35 +218,43 @@ def _line(a, b):
 
 
 def _fit_pair(traj: Trajectory, params, v_f, mode: str, n: int):
-    """The residuals (which need ``traj.theta``) and the residual Jacobian
-    of ``traj`` as functions of the parameters alone, over one fresh plan
-    of its input (``operators._plan``). Every residual and Jacobian goes
+    """The residuals (which need ``traj.theta``) and the residual Jacobian of
+    ``traj`` as functions of the parameters alone, over one fresh plan of its
+    input (``operators._plan``), and a function that warns of the bands a
+    vector leaves empty, as those two do not. Every residual and Jacobian goes
     through one. ``build_model(params, mode, v_f, n)`` runs once: it checks
-    ``v_f`` and ``n`` and gives the switch mask (``_reports_second``). Each
-    call checks its vector (``validate_params``) and lays its banks out by
-    ``_COLUMNS[mode]`` as the rows of one walk (``operators._stack``) on
-    one grid (``operators._grid``), with the bits of ``build_model``'s.
-    """
-    plan, theta = _plan(traj.t, traj.v), traj.theta
+    ``v_f`` and ``n`` and gives the switch mask, and with it each walk entry's
+    reporting spans and dense head (``operators._reporting``). Each call checks
+    its vector (``validate_params``) and lays its banks out by ``_COLUMNS[mode]``
+    on one grid (``operators._grid``), by the float ops of ``build_model``."""
+    plan, theta, v0 = _plan(traj.t, traj.v), traj.theta, traj.v[0]
     use2 = _reports_second(build_model(params, mode, v_f, n), plan.v, plan.d)
     columns = _COLUMNS[mode]
     units = np.eye(columns.max() + 1)[columns, :-1]  # the fixed regulator has no column
+    slices, bank = _layout((n + 1,) * len(columns))
+    reporting = _reporting(plan, use2, slices)
 
     def lay_out(p):
-        fields = np.append(validate_params(p, mode), 1.0)[columns]
-        grid = _grid(*fields[0, 4:8], n)
-        return fields, grid, _stack((*grid, 1.0, f[8], _line(*f[:2]), _line(*f[2:4]))
-                                    for f in fields)
+        fields = np.concatenate((validate_params(p, mode), (1.0,)))[columns]
+        banks = fields.tolist()
+        r, w = grid = _grid(*banks[0][4:8], n)
+        # each bank's p, then kappa_asc*r (kappa_asc is 1), then kappa_desc*r
+        rows = np.concatenate([w] * len(banks) + [r] * len(banks) + [*fields[:, 8:9] * r])
+        return fields, grid, _Stack(slices, bank, *rows.reshape(3, -1),
+                                    *(tuple(_line(*f[k : k + 2]) for f in banks) for k in (0, 2)))
 
     def fit_residuals(p):
         stack = lay_out(p)[2]
-        return _bank_pass(stack, plan, use2, _init_bank(stack, plan.v[0]))[0] - theta
+        return _bank_pass(stack, plan, use2, _init_bank(stack, v0)[0], reporting)[0] - theta
 
     def fit_jacobian(p):
         fields, grid, stack = lay_out(p)
-        return _bank_tangent(stack, _tables(fields, units, *grid), plan, use2)
+        return _bank_tangent(stack, _tables(fields, units, *grid), plan, use2, reporting)
 
-    return fit_residuals, fit_jacobian
+    def warn_empty(p):
+        _warn_empty(v0, _init_bank(lay_out(p)[2], v0)[1])
+
+    return fit_residuals, fit_jacobian, warn_empty
 
 
 def jacobian_fd(
@@ -264,7 +277,8 @@ def jacobian_fd(
     params = validate_params(params, mode)
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    fit_residuals = _fit_pair(traj, params, v_f, mode, n)[0]
+    fit_residuals, _, warn_empty = _fit_pair(traj, params, v_f, mode, n)
+    warn_empty(params)
     base = fit_residuals(params)
     J = np.empty((base.size, params.size))
     for k in range(params.size):
@@ -402,7 +416,8 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     rejection (Transtrum & Sethna 2012); every point is projected onto the
     bounds. Stops on relative loss change, gradient norm, max_iterations,
     or as ``stalled`` once mu passes 1e12. A step is taken only if it
-    lowers the loss, so the last parameters are the best seen.
+    lowers the loss, so the last parameters are the best seen. Only those
+    are checked for empty play bands (a ``RuntimeWarning``), not the trials.
     """
     config = config or FitConfig()
     if traj.theta is None:
@@ -421,7 +436,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
     else:
         p = default_initial_guess(traj, v_f, mode)
 
-    fit_residuals, fit_jacobian = _fit_pair(traj, p, v_f, mode, n)
+    fit_residuals, fit_jacobian, warn_empty = _fit_pair(traj, p, v_f, mode, n)
     e = fit_residuals(p)
     loss = float(e @ e)
     trace = [loss]
@@ -481,6 +496,7 @@ def lm_fit(traj: Trajectory, config: FitConfig | None = None, mode: str = "egpi"
             reason, converged = stop
             break
 
+    warn_empty(p)
     return FitResult(
         params=p,
         mode=mode,

@@ -81,9 +81,13 @@ class DensitySpec:
 
 
 def _grid(lam, sigma, r1, rn, n: int):
-    """Thresholds ``r``, 0 and then ``n`` values from ``r1`` to ``rn``, and
-    their weights ``lam * exp(-sigma * r)``, both read-only: ``(r, p)``."""
-    r = np.concatenate(([0.0], np.linspace(r1, rn, n)))
+    """Thresholds ``r``, 0 and then ``n`` values from ``r1`` to ``rn`` by the
+    float ops of ``np.linspace`` (without its Python wrapper), and their
+    weights ``lam * exp(-sigma * r)``, both read-only: ``(r, p)``."""
+    r, delta, div = np.zeros(n + 1), float(rn) - float(r1), max(n - 1, 1)
+    # k*step + r1; linspace takes k/div*delta where the step underflows to 0
+    r[1:] = (np.arange(n) / div * delta if delta / div == 0 else np.arange(n) * (delta / div)) + r1
+    r[-1] = rn if n > 1 else r1
     p = lam * np.exp(-sigma * r)
     r.flags.writeable = p.flags.writeable = False
     return r, p
@@ -201,22 +205,19 @@ _Stack = collections.namedtuple("_Stack", "slices bank p asc_off desc_off asc de
 
 
 def _stack(banks, start=None) -> _Stack:
-    """``banks``, each ``(r, p, kappa_asc, kappa_desc, asc, desc)`` (its
-    grid, ``_grid``, its regulators and its envelopes), as the rows of one
-    walk: bank ``b`` owns rows ``slices[b]``, in operator order; ``bank`` is
-    each row's bank, and ``p``, ``asc_off``, ``desc_off`` its weight,
-    ``kappa_asc*r`` and ``kappa_desc*r``, and ``asc`` and ``desc`` each
-    bank's envelope. A model's banks give theirs (``_evaluate``), and so
-    does a fit's parameter vector (``fitting._fit_pair``). ConfigError if
-    the states ``start`` of a continued memory (``Plan.start``) hold other
-    operator counts."""
-    r, p, kappa_asc, kappa_desc, asc, desc = zip(*banks)
+    """The ``GpiModel`` ``banks`` as the rows of one walk: bank ``b`` owns
+    rows ``slices[b]``, in operator order; ``bank`` is each row's bank, and
+    ``p``, ``asc_off``, ``desc_off`` its weight, ``kappa_asc*r`` and
+    ``kappa_desc*r``, and ``asc`` and ``desc`` each bank's envelope (a fit
+    lays its vectors out in such rows, ``fitting._fit_pair``). ConfigError
+    if the states ``start`` of a continued memory hold other operator counts."""
+    r, p = zip(*[b.density._grid for b in banks])
     sizes = tuple(x.size for x in r)
     if start is not None and (held := tuple(x.size for x in start)) != sizes:
         raise ConfigError(f"memory holds banks of {held} operators, the model has {sizes}")
-    rows = np.concatenate([*p, *(k * x for k, x in zip(kappa_asc, r)),
-                           *(k * x for k, x in zip(kappa_desc, r))]).reshape(3, -1)
-    return _Stack(*_layout(sizes), *rows, asc, desc)
+    rows = np.concatenate([*p, *(b.kappa_asc * x for b, x in zip(banks, r)),
+                           *(b.kappa_desc * x for b, x in zip(banks, r))]).reshape(3, -1)
+    return _Stack(*_layout(sizes), *rows, *zip(*[(b.asc_env, b.desc_env) for b in banks]))
 
 
 @lru_cache(maxsize=16)
@@ -238,33 +239,29 @@ def _rows(stack: _Stack, T) -> np.ndarray:
     return T if len(T) == 1 else T.take(stack.bank, axis=0)
 
 
-def _init_bank(stack: _Stack, v0: float) -> np.ndarray:
-    """States of every row of ``stack`` at the first sample: 0 clamped into
-    each operator's band. Where the band is empty (crossed envelopes) the
-    state stays at 0, and a warning per bank with such operators is recorded.
-    """
+def _init_bank(stack: _Stack, v0: float):
+    """States of every row of ``stack`` at the first sample, 0 clamped into
+    each operator's band, and per bank the number of operators whose band
+    is empty (crossed envelopes), whose state stays at 0: ``(w, empty)``."""
     lo = _rows(stack, _targets(stack.asc, v0)) - stack.asc_off
     hi = _rows(stack, _targets(stack.desc, v0)) + stack.desc_off
     ok = lo <= hi
     w = np.minimum(np.maximum(0.0, lo), hi)
-    if not ok.all():
-        w[~ok] = 0.0
-        for a, e in stack.slices:
-            if empty := np.count_nonzero(~ok[a:e]):
-                warnings.warn(f"empty play band at v0={v0} for {empty} operator(s); left at 0",
-                              RuntimeWarning, stacklevel=_caller_level())
-    return w
+    if ok.all():
+        return w, ()
+    w[~ok] = 0.0
+    return w, [np.count_nonzero(~ok[a:e]) for a, e in stack.slices]
 
 
-def _caller_level() -> int:
-    """The ``stacklevel`` at which a warning issued by this function's caller
-    names the innermost frame outside the package (``skip_file_prefixes``
-    does this from Python 3.12 on)."""
-    package = os.path.dirname(__file__) + os.sep
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(package):
-        frame, level = frame.f_back, level + 1
-    return level
+def _warn_empty(v0, empty):
+    """Warn of each bank with ``empty`` operators at ``v0`` (``_init_bank``), naming
+    the innermost frame outside the package (``skip_file_prefixes`` from Python 3.12 on)."""
+    for count in filter(None, empty):
+        package, frame, level = os.path.dirname(__file__) + os.sep, sys._getframe(), 1
+        while frame is not None and frame.f_code.co_filename.startswith(package):
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"empty play band at v0={v0} for {count} operator(s); left at 0",
+                      RuntimeWarning, stacklevel=level)
 
 
 # samples per block of short runs; temporaries stay O(operators x block)
@@ -315,35 +312,30 @@ def _clip(x, lo, hi):
     return np.minimum(y, hi, out=y)
 
 
-def _run_states(stack: _Stack, E, T, rising: bool) -> np.ndarray:
-    """States (rows x samples) along one run entered with the states ``E``
-    (a column), at the targets ``T`` (``_targets``) of its samples:
-    ``max(E, T - kappa_asc*r)`` rising, ``min(E, T + kappa_desc*r)`` falling.
-    """
-    if rising:
-        S = np.subtract(_rows(stack, T), stack.asc_off[:, None])
-        return np.maximum(S, E, out=S)
-    S = np.add(_rows(stack, T), stack.desc_off[:, None])
-    return np.minimum(S, E, out=S)
+def _run_states(off, E, T, rising: bool) -> np.ndarray:
+    """States (rows x samples) along a run entered with the states ``E`` (a
+    column), at its targets ``T`` (one row for all rows, or one per row):
+    ``max(E, T - off)`` rising, ``min(E, T + off)`` falling, ``off`` the
+    rows' ``kappa_asc*r`` or ``kappa_desc*r`` (a column)."""
+    return np.maximum(T - off, E) if rising else np.minimum(T + off, E)
 
 
-def _sweep(stack: _Stack, E, rising: bool):
-    """Which operators move along one run entered with the states ``E``:
-    ``(c, order, key)``.
+def _sweep(E, off, rising: bool):
+    """Which operators of one bank that reports samples of a run (only such
+    banks sort) move along it from the states ``E`` (``off`` their
+    ``kappa_asc*r`` rising, ``kappa_desc*r`` falling): ``(c, order, key)``.
 
     Operator k has left ``E[k]`` at a sample exactly when the target has
     passed ``c[k]``: ``T > c[k] = E[k] + kappa_asc*r[k]`` rising, ``T <
     c[k] = E[k] - kappa_desc*r[k]`` falling; from then on it sits on the
-    target, ``T - c[k] + E[k]``. ``order`` sorts the rows by bank, then
-    stably by ``c``, descending on a fall; ``key`` is ``c`` (``-c``
-    falling) in that order. So the operators of the bank of rows ``a:e``
-    that have moved at its target ``T`` are ``order[a:a + m]``, ``m =
-    key[a:e].searchsorted(T)`` (``-T`` falling): a target equal to ``c[k]``
-    leaves operator k where it is.
-    """
-    c = E + stack.asc_off if rising else E - stack.desc_off
+    target, ``T - c[k] + E[k]``. ``order`` sorts them stably by ``c``,
+    descending on a fall; ``key`` is ``c`` (``-c`` falling) in that order.
+    So the operators that have moved at the target ``T`` are ``order[:m]``,
+    ``m = key.searchsorted(T)`` (``-T`` falling): a target equal to
+    ``c[k]`` leaves operator k where it is."""
+    c = E + off if rising else E - off
     key = c if rising else -c
-    order = np.lexsort((key, stack.bank))  # stable: per bank, a stable sort by key
+    order = key.argsort(kind="stable")
     return c, order, key[order]
 
 
@@ -352,15 +344,14 @@ def _states(stack: _Stack, v, d, walk, w):
     _directions(v, prev)``), from the states ``w`` before the step to
     ``v[0]``, along the plan's ``walk``.
 
-    Yields ``(i, j, S, E, T)`` per entry ``v[i:j]``, with ``E`` the state
+    Yields ``(i, j, S, E)`` per entry ``v[i:j]``, with ``E`` the state
     each operator entered its run with:
     - a block of several runs: ``S`` and ``E`` hold a column per sample,
-      ``S`` the states, and ``T`` is None;
-    - a hold: ``S`` is ``E``, one column, and ``T`` is None;
+      ``S`` the states;
+    - a hold: ``S`` is ``E``, one column;
     - any other entry lies in one moving run: ``S`` (the state at its last
-      sample) and ``E`` are one column each, and ``T`` holds the targets
-      of its samples (``_targets``), from which ``_run_states`` and
-      ``_sweep`` give the states.
+      sample, one clamp of every row) and ``E`` are one column each; a
+      bank's targets there give its states (``_run_states``, ``_sweep``).
 
     Each step clamps the state: ``max(w, asc_env(v) - kappa_asc*r)``
     rising, ``min(w, desc_env(v) + kappa_desc*r)`` falling, the identity
@@ -375,10 +366,10 @@ def _states(stack: _Stack, v, d, walk, w):
     """
     asc_off, desc_off = stack.asc_off[:, None], stack.desc_off[:, None]
     for i, j, starts in walk:
-        E, T = w[:, None], None
+        E = w[:, None]
         if not starts.size and d[i] != 0:
-            T = _targets(stack.asc if d[i] > 0 else stack.desc, v[i:j])
-            S = _run_states(stack, E, T[:, -1:], d[i] > 0)
+            T = _targets(stack.asc if d[i] > 0 else stack.desc, v[j - 1 : j])
+            S = _run_states(asc_off if d[i] > 0 else desc_off, E, _rows(stack, T), d[i] > 0)
         elif not starts.size:
             S = E
         else:
@@ -400,7 +391,7 @@ def _states(stack: _Stack, v, d, walk, w):
             after[ends + 1] = 1
             E = np.concatenate((E, _clip(E, L.T, H.T)), axis=1).take(np.cumsum(after[:-1]), axis=1)
             S = _clip(E, lo, hi)
-        yield i, j, S, E, T
+        yield i, j, S, E
         # a copy, so that E (a view of w) does not keep this block's S alive
         w = S[:, -1].copy()
 
@@ -418,13 +409,23 @@ def _contract(p: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.einsum("m,mn->n", p, S)[:k]
 
 
-def _reporting(stack: _Stack, use2, i: int, j: int):
-    """Each bank's rows and the span of the run ``v[i:j]`` it reports, by
-    ``use2`` (submodel 2 where True): ``(b, ((a, e), (s, t)))`` per bank.
-    Along a run the input is monotone, so bank 2 reports its last samples;
-    a lone bank reports every sample."""
-    q = j - np.count_nonzero(use2[i:j]) if len(stack.slices) > 1 else j
-    return enumerate(zip(stack.slices, ((i, q), (q, j))))
+def _reporting(plan, use2, slices) -> list:
+    """Per entry of ``plan.walk``, None for a block of several runs, else
+    ``(k, spans)``: ``k`` the length of its dense head, its first ``_LONG``
+    samples (a continued run counts ``plan.lead``), and ``(b, a, e, s, t)``
+    in ``spans`` for each bank ``b`` of rows ``slices[b] = (a, e)`` that
+    reports samples ``v[s:t]`` by ``use2`` (bank 2 a monotone run's last
+    ones). ``_evaluate`` works this out per call, ``fitting._fit_pair`` once."""
+    entries = []
+    for i, j, starts in plan.walk:
+        if starts.size:
+            entries.append(None)
+            continue
+        q = j - int(np.count_nonzero(use2[i:j])) if len(slices) > 1 else j
+        spans = zip(range(2), slices, ((i, q), (q, j)))
+        entries.append((min(_LONG - (plan.lead if i == 0 else 0), j - i),
+                        tuple((b, a, e, s, t) for b, (a, e), (s, t) in spans if s < t)))
+    return entries
 
 
 def _closed_form(key, T, rising: bool, A, B, base, x, out):
@@ -439,58 +440,59 @@ def _closed_form(key, T, rising: bool, A, B, base, x, out):
     np.add.accumulate(B, out=P[1, 1:])
     P[1] += base
     # m never exceeds the row count; "clip" skips a buffer
-    np.multiply(x, P[0].take(m, axis=0, mode="clip"), out=out)
+    np.multiply(P[0].take(m, axis=0, out=out, mode="clip"), x, out=out)
     out += P[1].take(m, axis=0, mode="clip")
 
 
-def _bank_pass(stack: _Stack, plan, use2, w):
+def _bank_pass(stack: _Stack, plan, use2, w, reporting):
     """The output along the input of ``plan`` from the states ``w``
     (``_states``), each sample's from the bank ``use2`` reports there
-    (``_reporting``), and each bank's memory: ``(z, states, run_states)``.
+    (``reporting``, ``_reporting``), and every row's state at the last
+    sample and on entering its run: ``(z, S, E)``.
 
-    Each bank computes the samples it reports. A sample sums its bank's
-    operator states (``_contract``) when it lies in a block or among the
-    first ``_LONG`` samples of its run. Later samples take the run's
-    closed form (``_closed_form``) from one ``_sweep``: ``y = T*P[m] + (PE
-    - PC)[m]``, where ``P`` and ``PC`` are the bank's running sums of
-    ``p`` and ``p*c`` in ``order``, from 0, and ``PE`` is ``p @ E`` summed
-    in operator order. So a sample's bits depend only on its run's
-    entering state and direction, its own target, and whether it lies
-    below ``_LONG``, never on where the input is cut or on the other
-    banks. ``plan.lead`` (``_blocks``) counts the samples of a continued
-    run before ``v[0]``, which ``w`` entered.
-    """
+    A block sums every bank's states (``_contract``) at each sample. A hold
+    or a run computes only the samples each bank reports there: among the
+    first ``_LONG`` of its run a sample sums its bank's states
+    (``_run_states``), and later ones take the closed form
+    (``_closed_form``) of one ``_sweep`` of the bank's rows: ``y = T*P[m] +
+    (PE - PC)[m]``, where ``P`` and ``PC`` are its running sums of ``p`` and
+    ``p*c`` in ``order``, from 0, and ``PE`` is ``p @ E`` summed in operator
+    order. So a sample's bits depend only on its run's entering state and
+    direction, its own target, and whether it lies below ``_LONG``, never
+    on where the input is cut or on the other banks. The state carried on
+    is one clamp of every row. ``plan.lead`` (``_blocks``) counts the
+    samples of a continued run before ``v[0]``, which ``w`` entered."""
     v, d, p = plan.v, plan.d, stack.p
     y = np.empty((len(stack.slices), v.size))  # a bank's unreported samples stay unset
-    for i, j, S, E, T in _states(stack, v, d, plan.walk, w):
-        if T is None:
+    for (i, j, S, E), entry in zip(_states(stack, v, d, plan.walk, w), reporting):
+        if entry is None:
             for b, (a, e) in enumerate(stack.slices):
                 y[b, i:j] = _contract(p[a:e], S[a:e])
             continue
-        rising, k = d[i] > 0, min(_LONG - (plan.lead if i == 0 else 0), j - i)
-        R = _run_states(stack, E, T[:, :k], rising)
-        if k < j - i:
-            c, order, key = _sweep(stack, E[:, 0], rising)
-            po, pe = p[order], p * E[:, 0]
-            npc = po * -c[order]
-        for b, ((a, e), (s, t)) in _reporting(stack, use2, i, j):
-            if s < min(t, i + k):
-                y[b, i : i + k] = _contract(p[a:e], R[a:e])
-            if (s := max(s, i + k)) < t:
-                Tb = T[b, s - i : t - i]
-                _closed_form(key[a:e], Tb, rising, po[a:e], npc[a:e],
-                             np.add.accumulate(pe[a:e])[-1], Tb, y[b, s:t])
+        (k, spans), rising = entry, d[i] > 0
+        off, envs = (stack.asc_off, stack.asc) if rising else (stack.desc_off, stack.desc)
+        for b, a, e, s, t in spans:
+            if not d[i]:
+                y[b, s:t] = _contract(p[a:e], S[a:e])
+                continue
+            T, h, m = envs[b](v[s:t]), min(t, i + k), max(s, i + k)
+            if s < h:
+                R = _run_states(off[a:e, None], E[a:e], T[: h - s], rising)
+                y[b, s:h] = _contract(p[a:e], R)
+            if m < t:
+                _, order, key = _sweep(E[a:e, 0], off[a:e], rising)
+                po = p[a:e][order]  # and -c in sweep order is -key rising, key falling
+                _closed_form(key, T[m - s:], rising, po, po * (-key if rising else key),
+                             np.add.accumulate(p[a:e] * E[a:e, 0])[-1], T[m - s:], y[b, m:t])
     z = np.where(use2, y[-1], y[0]) if len(y) > 1 else y[0]  # a lone bank reports every sample
-    S, E = S[:, -1], E[:, -1]  # each entry begins a run
-    return (z, tuple(S[a:e].copy() for a, e in stack.slices),
-            tuple(E[a:e].copy() for a, e in stack.slices))
+    return z, S[:, -1], E[:, -1]  # each entry begins a run
 
 
-def _bank_tangent(stack: _Stack, tables, plan, use2):
+def _bank_tangent(stack: _Stack, tables, plan, use2, reporting):
     """Forward-mode pass of a fit's banks over a fresh ``plan``: the
     Jacobian, one row per sample and a column per parameter, each row from
-    the bank ``use2`` reports there (``_reporting``). ``tables`` are the
-    banks' tangent tables (``fitting._tables``).
+    the bank ``use2`` reports there (``reporting``, as in ``_bank_pass``).
+    ``tables`` are the banks' tangent tables (``fitting._tables``).
 
     Along ``_states`` a state that moved off its entering value sits on
     the branch target of that sample until it moves again. So a state
@@ -499,8 +501,10 @@ def _bank_tangent(stack: _Stack, tables, plan, use2):
 
     Along a run a sample's row is the row at the run's entering states plus
     running sums, in ``_sweep`` order, of what each moved operator adds
-    (``_closed_form``): O(samples x parameters) per run. A tie takes the
-    derivative from the side where the state does not move.
+    (``_closed_form``): O(samples x parameters) per run, for the samples
+    each bank reports, from its own ``_sweep``; the tangents carried on
+    are those of every row. A tie takes the derivative from the side
+    where the state does not move.
 
     A block of several runs is computed whole for each bank that reports
     one of its samples (BLAS bits depend on the matrix shape); a hold's
@@ -512,33 +516,32 @@ def _bank_tangent(stack: _Stack, tables, plan, use2):
     # clamped initial state: the tangent of whichever bound is active. As
     # w = clip(0, lo, hi), a state above 0 sits on lo and one below 0 on hi.
     v, d = plan.v, plan.d
-    v0, w = float(v[0]), _init_bank(stack, v[0])
+    v0, w = float(v[0]), _init_bank(stack, v[0])[0]
     dw = np.where(w[:, None] > 0.0, v0 * a_asc + dasc,
                   np.where(w[:, None] < 0.0, v0 * a_desc + ddesc, 0.0))
 
     J = np.empty((v.size, dp.shape[1]))
     p = stack.p
     pcol = p[:, None]
-    for i, j, S, E, T in _states(stack, v, d, plan.walk, w):
-        if E.shape[1] == 1:
+    for (i, j, S, E), entry in zip(_states(stack, v, d, plan.walk, w), reporting):
+        if entry is not None:
             rising = d[i] > 0
             dT, a, env_a, env_b = branch[rising]
-            if T is not None:
+            off, envs = (stack.asc_off, stack.asc) if rising else (stack.desc_off, stack.desc)
+            for b, a0, a1, s, e in entry[1]:
+                rows = slice(a0, a1)
+                J0 = p[rows] @ dw[rows] + E[rows].T @ dp[rows]  # the row at E
+                if not d[i]:
+                    J[s:e] = J0
+                    continue
                 # a state that has moved adds p*(v*a + dT - dw) + (T - c)*dp
                 # to its row, where T = env.a*v + env.b: X + v*Y, summed in
                 # the order in which the states move
-                c, order, key = _sweep(stack, E[:, 0], rising)
-                Xo = (pcol * (dT - dw) + (env_b - c)[:, None] * dp)[order]
-                Yo = (pcol * a + env_a[:, None] * dp)[order]
-            for b, ((a0, a1), (s, e)) in _reporting(stack, use2, i, j):
-                if s == e:
-                    continue
-                J0 = p[a0:a1] @ dw[a0:a1] + E[a0:a1].T @ dp[a0:a1]  # the row at E
-                if T is None:
-                    J[s:e] = J0
-                    continue
-                _closed_form(key[a0:a1], T[b, s - i : e - i], rising, Yo[a0:a1], Xo[a0:a1],
-                             J0, v[s:e, None], J[s:e])
+                c, order, key = _sweep(E[rows, 0], off[rows], rising)
+                Xo = (pcol[rows] * (dT[rows] - dw[rows]) + (env_b[rows] - c)[:, None] * dp[rows])
+                Yo = pcol[rows] * a[rows] + env_a[rows, None] * dp[rows]
+                _closed_form(key, envs[b](v[s:e]), rising, Yo[order], Xo[order], J0,
+                             v[s:e, None], J[s:e])
             if d[i]:
                 dw = np.where(S != E, v[j - 1] * a + dT, dw)
         else:
@@ -618,12 +621,13 @@ def _evaluate(model, plan: Plan):
     ``(z, use2, memory)`` (``_bank_pass``), ``use2`` the samples submodel 2
     reports (``_reports_second``). The model is only read.
     """
-    stack = _stack(((*b.density._grid, b.kappa_asc, b.kappa_desc, b.asc_env, b.desc_env)
-                    for b in _banks(model)), plan.start)
+    stack = _stack(_banks(model), plan.start)
     v = plan.v
     use2 = _reports_second(model, v, plan.d)
-    w = _init_bank(stack, v[0]) if plan.start is None else np.concatenate(plan.start)
-    z, states, entries = _bank_pass(stack, plan, use2, w)
+    w, empty = _init_bank(stack, v[0]) if plan.start is None else (np.concatenate(plan.start), ())
+    _warn_empty(v[0], empty)
+    z, S, E = _bank_pass(stack, plan, use2, w, _reporting(plan, use2, stack.slices))
+    states, entries = (tuple(x[a:e].copy() for a, e in stack.slices) for x in (S, E))
     return z, use2, Memory(float(v[-1]), plan.run, states, entries)
 
 

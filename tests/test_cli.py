@@ -1,10 +1,12 @@
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fixtures import SWEEP_FLAG, recovery_params, refuse_huge_arange, sweep_input
+from fixtures import (SWEEP_FLAG, recovery_dataset, recovery_params, refuse_huge_arange,
+                      sweep_input)
 
 from hystfit import (
     ConfigError,
@@ -39,6 +41,18 @@ def small_data(tmp_path):
     save_dataset(data_path, noisy)
     save_model(model_path, model)
     return data_path, model_path, params
+
+
+def test_fit_trial_points_do_not_warn(tmp_path, capsys):
+    # the gpi fit of recovery seed 0 tries vectors that leave a band empty
+    # at v0, each of which warned; its final parameters leave none
+    traj, _, _ = recovery_dataset(0)
+    save_dataset(tmp_path / "data.csv", traj)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert run("fit", "--data", tmp_path / "data.csv", "--mode", "gpi",
+                   "--out-prefix", tmp_path / "fit") == 0
+    assert [str(w.message) for w in record] == []
 
 
 # ------------------------------------------------------------- path errors

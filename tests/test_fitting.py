@@ -434,7 +434,7 @@ def test_tangent_rows_equal_passes_over_every_row(seed):
     # three blocks, one walk entry.
     from fixtures import bank_stack
     from hystfit.fitting import _COLUMNS, _tables
-    from hystfit.operators import _bank_tangent, _plan, _reports_second
+    from hystfit.operators import _bank_tangent, _plan, _reporting, _reports_second
 
     params = recovery_params(seed)
     model = build_model(params, "egpi", SWEEP_FLAG)
@@ -443,9 +443,10 @@ def test_tangent_rows_equal_passes_over_every_row(seed):
     for traj in (sweep_input(), short_tail_input()):
         plan = _plan(traj.t, traj.v)
         J = _fit_pair(traj, params, SWEEP_FLAG, "egpi", 30)[1](params)
-        every = [_bank_tangent(bank_stack(bank), _tables(fields[b:b + 1], units[b:b + 1], *grid),
-                               plan, np.zeros(plan.v.size, dtype=bool))
-                 for b, bank in enumerate(model.submodels)]
+        alone = np.zeros(plan.v.size, dtype=bool)
+        every = [_bank_tangent(stack, _tables(fields[b:b + 1], units[b:b + 1], *grid), plan,
+                               alone, _reporting(plan, alone, stack.slices))
+                 for b, stack in enumerate(map(bank_stack, model.submodels))]
         use2 = _reports_second(model, plan.v, plan.d)
         assert np.array_equal(J, np.where(use2[:, None], every[1], every[0]))
 
@@ -516,7 +517,7 @@ def test_fit_pair_keeps_the_bits_of_the_public_residuals_and_jacobian(seed, mode
     traj, _, params = recovery_dataset(seed)
     truth = params if mode == "egpi" else params[[0, 1, 2, 3, 6, 7, 8, 9]]
     guess = default_initial_guess(traj, SWEEP_FLAG, mode)
-    fit_residuals, fit_jacobian = _fit_pair(traj, truth, SWEEP_FLAG, mode, 30)
+    fit_residuals, fit_jacobian, _ = _fit_pair(traj, truth, SWEEP_FLAG, mode, 30)
     for p in (truth, guess):
         assert np.array_equal(fit_residuals(p), residuals(p, traj, SWEEP_FLAG, mode))
         assert np.array_equal(fit_jacobian(p), jacobian(p, traj, SWEEP_FLAG, mode))
@@ -641,6 +642,23 @@ def test_scale_symmetry_leaves_output_unchanged(mode, c):
     z = predict(build_model(params, mode, SWEEP_FLAG), t, v)
     z_scaled = predict(build_model(_scaled(params, mode, c), mode, SWEEP_FLAG), t, v)
     assert np.max(np.abs(z_scaled - z)) <= 1e-12
+
+
+def test_lm_fit_warns_once_of_empty_bands_at_its_final_parameters(small_fixture):
+    # its trial points do not warn; a fit stopped after one iteration from
+    # crossed envelopes still has an empty band at v0, and says so once,
+    # naming this line; one that runs on leaves it and does not warn
+    _, _, _, noisy = small_fixture
+    crossed = recovery_params(3)
+    crossed[1], crossed[3] = 6.0, -4.0  # ascending envelope above descending at v=0
+    start = crossed[GPI_COLUMNS]
+    for iterations, count in ((1, 1), (200, 0)):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            lm_fit(noisy, FitConfig(max_iterations=iterations, initial=start), "gpi")
+        assert [str(w.message) for w in record] == [
+            "empty play band at v0=0.0 for 1 operator(s); left at 0"] * count
+        assert all(w.filename == __file__ for w in record)
 
 
 def test_lm_fit_rejects_bad_input(small_fixture):

@@ -28,11 +28,12 @@ from hystfit import (
     Trajectory,
     build_model,
     egpi_eval,
+    gen_synthetic,
     gpi_eval,
     predict,
     reference_model,
 )
-from hystfit.fitting import _fit_pair, jacobian, residuals
+from hystfit.fitting import _fit_pair, jacobian, jacobian_fd, residuals
 from hystfit.operators import (
     _BLOCK,
     _LONG,
@@ -40,7 +41,9 @@ from hystfit.operators import (
     _blocks,
     _directions,
     _evaluate,
+    _grid,
     _plan,
+    _reports_second,
     _sweep,
     egpi_outputs,
 )
@@ -163,6 +166,20 @@ def test_thresholds_hand_computed():
     assert np.allclose(
         DensitySpec(lam=1.0, sigma=0.0, r1=1.0, rn=3.0, n=3).thresholds(), [0, 1, 2, 3]
     )
+
+
+@pytest.mark.parametrize("r1, rn", [(0.25, 7.25), (2.0, 2.0), (1e-6, 1e-6), (0.1, 2.5),
+                                     (3e300, 1.7e308), (1e-300, 1e300), (5e-324, 1e-323)])
+@pytest.mark.parametrize("n", [1, 2, 3, 30])
+def test_grid_has_the_bits_of_linspace(r1, rn, n):
+    # the grid takes linspace's float ops without its Python wrapper: r1 ==
+    # rn and the subnormal step (5e-324 over 29 intervals underflows to 0)
+    # take its zero-step branch, large magnitudes its plain one
+    r, p = _grid(0.07, 0.1, r1, rn, n)
+    want = np.concatenate(([0.0], np.linspace(r1, rn, n)))
+    assert r.tobytes() == want.tobytes()
+    assert p.tobytes() == (0.07 * np.exp(-0.1 * want)).tobytes()
+    assert not r.flags.writeable and not p.flags.writeable
 
 
 def test_weights_values():
@@ -500,6 +517,104 @@ def test_reported_samples_only_keeps_every_bit(make_model, make_input):
         assert model.memory.last_input == alone[0].last_input
 
 
+# offsets from a long run's first sample at which the other bank takes
+# over: the first sample, inside the first _LONG, at _LONG, past it, and
+# the run's last sample (runs of 300 samples)
+SWITCH_OFFSETS = (0, 10, _LONG, 200, 299)
+
+
+def _switching_runs(flag_desc, flag_asc=None, delta=0.01, size=300):
+    """Long runs whose samples change bank at each of ``SWITCH_OFFSETS``.
+
+    Each falling run steps by ``delta`` onto ``flag_desc`` exactly at its
+    offset, and with ``flag_asc`` each rising run onto ``flag_asc`` too;
+    the runs between them close the gaps. Last comes a rise that ends
+    exactly on ``flag_desc``, a hold there, where the non-ascending rule
+    switches, and a fall. Returns ``(t, v, starts)``, ``starts`` the first
+    sample and switch offset of each crossing run.
+    """
+    v, starts = [flag_desc - 3.0], []
+
+    def onto(level):
+        # a run from the last sample to ``level``, which it ends on exactly
+        steps = max(int(np.ceil(abs(level - v[-1]) / delta)), 1)
+        v.extend(np.linspace(v[-1], level, steps + 1)[1:])
+
+    for q in SWITCH_OFFSETS:
+        # each crossing run turns back from the one before it
+        peak = flag_desc + (q + 1) * delta
+        onto(min(v[-1], peak) - 1.0)
+        onto(peak)
+        starts.append((len(v), q))
+        v.extend(flag_desc + (q - np.arange(size)) * delta)
+        if flag_asc is not None:
+            trough = flag_asc - (q + 1) * delta
+            onto(max(v[-1], trough) + 1.0)
+            onto(trough)
+            starts.append((len(v), q))
+            v.extend(flag_asc + (np.arange(size) - q) * delta)
+    onto(min(v[-1], flag_desc) - 1.0)
+    onto(flag_desc)
+    starts.append((len(v), 0))
+    v.extend([flag_desc] * 100 + list(flag_desc - delta * np.arange(1, size + 1)))
+    return 1e-3 * np.arange(len(v)), np.array(v), starts
+
+
+SWITCHING_CASES = {
+    "descend-flag-linear": (_recovery_model, lambda: _switching_runs(SWEEP_FLAG)),
+    "two-flag-tanh": (reference_model, lambda: _switching_runs(-0.3, flag_asc=1.5)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make_model,make_input", SWITCHING_CASES.values(), ids=SWITCHING_CASES)
+def test_banks_switching_inside_long_runs(make_model, make_input):
+    # a run entry computes only the samples each bank reports there, from
+    # that bank's own rows: its first _LONG samples summed, the rest in
+    # closed form. Every sample matches the oracle and keeps the bits of
+    # its bank evaluated alone
+    t, v, starts = make_input()
+    model = make_model()
+    d = _directions(v)
+    use2 = _reports_second(model, v, d)
+    for start, q in starts:
+        run = slice(start, start + int(np.argmax(d[start:] != d[start])))
+        assert run.stop - run.start >= 100
+        assert np.argmax(use2[run]) == q and use2[run][q:].all()
+    # and some long run's samples all come from bank 1 (q = 0: all from bank 2)
+    assert any(j - i >= _LONG and not use2[i:j].any() for i, j, _ in _plan(t, v).walk)
+    z, active = egpi_eval(model, t, v)
+    sub1, sub2 = (oracle_kwargs(sub) for sub in model.submodels)
+    zb, ab = bruteforce.run_egpi(list(v), sub1, sub2, model.mode.value,
+                                 flag_asc=model.flag_asc, flag_desc=model.flag_desc)
+    assert np.max(np.abs(z - np.array(zb))) < 1e-12
+    assert np.array_equal(active, np.array(ab))
+    for k, bank in enumerate(make_model().submodels):
+        mine = active == k + 1
+        assert np.array_equal(z[mine], gpi_eval(bank, t, v)[mine])
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+def test_fit_functions_on_banks_switching_inside_long_runs():
+    # the fit's residuals keep the bits of its model's evaluation, and its
+    # exact Jacobian matches central differences at the bounds of
+    # test_tangent_jacobian_matches_central_differences (AC-6)
+    t, v, _ = _switching_runs(SWEEP_FLAG)
+    params = recovery_params(0)
+    data = gen_synthetic(build_model(params, "egpi", SWEEP_FLAG), Trajectory(t=t, v=v), 0.1,
+                         seed=31)
+    for mode, p in (("egpi", params), ("gpi", params[[0, 1, 2, 3, 6, 7, 8, 9]])):
+        want = predict(build_model(p, mode, SWEEP_FLAG), t, v) - data.theta
+        assert np.array_equal(residuals(p, data, SWEEP_FLAG, mode), want)
+        J = jacobian(p, data, SWEEP_FLAG, mode)
+        J6 = jacobian_fd(p, data, SWEEP_FLAG, mode, rel_step=1e-6)
+        J7 = jacobian_fd(p, data, SWEEP_FLAG, mode, rel_step=1e-7)
+        tol = 1e-6 * np.max(np.abs(J6), axis=0)
+        smooth = np.all(np.abs(J6 - J7) <= tol, axis=1)
+        assert np.count_nonzero(~smooth) < 0.01 * smooth.size
+        assert np.all(np.abs(J - J6)[smooth] <= tol)
+
+
 OUTPUTS_CASES = {
     "reference-sinusoid": (reference_model, _long_sinusoid),
     "gpi-dither": (_second_reference_bank, _dither_input),
@@ -642,7 +757,7 @@ def test_one_fresh_plan_serves_every_model(make_input):
     params, traj = recovery_params(0), Trajectory(t=t, v=v, theta=np.zeros(v.size))
     for mode, p, target in (("egpi", params, model),
                             ("gpi", params[[0, 1, 2, 3, 6, 7, 8, 9]], model.submodels[0])):
-        fit_residuals, fit_jacobian = _fit_pair(traj, p, SWEEP_FLAG, mode, 30)
+        fit_residuals, fit_jacobian, _ = _fit_pair(traj, p, SWEEP_FLAG, mode, 30)
         assert np.array_equal(fit_residuals(p), _evaluate(target, plan)[0])
         assert np.array_equal(fit_jacobian(p), jacobian(p, traj, SWEEP_FLAG, mode))
     assert model.memory is None and model.submodels[0].memory is None
@@ -1224,5 +1339,5 @@ def test_saturated_rerise_has_ties():
     bank = _saturated_ties_model().submodels[0]
     gpi_eval(bank, 1e-3 * np.arange(start), v[:start])
     T = bank.asc_env(v[start:start + 150])
-    c, _, _ = _sweep(bank_stack(bank), bank.memory.states[0], True)
+    c, _, _ = _sweep(bank.memory.states[0], bank_stack(bank).asc_off, True)
     assert np.isin(T[_LONG:], c).any()
