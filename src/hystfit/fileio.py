@@ -188,24 +188,38 @@ def _read_rows(path, width: int) -> tuple[np.ndarray, list[int]]:
     return np.array(values).reshape(-1, width), lines
 
 
-def _write_rows(path, header, columns):
+def _picks(z, z1, z2, active) -> bool:
+    """Whether float columns z, z1 and z2 hold z = where(active == 2, z2, z1), bit for bit."""
+    return all(col.dtype == float for col in (z, z1, z2)) and np.array_equal(
+        z.view(np.int64), np.where(active == 2, z2, z1).view(np.int64))
+
+
+def _write_rows(path, header, columns, pick=None):
     """Write ``header`` and the rows of ``columns`` as CSV, ``_ROWS`` rows at a time.
 
     Integer columns print as ``str(int(x))`` and all others as
-    ``repr(float(x))``, so a file reads back to the same floats. The rows
-    split into one range per usable CPU, of ``_FORK_ROWS`` rows or more;
-    forked children write all ranges but the first, unless forking is
-    unsafe: no ``os.fork``, other threads, or a daemonic multiprocessing worker.
+    ``repr(float(x))``, so a file reads back to the same floats; where the
+    columns at the indices ``pick`` (z, z1, z2, active) pass ``_picks``,
+    each z takes the string of its row's z1 or z2. The rows split into one
+    range per usable CPU, of ``_FORK_ROWS`` rows or more; forked children
+    write all ranges but the first, unless forking is unsafe: no
+    ``os.fork``, other threads, or a daemonic multiprocessing worker.
     """
     columns = [np.asarray(col) for col in columns]
     columns = [col if col.dtype.kind in "iu" else col.astype(float, copy=False) for col in columns]
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
+    z, z1, z2, active = pick if pick and _picks(*(columns[k] for k in pick)) else (None,) * 4
 
     def text(lo, hi):
         for a in range(lo, hi, _ROWS):
-            fields = [map(repr, col[a : min(a + _ROWS, hi)].tolist()) for col in columns]
+            block = [col[a : min(a + _ROWS, hi)] for col in columns]
+            fields = [None if k == z else list(map(repr, col.tolist()))
+                      for k, col in enumerate(block)]
+            if z is not None:
+                fields[z] = map(tuple.__getitem__, zip(fields[z1], fields[z2]),
+                                (block[active] == 2).tolist())
             yield "".join([",".join(row) + "\n" for row in zip(*fields)])
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -227,7 +241,11 @@ def save_dataset(path, traj: Trajectory):
 
 
 def save_simulation(path, t, v, z, z1, z2, active):
-    _write_rows(path, ["t", "v", "z", "z1", "z2", "active"], [t, v, z, z1, z2, active])
+    """Write a simulation CSV. A z that is, bit for bit, z2 where active is 2
+    and z1 elsewhere (as ``operators.egpi_outputs`` gives it) takes in each
+    row the string its reported bank got: the bytes of formatting each value."""
+    _write_rows(path, ["t", "v", "z", "z1", "z2", "active"], [t, v, z, z1, z2, active],
+                pick=(2, 3, 4, 5))
 
 
 def save_predictions(path, t, v, theta, theta_hat):

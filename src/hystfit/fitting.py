@@ -176,28 +176,30 @@ _COLUMNS = {"egpi": np.array([[0, 1, 2, 3, 6, 7, 8, 9, 11], [0, 1, 4, 5, 6, 7, 8
             "gpi": np.array([[0, 1, 2, 3, 4, 5, 6, 7, 8]])}
 
 
-def _tables(fields, units, r, p):
-    """The tangent tables of banks that share the grid ``(r, p)``
-    (``operators._grid``), a row per operator of each, bank after bank:
-    ``dp`` of the weights, ``dasc`` and ``ddesc`` of the branch targets
-    less the slope term v*a, then the slope columns and the envelopes'
-    (a, b), for ``operators._bank_tangent``.
+def _tables(units, n: int):
+    """The tangent tables of banks of ``n`` operators, as a function of
+    ``fields`` and their grid ``(r, p)`` (``operators._grid``), a row per
+    operator of each, bank after bank: ``dp`` of the weights, ``dasc`` and
+    ``ddesc`` of the branch targets less the slope term v*a, then the slope
+    columns and the envelopes' (a, b), for ``operators._bank_tangent``.
 
     ``fields`` holds a row per bank in the layout of ``_COLUMNS``, the
     density the same in every row; ``units`` holds each field's column as
-    a one-hot row, zero for a fixed field.
+    a one-hot row, zero for a fixed field. What ``units`` alone fixes is built once.
     """
-    lam, sigma, n = fields[0, 4], fields[0, 5], r.size - 1
     u_lam, u_sigma, u_r1, u_rn = units[0, 4:8]
     frac = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
-    dr = np.zeros((r.size, u_lam.size))
+    dr = np.zeros((n + 1, u_lam.size))
     dr[1:] = (1.0 - frac)[:, None] * u_r1 + frac[:, None] * u_rn  # np.outer's, unwrapped
-    dp = p[:, None] * (u_lam / lam - r[:, None] * u_sigma - sigma * dr)
-    u = units[:, None]  # each table holds a bank's rows, then the next bank's
-    ddesc = u[:, :, 3] + fields[:, 8, None, None] * dr + r[:, None] * u[:, :, 8]
-    per_bank = (units[:, 0], units[:, 2], fields[:, :2], fields[:, 2:4])
-    return (np.concatenate([dp] * len(fields)), (u[:, :, 1] - dr).reshape(-1, dp.shape[1]),
-            ddesc.reshape(-1, dp.shape[1]), *(np.repeat(x, r.size, axis=0) for x in per_bank))
+    dasc = (units[:, None, 1] - dr).reshape(-1, u_lam.size)  # a bank's rows, then the next's
+    slopes = [np.repeat(units[:, k], n + 1, axis=0) for k in (0, 2)]
+
+    def tables(fields, r, p):
+        dp = p[:, None] * (u_lam / fields[0, 4] - r[:, None] * u_sigma - fields[0, 5] * dr)
+        ddesc = units[:, None, 3] + fields[:, 8, None, None] * dr + r[:, None] * units[:, None, 8]
+        return (np.concatenate([dp] * len(fields)), dasc, ddesc.reshape(-1, u_lam.size),
+                *slopes, *(np.repeat(f, n + 1, axis=0) for f in (fields[:, :2], fields[:, 2:4])))
+    return tables
 
 
 def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
@@ -230,7 +232,7 @@ def _fit_pair(traj: Trajectory, params, v_f, mode: str, n: int):
     plan, theta, v0 = _plan(traj.t, traj.v), traj.theta, traj.v[0]
     use2 = _reports_second(build_model(params, mode, v_f, n), plan.v, plan.d)
     columns = _COLUMNS[mode]
-    units = np.eye(columns.max() + 1)[columns, :-1]  # the fixed regulator has no column
+    tables = _tables(np.eye(columns.max() + 1)[columns, :-1], n)  # the regulator has no column
     slices, bank = _layout((n + 1,) * len(columns))
     reporting = _reporting(plan, use2, slices)
 
@@ -249,7 +251,7 @@ def _fit_pair(traj: Trajectory, params, v_f, mode: str, n: int):
 
     def fit_jacobian(p):
         fields, grid, stack = lay_out(p)
-        return _bank_tangent(stack, _tables(fields, units, *grid), plan, use2, reporting)
+        return _bank_tangent(stack, tables(fields, *grid), plan, use2, reporting)
 
     def warn_empty(p):
         _warn_empty(v0, _init_bank(lay_out(p)[2], v0)[1])

@@ -523,10 +523,11 @@ def _bank_tangent(stack: _Stack, tables, plan, use2, reporting):
     J = np.empty((v.size, dp.shape[1]))
     p = stack.p
     pcol = p[:, None]
+    Y = {k: pcol * a + env_a[:, None] * dp for k, (_, a, env_a, _) in branch.items()}
     for (i, j, S, E), entry in zip(_states(stack, v, d, plan.walk, w), reporting):
         if entry is not None:
             rising = d[i] > 0
-            dT, a, env_a, env_b = branch[rising]
+            dT, a, _, env_b = branch[rising]
             off, envs = (stack.asc_off, stack.asc) if rising else (stack.desc_off, stack.desc)
             for b, a0, a1, s, e in entry[1]:
                 rows = slice(a0, a1)
@@ -536,11 +537,10 @@ def _bank_tangent(stack: _Stack, tables, plan, use2, reporting):
                     continue
                 # a state that has moved adds p*(v*a + dT - dw) + (T - c)*dp
                 # to its row, where T = env.a*v + env.b: X + v*Y, summed in
-                # the order in which the states move
+                # the order in which the states move (Y of every row is built once)
                 c, order, key = _sweep(E[rows, 0], off[rows], rising)
                 Xo = (pcol[rows] * (dT[rows] - dw[rows]) + (env_b[rows] - c)[:, None] * dp[rows])
-                Yo = pcol[rows] * a[rows] + env_a[rows, None] * dp[rows]
-                _closed_form(key, envs[b](v[s:e]), rising, Yo[order], Xo[order], J0,
+                _closed_form(key, envs[b](v[s:e]), rising, Y[rising][rows][order], Xo[order], J0,
                              v[s:e, None], J[s:e])
             if d[i]:
                 dw = np.where(S != E, v[j - 1] * a + dT, dw)

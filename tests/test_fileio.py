@@ -24,9 +24,11 @@ from hystfit import (
     TanhEnvelope,
     Trajectory,
     build_model,
+    decaying_sinusoid,
     reference_model,
 )
 from hystfit import fileio
+from hystfit.operators import egpi_outputs
 from hystfit.fileio import (
     _read_rows,
     load_dataset,
@@ -303,6 +305,56 @@ def test_writer_bytes_match_csv_writer_reference(tmp_path, forks, n):
     assert os.listdir(tmp_path) == ["sim.csv"]
 
 
+def _picked_columns(n):
+    """Simulation columns whose z is z2 where ``active`` is 2 and z1 elsewhere,
+    with the SPECIAL values in both banks around the first and last row and
+    every block and range edge of ``EDGES``."""
+    rng = np.random.default_rng(n)
+    z1, z2 = rng.normal(0, 1e3, (2, n))
+    near = np.unique([k for edge in [0, n, *EDGES[n], *range(fileio._ROWS, n, fileio._ROWS)]
+                      for k in range(max(edge - 4, 0), min(edge + 4, n))])
+    z1[near], z2[near] = np.resize(SPECIAL, near.size), np.resize(SPECIAL[::-1], near.size)
+    active = rng.integers(1, 3, n)
+    return [np.arange(n) * 1e-4, rng.normal(size=n), np.where(active == 2, z2, z1), z1, z2,
+            active]
+
+
+@pytest.mark.parametrize("n", list(EDGES))
+def test_writer_takes_z_text_from_the_bank_it_picks(tmp_path, forks, n):
+    columns = _picked_columns(n)
+    assert fileio._picks(*columns[2:])
+    path = tmp_path / "sim.csv"
+    save_simulation(path, *columns)
+    assert path.read_bytes() == _reference_text(HEADER, columns).encode()
+    assert len(forks) == len(EDGES[n])
+    assert _all_reaped(forks)
+    assert os.listdir(tmp_path) == ["sim.csv"]
+
+
+@pytest.mark.parametrize("case, picks", [
+    ("signed-zero", False), ("integer-z1", False), ("active-3", True), ("active-3-z2", False),
+])
+def test_writer_prints_z_by_its_own_text_unless_it_is_the_pick(tmp_path, forks, case, picks):
+    # each change sits past the last range edge, in the range a child writes
+    columns = _picked_columns(10001)
+    _, _, z, z1, z2, active = columns
+    k = EDGES[10001][-1] + 10
+    if case == "signed-zero":  # the pick is 0.0, z is -0.0
+        active[k], z1[k], z[k] = 1, 0.0, -0.0
+    elif case == "integer-z1":  # z1 prints as 1, z as 1.0
+        columns[3] = np.random.default_rng(1).integers(-3, 3, 10001)
+        columns[2] = np.where(active == 2, z2, columns[3])
+    else:  # no bank 3: a z that follows z1 there is the pick, one that follows z2 is not
+        active[k] = 3
+        z[k] = z2[k] if case.endswith("z2") else z1[k]
+    assert fileio._picks(*columns[2:]) == picks
+    path = tmp_path / "sim.csv"
+    save_simulation(path, *columns)
+    assert path.read_bytes() == _reference_text(HEADER, columns).encode()
+    assert len(forks) == 2
+    assert _all_reaped(forks)
+
+
 def _save_counting_forks(path, columns):
     """``save_simulation`` in a pool worker: the number of forks it made."""
     count = []
@@ -499,6 +551,25 @@ def _gpi_model():
         desc_env=LinearEnvelope(a=1.5, b=0.3),
         kappa_asc=2.0,
     )
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make", [_two_flag_model, _descend_model, _gpi_model])
+def test_simulation_formats_z_once_as_its_bank(tmp_path, monkeypatch, make):
+    # egpi_outputs' z is the pick of its banks: the writer formats z1 and z2
+    # and takes z's text from them; a z changed in one bit is no pick
+    traj = decaying_sinusoid(t_end=4.0, dt=2e-3)
+    z, active, z1, z2 = egpi_outputs(make(), traj.t, traj.v)
+    assert fileio._picks(z, z1, z2, active)
+    bent = z.copy()
+    bent.view(np.int64)[z.size // 2] ^= 1
+    assert not fileio._picks(bent, z1, z2, active)
+    calls = []
+    monkeypatch.setattr(fileio, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    columns = [traj.t, traj.v, z, z1, z2, active]
+    save_simulation(tmp_path / "sim.csv", *columns)
+    assert len(calls) == 5 * z.size  # one process, every column but z
+    assert (tmp_path / "sim.csv").read_bytes() == _reference_text(HEADER, columns).encode()
 
 
 @pytest.mark.parametrize("make", [_two_flag_model, _descend_model, _gpi_model])

@@ -444,7 +444,7 @@ def test_tangent_rows_equal_passes_over_every_row(seed):
         plan = _plan(traj.t, traj.v)
         J = _fit_pair(traj, params, SWEEP_FLAG, "egpi", 30)[1](params)
         alone = np.zeros(plan.v.size, dtype=bool)
-        every = [_bank_tangent(stack, _tables(fields[b:b + 1], units[b:b + 1], *grid), plan,
+        every = [_bank_tangent(stack, _tables(units[b:b + 1], 30)(fields[b:b + 1], *grid), plan,
                                alone, _reporting(plan, alone, stack.slices))
                  for b, stack in enumerate(map(bank_stack, model.submodels))]
         use2 = _reports_second(model, plan.v, plan.d)

@@ -18,9 +18,12 @@ reader: a ``simulate --reference`` at the default ``--dt`` (10,001 rows),
 and ``evaluate`` on a 10,001-row dataset rewritten twice, once with CRLF
 line endings and blank lines (parsed by numpy) and once with a quoted
 field past its 4,096th row (which numpy rejects, so the file is read row
-by row). Then ``simulate --reference``, ``generate`` and ``evaluate`` at
-``--dt 2e-4`` write 50,001 rows each, enough for the writer to split the
-rows between forked processes on a machine with two or more usable CPUs.
+by row). Then ``simulate`` (of the reference model, the README model and
+its GPI variant), ``generate`` and ``evaluate`` at ``--dt 2e-4`` write
+50,001 rows each, enough for the writer to split the rows between forked
+processes on a machine with two or more usable CPUs; each ``simulate``
+writes its z column with the text of the bank it reports, so both model
+kinds cross that path.
 The scenario closes on a quantized dither input (``dither_rows``, no
 RNG), whose short runs and holds fill blocks of several runs:
 ``generate --input`` and ``evaluate`` run on it.
@@ -96,6 +99,8 @@ SCENARIO = (
     ("evaluate", "--data", "long_quoted.csv", "--params", "fit_egpi.model.json",
      "--out", "eval_long_quoted.csv"),
     ("simulate", "--reference", "--dt", "2e-4", "--out", "reference_forked.csv"),
+    ("simulate", "--params", "model.json", "--dt", "2e-4", "--out", "sim_egpi_forked.csv"),
+    ("simulate", "--params", "gpi.json", "--dt", "2e-4", "--out", "sim_gpi_forked.csv"),
     ("generate", "--params", "model.json", "--dt", "2e-4", "--noise-std", "0.1", "--seed", "6",
      "--out", "forked.csv"),
     ("evaluate", "--data", "forked.csv", "--params", "fit_egpi.model.json",
