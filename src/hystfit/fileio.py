@@ -214,12 +214,12 @@ def _write_rows(path, header, columns, pick=None):
 
     def text(lo, hi):
         for a in range(lo, hi, _ROWS):
-            block = [col[a : min(a + _ROWS, hi)] for col in columns]
-            fields = [None if k == z else list(map(repr, col.tolist()))
-                      for k, col in enumerate(block)]
-            if z is not None:
+            b = min(a + _ROWS, hi)
+            fields = [map(repr, col[a:b].tolist()) for col in columns]
+            if z is not None:  # z's own map is replaced unread; z1 and z2 are read twice
+                fields[z1], fields[z2] = list(fields[z1]), list(fields[z2])
                 fields[z] = map(tuple.__getitem__, zip(fields[z1], fields[z2]),
-                                (block[active] == 2).tolist())
+                                (columns[active][a:b] == 2).tolist())
             yield "".join([",".join(row) + "\n" for row in zip(*fields)])
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
