@@ -39,7 +39,6 @@ from .operators import (
     DensitySpec,
     EgpiModel,
     GpiModel,
-    SwitchMode,
     egpi_eval,
     gpi_eval,
     predict,
@@ -63,7 +62,6 @@ __all__ = [
     "DensitySpec",
     "GpiModel",
     "EgpiModel",
-    "SwitchMode",
     "gpi_eval",
     "egpi_eval",
     "predict",

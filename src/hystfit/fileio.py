@@ -30,14 +30,10 @@ from . import __version__
 from .envelopes import envelope_from_dict
 from .errors import ConfigError, InputError, check_names, check_number
 from .metrics import Metrics
-from .operators import DensitySpec, EgpiModel, GpiModel, SwitchMode, _banks
+from .operators import DensitySpec, EgpiModel, GpiModel, _banks
 from .signals import Trajectory
 
-MODE_TAGS = {
-    "gpi": None,
-    "egpi_two_flag": SwitchMode.TWO_FLAG,
-    "egpi_descend_flag": SwitchMode.DESCEND_FLAG,
-}
+MODE_TAGS = ("gpi", "egpi_two_flag", "egpi_descend_flag")
 
 DEFAULT_UNITS = {"input": "count", "output": "deg"}
 
@@ -288,7 +284,7 @@ def model_to_doc(model, source: str = "") -> dict:
     if isinstance(model, GpiModel):
         mode, flags = "gpi", {}
     elif isinstance(model, EgpiModel):
-        mode = next(tag for tag, switch in MODE_TAGS.items() if switch is model.mode)
+        mode = "egpi_descend_flag" if model.flag_asc is None else "egpi_two_flag"
         flags = {"v_f_asc": model.flag_asc, "v_f_desc": model.flag_desc}
         flags = {key: x for key, x in flags.items() if x is not None}
     else:
@@ -358,7 +354,12 @@ def model_from_doc(doc: dict):
         None if flags.get(key) is None else check_number(flags[key], f"flag {key!r}")
         for key in ("v_f_asc", "v_f_desc")
     )
-    return EgpiModel([bank(0), bank(1)], MODE_TAGS[mode], flag_asc, flag_desc)
+    banks = [bank(0), bank(1)]
+    # the tag, which the model does not hold, must agree with its flags
+    if (flag_asc is None) != (mode == "egpi_descend_flag"):
+        need = "takes no" if flag_asc is not None else "requires the"
+        raise ConfigError(f"mode {mode!r} {need} flag 'v_f_asc'")
+    return EgpiModel(banks, flag_asc, flag_desc)
 
 
 def save_model(path, model, source=""):

@@ -35,7 +35,7 @@ from .errors import (
     check_number,
 )
 from .metrics import Metrics, compute_metrics
-from .operators import (DensitySpec, EgpiModel, GpiModel, SwitchMode, _bank_pass, _bank_tangent,
+from .operators import (DensitySpec, EgpiModel, GpiModel, _bank_pass, _bank_tangent,
                         _grid, _init_bank, _layout, _plan, _reporting, _reports_second, _Stack,
                         _warn_empty)
 from .signals import Trajectory
@@ -152,7 +152,7 @@ def build_model(params, mode: str, v_f: float | None = None, n: int = 30):
     if mode == "gpi":
         return banks[0]
     v_f = float(check_number(v_f, "flag point v_f"))
-    return EgpiModel(submodels=banks, mode=SwitchMode.DESCEND_FLAG, flag_desc=v_f)
+    return EgpiModel(banks, flag_desc=v_f)
 
 
 def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30):
@@ -160,6 +160,7 @@ def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 3
     residual function at ``params``, over a plan of its own."""
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
+    params = validate_params(params, mode)
     fit_residuals, _, warn_empty = _fit_pair(traj, params, v_f, mode, n)
     warn_empty(params)
     return fit_residuals(params)
@@ -209,6 +210,7 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
     its crossover) it takes the one-sided derivative of the branch the
     state is on. The measured angles do not enter it: ``_fit_pair``'s
     Jacobian function at ``params``, over a plan of its own."""
+    params = validate_params(params, mode)
     _, fit_jacobian, warn_empty = _fit_pair(traj, params, v_f, mode, n)
     warn_empty(params)
     return fit_jacobian(params)
@@ -226,9 +228,10 @@ def _fit_pair(traj: Trajectory, params, v_f, mode: str, n: int):
     vector leaves empty, as those two do not. Every residual and Jacobian goes
     through one. ``build_model(params, mode, v_f, n)`` runs once: it checks
     ``v_f`` and ``n`` and gives the switch mask, and with it each walk entry's
-    reporting spans and dense head (``operators._reporting``). Each call checks
-    its vector (``validate_params``) and lays its banks out by ``_COLUMNS[mode]``
-    on one grid (``operators._grid``), by the float ops of ``build_model``."""
+    reporting spans and dense head (``operators._reporting``). Each call lays
+    the banks of its vector, unchecked (callers pass only ``validate_params``
+    or ``project_params`` output), out by ``_COLUMNS[mode]`` on one grid
+    (``operators._grid``), by the float ops of ``build_model``."""
     plan, theta, v0 = _plan(traj.t, traj.v), traj.theta, traj.v[0]
     use2 = _reports_second(build_model(params, mode, v_f, n), plan.v, plan.d)
     columns = _COLUMNS[mode]
@@ -237,7 +240,7 @@ def _fit_pair(traj: Trajectory, params, v_f, mode: str, n: int):
     reporting = _reporting(plan, use2, slices)
 
     def lay_out(p):
-        fields = np.concatenate((validate_params(p, mode), (1.0,)))[columns]
+        fields = np.concatenate((p, (1.0,)))[columns]
         banks = fields.tolist()
         r, w = grid = _grid(*banks[0][4:8], n)
         # each bank's p, then kappa_asc*r (kappa_asc is 1), then kappa_desc*r

@@ -28,7 +28,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -128,25 +127,19 @@ class GpiModel:
                 raise ConfigError(f"regulator {name!r} must be > 0, got {kappa}")
 
 
-class SwitchMode(Enum):
-    """Output-selection rule of the two-submodel composition."""
-
-    TWO_FLAG = "two_flag"          # flag on both branches
-    DESCEND_FLAG = "descend_flag"  # flag on the descending branch only
-
-
 @dataclass
 class EgpiModel:
     """Two independent banks with flag-point output switching.
 
     Both submodels evolve in parallel over the same input; the flags only
     select which output is reported, they never transfer state; the pair
-    is kept as a tuple. ``memory`` (``Memory``) is the model's, apart from
-    each submodel's own, so one bank may fill both slots.
+    is kept as a tuple. ``flag_desc`` is required; without ``flag_asc``
+    (descend-flag switching) ascending samples always report bank 1.
+    ``memory`` (``Memory``) is the model's, apart from each submodel's own,
+    so one bank may fill both slots.
     """
 
     submodels: tuple[GpiModel, ...]
-    mode: SwitchMode = SwitchMode.TWO_FLAG
     flag_asc: float | None = None
     flag_desc: float | None = None
     memory: Memory | None = field(init=False, default=None, repr=False, compare=False)
@@ -158,11 +151,8 @@ class EgpiModel:
         for k, bank in enumerate(self.submodels, 1):
             if not isinstance(bank, GpiModel):
                 raise ConfigError(f"submodel {k} must be a GpiModel, got {type(bank).__name__}")
-        if self.mode is SwitchMode.TWO_FLAG:
-            if self.flag_asc is None or self.flag_desc is None:
-                raise ConfigError("two-flag mode requires both 'flag_asc' and 'flag_desc'")
-        elif self.flag_desc is None or self.flag_asc is not None:
-            raise ConfigError("descend-flag mode requires 'flag_desc' and no 'flag_asc'")
+        if self.flag_desc is None:
+            raise ConfigError("a switched model requires 'flag_desc'")
         for name in ("flag_asc", "flag_desc"):
             if (flag := getattr(self, name)) is not None:
                 check_number(flag, f"flag {name!r}")
@@ -569,13 +559,13 @@ def _reports_second(model, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Per-sample flag switching: True where submodel 2 is reported.
 
     ``d`` holds the directions of ``v`` (``_directions``). A ``GpiModel``
-    never switches.
+    never switches; without ``flag_asc`` no ascending sample does, as the
+    input is finite.
     """
     if isinstance(model, GpiModel):
         return np.zeros(v.size, dtype=bool)
-    if model.mode is SwitchMode.TWO_FLAG:
-        return np.where(d > 0, v >= model.flag_asc, v <= model.flag_desc)
-    return (d <= 0) & (v <= model.flag_desc)
+    asc = np.inf if model.flag_asc is None else model.flag_asc
+    return np.where(d > 0, v >= asc, v <= model.flag_desc)
 
 
 @dataclass(frozen=True)
@@ -667,23 +657,26 @@ def egpi_eval(model, t, v, reset: bool = True):
     Returns ``(z, active)`` where ``active`` is 1 or 2 for the submodel
     whose output is reported. Ascending samples with input at or past the
     ascending flag select submodel 2, as do non-ascending samples at or
-    below the descending flag; in descend-flag mode ascending samples
-    always report submodel 1. Holds follow the non-ascending rule. A
-    ``GpiModel`` is the one-bank case: it always reports its bank.
+    below the descending flag; a model without ``flag_asc`` (descend-flag)
+    reports submodel 1 on every ascending sample. Holds follow the
+    non-ascending rule. A ``GpiModel`` is the one-bank case: it always
+    reports its bank.
 
     ``model.memory`` is read as in ``gpi_eval``, and the new one stored
     once the banks have run; the submodels' own are left alone. The call's
     plan (``_plan``) starts the banks from it (ConfigError if it holds other
     banks), and the model's switching gives ``active``. Each sample keeps
-    the bits of its bank evaluated alone (``gpi_eval``).
+    the bits of its bank evaluated alone (``gpi_eval``). ``predict`` and
+    ``egpi_outputs`` leave the memory alone.
     """
     z, use2, model.memory = _evaluate(model, _plan(t, v, None if reset else model.memory))
     return z, np.where(use2, 2, 1)
 
 
 def predict(model, t, v) -> np.ndarray:
-    """Output series of a fresh ``egpi_eval`` of either model kind."""
-    return egpi_eval(model, t, v)[0]
+    """Output series of a fresh ``egpi_eval`` of either model kind;
+    ``model.memory`` is left as it was."""
+    return _evaluate(model, _plan(t, v))[0]
 
 
 def reference_model() -> EgpiModel:
@@ -707,9 +700,4 @@ def reference_model() -> EgpiModel:
         kappa_asc=5.0,
         kappa_desc=10.0,
     )
-    return EgpiModel(
-        submodels=[sub1, sub2],
-        mode=SwitchMode.TWO_FLAG,
-        flag_asc=1.5,
-        flag_desc=-0.3,
-    )
+    return EgpiModel(submodels=[sub1, sub2], flag_asc=1.5, flag_desc=-0.3)

@@ -14,7 +14,6 @@ from hystfit import (
     DensitySpec,
     EgpiModel,
     LinearEnvelope,
-    SwitchMode,
     TanhEnvelope,
     Trajectory,
     build_model,
@@ -112,9 +111,9 @@ def unequal_banks_model(kind: str) -> EgpiModel:
                    asc_env=LinearEnvelope(a=0.8, b=-0.1), desc_env=LinearEnvelope(a=1.3, b=1.4),
                    kappa_asc=1.5, kappa_desc=0.6)
     if kind == "narrow-mid":
-        return EgpiModel(submodels=[narrow, mid], mode=SwitchMode.DESCEND_FLAG, flag_desc=0.5)
+        return EgpiModel(submodels=[narrow, mid], flag_desc=0.5)
     banks = {"wide-narrow": [wide, narrow], "one-bank": [wide, wide]}[kind]
-    return EgpiModel(submodels=banks, mode=SwitchMode.TWO_FLAG, flag_asc=1.0, flag_desc=0.5)
+    return EgpiModel(submodels=banks, flag_asc=1.0, flag_desc=0.5)
 
 
 def refuse_huge_arange(monkeypatch):

@@ -12,7 +12,6 @@ from hystfit import (
     EgpiModel,
     FitConfig,
     GpiModel,
-    SwitchMode,
     Trajectory,
     compute_metrics,
     egpi_eval,
@@ -168,14 +167,12 @@ def check_egpi_degeneracy(cases=100):
         if rng.random() < 0.5:
             model = EgpiModel(
                 submodels=[clone(), clone()],
-                mode=SwitchMode.TWO_FLAG,
                 flag_asc=float(rng.uniform(lo, hi)),
                 flag_desc=float(rng.uniform(lo, hi)),
             )
         else:
             model = EgpiModel(
                 submodels=[clone(), clone()],
-                mode=SwitchMode.DESCEND_FLAG,
                 flag_desc=float(rng.uniform(lo, hi)),
             )
         with _QUIET():

@@ -27,7 +27,6 @@ from fixtures import (
 from hystfit import (
     EgpiModel,
     GpiModel,
-    SwitchMode,
     egpi_eval,
     gpi_eval,
     jacobian_fd,
@@ -154,7 +153,6 @@ def test_ac2_oracle_equivalence():
         if case % 2 == 0:
             model = EgpiModel(
                 submodels=banks,
-                mode=SwitchMode.TWO_FLAG,
                 flag_asc=float(rng.uniform(lo, hi)),
                 flag_desc=float(rng.uniform(lo, hi)),
             )
@@ -162,7 +160,6 @@ def test_ac2_oracle_equivalence():
         else:
             model = EgpiModel(
                 submodels=banks,
-                mode=SwitchMode.DESCEND_FLAG,
                 flag_desc=float(rng.uniform(lo, hi)),
             )
             mode, fa, fd = "descend_flag", None, model.flag_desc

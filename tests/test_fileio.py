@@ -20,7 +20,6 @@ from hystfit import (
     GpiModel,
     InputError,
     LinearEnvelope,
-    SwitchMode,
     TanhEnvelope,
     Trajectory,
     build_model,
@@ -593,17 +592,29 @@ def test_model_file_roundtrip(tmp_path):
     assert doc["density"]["lambda"] == 0.07
     assert doc["flags"] == {"v_f_asc": 1.5, "v_f_desc": -0.3}
     assert doc["meta"]["source"] == "demo"
+    # a model without flag_asc is tagged descend-flag, and loads back so
+    save_model(path, _descend_model())
+    doc = json.loads(path.read_text())
+    assert doc["mode"] == "egpi_descend_flag"
+    assert doc["flags"] == {"v_f_desc": SWEEP_FLAG}
+    model = load_model(path)
+    assert model == _descend_model() and model.flag_asc is None
 
 
 def test_model_doc_mode_flag_consistency():
+    # the tag must agree with the flags: the model does not hold it
     doc = model_to_doc(reference_model())
     doc["flags"].pop("v_f_asc")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'egpi_two_flag' requires the flag 'v_f_asc'"):
         model_from_doc(doc)
     doc2 = model_to_doc(_descend_model())
     doc2["mode"] = "egpi_two_flag"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="v_f_asc"):
         model_from_doc(doc2)
+    doc4 = model_to_doc(reference_model())
+    doc4["mode"] = "egpi_descend_flag"  # not loaded as the two-flag model it describes
+    with pytest.raises(ConfigError, match="'egpi_descend_flag' takes no flag 'v_f_asc'"):
+        model_from_doc(doc4)
     doc3 = model_to_doc(_gpi_model())
     doc3["submodels"] *= 2
     with pytest.raises(ConfigError):

@@ -497,17 +497,21 @@ def test_the_public_fit_functions_check_the_threshold_count(small_fixture, n, me
 
 def test_a_fit_builds_its_model_once(small_fixture, monkeypatch):
     # every residual and Jacobian call of a fit lays its banks out itself;
-    # the one model gives the switching and checks v_f and n
+    # the one model gives the switching and checks v_f and n. A vector is
+    # checked twice, the start and the model's, as the fit projects the rest
     import hystfit.fitting as fitting
 
     _, params, _, noisy = small_fixture
-    built = []
-    real = fitting.build_model
-    monkeypatch.setattr(fitting, "build_model", lambda *a, **k: built.append(a) or real(*a, **k))
+    built, checked = [], []
+    for name, calls in (("build_model", built), ("validate_params", checked)):
+        real = getattr(fitting, name)
+        monkeypatch.setattr(fitting, name,
+                            lambda *a, real=real, calls=calls, **k: calls.append(a) or real(*a, **k))
     start = project_params(params * 1.1, "egpi")
     result = lm_fit(noisy, FitConfig(max_iterations=4, v_f=SWEEP_FLAG, initial=start), "egpi")
     assert result.iterations == 4
     assert len(built) == 1
+    assert len(checked) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -23,7 +23,6 @@ from hystfit import (
     GpiModel,
     InputError,
     LinearEnvelope,
-    SwitchMode,
     TanhEnvelope,
     Trajectory,
     build_model,
@@ -246,7 +245,7 @@ def _valid_fields(cls):
         return {"density": density, "asc_env": IDENTITY, "desc_env": IDENTITY,
                 "kappa_asc": 1.0, "kappa_desc": 1.0}
     banks = [GpiModel(density, IDENTITY, IDENTITY) for _ in range(2)]
-    return {"submodels": banks, "mode": SwitchMode.TWO_FLAG, "flag_asc": 1.0, "flag_desc": 0.0}
+    return {"submodels": banks, "flag_asc": 1.0, "flag_desc": 0.0}
 
 
 # (constructor, field, how the error names the field)
@@ -265,8 +264,15 @@ def _field_ids(fields):
     return [f"{cls.__name__}.{name}" for cls, name, _ in fields]
 
 
-@pytest.mark.parametrize("bad", ["1", True, None], ids=["str", "bool", "None"])
-@pytest.mark.parametrize("cls,name,named", NUMERIC_FIELDS, ids=_field_ids(NUMERIC_FIELDS))
+# every numeric field against each non-number, but a None flag_asc, which
+# makes a descend-flag model
+NON_NUMBERS = [pytest.param(cls, name, named, bad, id=f"{cls.__name__}.{name}-{label}")
+               for cls, name, named in NUMERIC_FIELDS
+               for label, bad in (("str", "1"), ("bool", True), ("None", None))
+               if (cls, name, bad) != (EgpiModel, "flag_asc", None)]
+
+
+@pytest.mark.parametrize("cls,name,named,bad", NON_NUMBERS)
 def test_constructors_reject_non_numbers(cls, name, named, bad):
     # a str used to end in a bare TypeError, and a bool was taken as 0 or 1
     cls(**_valid_fields(cls))  # the unchanged fields pass
@@ -287,7 +293,7 @@ def test_constructors_reject_ints_too_large_for_a_float(cls, name, named):
 def test_a_switched_model_needs_exactly_two_banks(count):
     bank = reference_model().submodels[0]
     with pytest.raises(ConfigError, match=f"exactly two submodels required, got {count}"):
-        EgpiModel([bank] * count, SwitchMode.DESCEND_FLAG, flag_desc=0.0)
+        EgpiModel([bank] * count, flag_desc=0.0)
 
 
 # ----------------------------------------------------------------- gpi_eval
@@ -373,13 +379,18 @@ def _dither_then_rise():
     return 1e-3 * np.arange(v.size), v
 
 
+def _oracle_mode(model):
+    """The oracle's switching rule of ``model``: descend-flag without ``flag_asc``."""
+    return "descend_flag" if model.flag_asc is None else "two_flag"
+
+
 def _descend_flag_model(desc1=LinearEnvelope(a=3.2, b=5.0), desc2=LinearEnvelope(a=2.1, b=0.2),
                         flag=1.0):
     density = DensitySpec(lam=0.06, sigma=0.15, r1=0.25, rn=2.2, n=30)
     asc = LinearEnvelope(a=3.1, b=0.8)
     sub1 = GpiModel(density=density, asc_env=asc, desc_env=desc1)
     sub2 = GpiModel(density=density, asc_env=asc, desc_env=desc2, kappa_desc=3.0)
-    return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=flag)
+    return EgpiModel(submodels=[sub1, sub2], flag_desc=flag)
 
 
 def _second_reference_bank():
@@ -497,7 +508,7 @@ REPORTED_CASES = {
 def test_reported_samples_only_keeps_every_bit(make_model, make_input):
     # predict and egpi_eval evaluate each bank only where it is reported;
     # the output and the final bank states keep the bits of each bank
-    # evaluated alone over every sample
+    # evaluated alone over every sample; predict stores no memory
     t, v = make_input()
     _, active_full, z1, z2 = egpi_outputs(make_model(), t, v)
     want = np.where(active_full == 2, z2, z1)
@@ -511,10 +522,29 @@ def test_reported_samples_only_keeps_every_bit(make_model, make_input):
     z, active = egpi_eval(streamed, t, v)
     assert np.array_equal(z, want)
     assert np.array_equal(active, active_full)
-    for model in (partial, streamed):
-        for got, ref in zip(model.memory.states, alone):
-            assert np.array_equal(got, ref.states[0])
-        assert model.memory.last_input == alone[0].last_input
+    assert partial.memory is None
+    for got, ref in zip(streamed.memory.states, alone):
+        assert np.array_equal(got, ref.states[0])
+    assert streamed.memory.last_input == alone[0].last_input
+
+
+@pytest.mark.filterwarnings("ignore:empty play band")
+@pytest.mark.parametrize("make_model", [reference_model, _recovery_model],
+                         ids=["reference", "descend-flag"])
+def test_fresh_evaluations_leave_a_stepped_models_memory(make_model):
+    # predict, egpi_outputs and gen_synthetic evaluate afresh between two
+    # steps of a stream, which goes on with the bits of one call
+    t, v = _dither_input()
+    model = make_model()
+    z_a, _ = egpi_eval(model, t[:100], v[:100])
+    memory = model.memory
+    predict(model, t[100:], v[100:])
+    egpi_outputs(model, t[100:], v[100:])
+    gen_synthetic(model, Trajectory(t=t[100:], v=v[100:]))
+    assert model.memory is memory
+    z_b, _ = egpi_eval(model, t[100:200], v[100:200], reset=False)
+    whole = make_model()
+    assert np.array_equal(np.concatenate([z_a, z_b]), egpi_eval(whole, t[:200], v[:200])[0])
 
 
 # offsets from a long run's first sample at which the other bank takes
@@ -585,7 +615,7 @@ def test_banks_switching_inside_long_runs(make_model, make_input):
     assert any(j - i >= _LONG and not use2[i:j].any() for i, j, _ in _plan(t, v).walk)
     z, active = egpi_eval(model, t, v)
     sub1, sub2 = (oracle_kwargs(sub) for sub in model.submodels)
-    zb, ab = bruteforce.run_egpi(list(v), sub1, sub2, model.mode.value,
+    zb, ab = bruteforce.run_egpi(list(v), sub1, sub2, _oracle_mode(model),
                                  flag_asc=model.flag_asc, flag_desc=model.flag_desc)
     assert np.max(np.abs(z - np.array(zb))) < 1e-12
     assert np.array_equal(active, np.array(ab))
@@ -697,8 +727,8 @@ def test_one_bank_may_fill_both_slots():
     # the memory is the model's, so a shared bank needs no copy
     t, v = _dither_input()
     bank = _recovery_model().submodels[0]
-    shared = EgpiModel([bank, bank], SwitchMode.DESCEND_FLAG, flag_desc=SWEEP_FLAG)
-    copies = EgpiModel([bank, replace(bank)], SwitchMode.DESCEND_FLAG, flag_desc=SWEEP_FLAG)
+    shared = EgpiModel([bank, bank], flag_desc=SWEEP_FLAG)
+    copies = EgpiModel([bank, replace(bank)], flag_desc=SWEEP_FLAG)
     assert np.array_equal(predict(shared, t, v), predict(copies, t, v))
 
 
@@ -971,9 +1001,7 @@ def test_egpi_identical_submodels_invisible_switching():
             kappa_desc=sub.kappa_desc,
         )
 
-    model = EgpiModel(
-        submodels=[clone(), clone()], mode=SwitchMode.TWO_FLAG, flag_asc=1.0, flag_desc=-1.0
-    )
+    model = EgpiModel(submodels=[clone(), clone()], flag_asc=1.0, flag_desc=-1.0)
     z, _ = egpi_eval(model, t, v)
     assert np.array_equal(z, gpi_eval(clone(), t, v))
 
@@ -998,7 +1026,6 @@ def test_egpi_ramp_switches_at_first_sample_past_flag():
     sub = reference_model()
     model = EgpiModel(
         submodels=[sub.submodels[0], sub.submodels[1]],
-        mode=SwitchMode.TWO_FLAG,
         flag_asc=1.5,
         flag_desc=-0.3,
     )
@@ -1020,7 +1047,7 @@ def test_egpi_descend_flag_rules():
         desc_env=LinearEnvelope(a=0.5, b=0.2),
         kappa_desc=3.0,
     )
-    model = EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=2.0)
+    model = EgpiModel(submodels=[sub1, sub2], flag_desc=2.0)
     v = np.concatenate([np.linspace(0, 5, 26), np.linspace(5, 0, 26)[1:]])
     t = np.arange(v.size, dtype=float)
     _, active = egpi_eval(model, t, v)
@@ -1035,25 +1062,18 @@ def test_egpi_flag_consistency_enforced():
     def bank():
         return GpiModel(density=density, asc_env=IDENTITY, desc_env=IDENTITY)
 
-    with pytest.raises(ConfigError):
-        EgpiModel(submodels=[bank(), bank()], mode=SwitchMode.TWO_FLAG, flag_asc=1.0)
-    with pytest.raises(ConfigError):
-        EgpiModel(submodels=[bank(), bank()], mode=SwitchMode.DESCEND_FLAG)
-    with pytest.raises(ConfigError):
-        EgpiModel(
-            submodels=[bank(), bank()],
-            mode=SwitchMode.DESCEND_FLAG,
-            flag_asc=1.0,
-            flag_desc=0.0,
-        )
+    # flag_desc is required; a missing flag_asc makes a descend-flag model
+    for flags in ({"flag_asc": 1.0}, {}):
+        with pytest.raises(ConfigError, match="requires 'flag_desc'"):
+            EgpiModel(submodels=[bank(), bank()], **flags)
     with pytest.raises(ConfigError, match="submodel 1 must be a GpiModel"):
         EgpiModel(submodels=[1, 2], flag_asc=1.0, flag_desc=0.0)
     for flags in ({"flag_desc": np.nan}, {"flag_desc": -np.inf}):
         with pytest.raises(ConfigError):
-            EgpiModel(submodels=[bank(), bank()], mode=SwitchMode.DESCEND_FLAG, **flags)
+            EgpiModel(submodels=[bank(), bank()], **flags)
     for flags in ({"flag_asc": np.nan, "flag_desc": 0.0}, {"flag_asc": 1.0, "flag_desc": np.inf}):
         with pytest.raises(ConfigError):
-            EgpiModel(submodels=[bank(), bank()], mode=SwitchMode.TWO_FLAG, **flags)
+            EgpiModel(submodels=[bank(), bank()], **flags)
 
 
 def test_memory_persists_over_constant_suffix():
@@ -1180,7 +1200,7 @@ def test_saturated_tanh_matches_bruteforce():
                     desc_env=TanhEnvelope(c=3.0, d=40.0, e=0.0, f=1.5))
     sub2 = GpiModel(density=density, asc_env=TanhEnvelope(c=2.0, d=40.0, e=4.0, f=0.0),
                     desc_env=TanhEnvelope(c=4.0, d=40.0, e=-4.0, f=2.0), kappa_desc=3.0)
-    model = EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=1.0)
+    model = EgpiModel(submodels=[sub1, sub2], flag_desc=1.0)
     t, v = _demo_input()
     assert np.mean(np.abs(np.tanh(40.0 * v)) == 1.0) > 0.8
     z, active = egpi_eval(model, t, v)
@@ -1198,7 +1218,7 @@ def _crossed_egpi():
                     desc_env=LinearEnvelope(a=1.0, b=0.5))
     sub2 = GpiModel(density=density, asc_env=LinearEnvelope(a=0.8, b=1.5),
                     desc_env=LinearEnvelope(a=1.2, b=-0.5), kappa_desc=2.0)
-    return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=0.0)
+    return EgpiModel(submodels=[sub1, sub2], flag_desc=0.0)
 
 
 def _long_run_then_dither():
@@ -1217,7 +1237,7 @@ def _saturated_ties_model():
                     desc_env=TanhEnvelope(c=3.0, d=40.0, e=0.0, f=1.5))
     sub2 = GpiModel(density=density, asc_env=TanhEnvelope(c=2.0, d=40.0, e=4.0, f=0.0),
                     desc_env=TanhEnvelope(c=4.0, d=40.0, e=-4.0, f=2.0), kappa_desc=3.0)
-    return EgpiModel(submodels=[sub1, sub2], mode=SwitchMode.DESCEND_FLAG, flag_desc=1.0)
+    return EgpiModel(submodels=[sub1, sub2], flag_desc=1.0)
 
 
 def _saturated_rerise():
@@ -1280,7 +1300,7 @@ def test_unequal_banks_match_bruteforce_and_stream(kind, make_input):
     t = 1e-3 * np.arange(v.size)
     model = unequal_banks_model(kind)
     sub1, sub2 = (oracle_kwargs(sub) for sub in model.submodels)
-    zb, ab = bruteforce.run_egpi(list(v), sub1, sub2, model.mode.value,
+    zb, ab = bruteforce.run_egpi(list(v), sub1, sub2, _oracle_mode(model),
                                  flag_asc=model.flag_asc, flag_desc=model.flag_desc)
     z, active = egpi_eval(model, t, v)
     assert np.max(np.abs(z - np.array(zb))) < 1e-12

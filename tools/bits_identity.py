@@ -25,7 +25,8 @@ temporary directory, each as one float array:
   ``tests/fixtures.unequal_banks_model`` (``wide-narrow``: 31 linear and
   2 tanh operators, two flags; ``narrow-mid``: 2 tanh and 8 linear ones,
   descend flag), whose banks sit on rows of different lengths in a pass
-  over both;
+  over both (on a tree whose ``EgpiModel`` takes a ``SwitchMode``, the
+  fixtures get their mode from their flags, ``switched_with_mode``);
 - ``gpi_eval(reset=False)`` of the linear model's first bank alone, and
   of each bank of the unequal-bank models alone, over the same chunks,
   with its ``stored_memory``: a lone bank's continuation, which starts
@@ -127,6 +128,24 @@ def stored_memory(model) -> list:
             for x in (states, entered, m.run_length, m.last_input)]
 
 
+def switched_with_mode(module) -> None:
+    """On a tree whose ``EgpiModel`` takes a ``SwitchMode`` beside its flags,
+    make ``module`` build its switched models with the mode its flags
+    imply: descend-flag without ``flag_asc``, two-flag with it. A tree
+    without ``SwitchMode`` is left alone."""
+    from hystfit import operators
+
+    if not hasattr(operators, "SwitchMode"):
+        return
+    modes = operators.SwitchMode
+
+    def switched(submodels, flag_asc=None, flag_desc=None):
+        mode = modes.DESCEND_FLAG if flag_asc is None else modes.TWO_FLAG
+        return operators.EgpiModel(submodels, mode, flag_asc, flag_desc)
+
+    module.EgpiModel = switched
+
+
 def save_all(cases_path: str, out: str) -> None:
     """Save every item of every case, evaluated with the ``hystfit`` on
     ``sys.path``, to ``out/<case>.npz``."""
@@ -135,7 +154,10 @@ def save_all(cases_path: str, out: str) -> None:
     from hystfit.operators import egpi_outputs
 
     sys.path.append(str(ROOT / "tests"))  # after the tree's src, which PYTHONPATH puts first
+    import fixtures
     from fixtures import unequal_banks_model
+
+    switched_with_mode(fixtures)
 
     data = np.load(cases_path)
     for case in range(CASES):

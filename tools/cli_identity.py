@@ -9,7 +9,9 @@ fixed CLI scenario twice: against that tree and against the working tree.
 Each command is a subprocess with ``PYTHONPATH=<tree>/src`` and
 ``SOURCE_DATE_EPOCH=0``, run in a fresh directory per tree. The scenario
 writes the model from the README's "Model JSON" section (and its
-one-bank GPI variant) and a fit config, generates its datasets with
+one-bank GPI variant), the built-in reference model's file (two flags,
+which ``simulate --params``, ``generate`` and ``evaluate`` read) and a
+fit config, generates its datasets with
 ``hystfit generate``, then runs ``simulate``, ``fit`` (egpi and gpi, and
 one egpi fit that reads the config and detects its flag point),
 ``evaluate``, ``fit-all --jobs 2`` and ``report``. Its last steps cross
@@ -64,6 +66,22 @@ README_MODEL = {
     "flags": {"v_f_desc": 6.0},
     "units": {"input": "count", "output": "deg"},
 }
+# the built-in reference model (``hystfit.reference_model``) as a file,
+# two-flag mode with tanh envelopes
+REFERENCE_MODEL = {
+    "mode": "egpi_two_flag",
+    "density": {"lambda": 0.07, "sigma": 0.1, "r1": 0.25, "rn": 7.25, "n": 30},
+    "submodels": [
+        {"asc_env": {"family": "tanh", "c": 8.0, "d": 0.2, "e": -0.5, "f": 0.0},
+         "desc_env": {"family": "tanh", "c": 9.0, "d": 0.2, "e": -0.1, "f": 0.0},
+         "kappa_asc": 1.0, "kappa_desc": 1.0},
+        {"asc_env": {"family": "tanh", "c": 8.0, "d": 0.2, "e": -1.0, "f": 0.0},
+         "desc_env": {"family": "tanh", "c": 10.0, "d": 0.2, "e": 0.5, "f": 0.1},
+         "kappa_asc": 5.0, "kappa_desc": 10.0},
+    ],
+    "flags": {"v_f_asc": 1.5, "v_f_desc": -0.3},
+    "units": {"input": "count", "output": "deg"},
+}
 GPI_MODEL = {**README_MODEL, "mode": "gpi", "submodels": README_MODEL["submodels"][:1],
              "flags": {}}
 FIT_CONFIG = {"max_iterations": 20, "mu0": 0.01}
@@ -73,6 +91,11 @@ SCENARIO = (
     ("simulate", "--reference", *SHORT, "--out", "reference.csv"),
     ("simulate", "--params", "model.json", *SHORT, "--out", "sim_egpi.csv"),
     ("simulate", "--params", "gpi.json", *SHORT, "--out", "sim_gpi.csv"),
+    ("simulate", "--params", "reference.json", *SHORT, "--out", "sim_reference.csv"),
+    ("generate", "--params", "reference.json", *SHORT, "--noise-std", "0.1", "--seed", "7",
+     "--out", "data_reference.csv"),
+    ("evaluate", "--data", "data_reference.csv", "--params", "reference.json",
+     "--out", "eval_reference.csv"),
     ("generate", "--params", "model.json", *SHORT, "--noise-std", "0.1", "--seed", "3",
      "--out", "data.csv"),
     ("generate", "--params", "model.json", *SHORT, "--noise-std", "0.1", "--seed", "4",
@@ -158,7 +181,7 @@ def run_scenario(src: Path, work: Path) -> dict[str, bytes]:
     """Run the scenario in ``work``; returns its outputs by name."""
     work.mkdir()
     for name, doc in (("model.json", README_MODEL), ("gpi.json", GPI_MODEL),
-                      ("cfg.json", FIT_CONFIG)):
+                      ("reference.json", REFERENCE_MODEL), ("cfg.json", FIT_CONFIG)):
         (work / name).write_text(json.dumps(doc, indent=2) + "\n")
     env = {**os.environ, "PYTHONPATH": str(src), "SOURCE_DATE_EPOCH": "0"}
     outputs = {}
