@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the checks of
-configuration fields: their numeric type, and their names.
+"""Exception types shared across the toolkit, the checks of configuration
+fields (their numeric type, and their names), and the package's warnings.
 
 The CLI maps these onto exit codes: input/config/parameter problems exit
 with 2, numerical failures with 3, flag-point detection failures with 4.
@@ -7,6 +7,9 @@ with 2, numerical failures with 3, flag-point detection failures with 4.
 
 import math
 import numbers
+import os
+import sys
+import warnings
 
 
 class HystError(Exception):
@@ -62,6 +65,15 @@ def check_number(value, name: str, integer: bool = False):
         what = "an integer" if integer else "a finite number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def warn_caller(message: str) -> None:
+    """Warn ``message`` as a RuntimeWarning naming the innermost frame
+    outside the package (``skip_file_prefixes`` from Python 3.12 on)."""
+    package, frame, level = os.path.dirname(__file__) + os.sep, sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def check_names(doc, known, what: str) -> None:

@@ -359,6 +359,8 @@ def model_from_doc(doc: dict):
     if (flag_asc is None) != (mode == "egpi_descend_flag"):
         need = "takes no" if flag_asc is not None else "requires the"
         raise ConfigError(f"mode {mode!r} {need} flag 'v_f_asc'")
+    if flag_desc is None:
+        raise ConfigError(f"mode {mode!r} requires the flag 'v_f_desc'")
     return EgpiModel(banks, flag_asc, flag_desc)
 
 

@@ -35,9 +35,8 @@ from .errors import (
     check_number,
 )
 from .metrics import Metrics, compute_metrics
-from .operators import (DensitySpec, EgpiModel, GpiModel, _bank_pass, _bank_tangent,
-                        _grid, _init_bank, _layout, _plan, _reporting, _reports_second, _Stack,
-                        _warn_empty)
+from .operators import (DensitySpec, EgpiModel, GpiModel, _bank_pass, _bank_tangent, _grid,
+                        _init_bank, _layout, _plan, _reporting, _reports_second, _stack, _warn_empty)
 from .signals import Trajectory
 
 EGPI_PARAM_NAMES = (
@@ -160,8 +159,8 @@ def residuals(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 3
     residual function at ``params``, over a plan of its own."""
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    params = validate_params(params, mode)
     fit_residuals, _, warn_empty = _fit_pair(traj, params, v_f, mode, n)
+    params = np.asarray(params, dtype=float)
     warn_empty(params)
     return fit_residuals(params)
 
@@ -210,8 +209,8 @@ def jacobian(params, traj: Trajectory, v_f=None, mode: str = "egpi", n: int = 30
     its crossover) it takes the one-sided derivative of the branch the
     state is on. The measured angles do not enter it: ``_fit_pair``'s
     Jacobian function at ``params``, over a plan of its own."""
-    params = validate_params(params, mode)
     _, fit_jacobian, warn_empty = _fit_pair(traj, params, v_f, mode, n)
+    params = np.asarray(params, dtype=float)
     warn_empty(params)
     return fit_jacobian(params)
 
@@ -226,27 +225,25 @@ def _fit_pair(traj: Trajectory, params, v_f, mode: str, n: int):
     ``traj`` as functions of the parameters alone, over one fresh plan of its
     input (``operators._plan``), and a function that warns of the bands a
     vector leaves empty, as those two do not. Every residual and Jacobian goes
-    through one. ``build_model(params, mode, v_f, n)`` runs once: it checks
-    ``v_f`` and ``n`` and gives the switch mask, and with it each walk entry's
-    reporting spans and dense head (``operators._reporting``). Each call lays
-    the banks of its vector, unchecked (callers pass only ``validate_params``
-    or ``project_params`` output), out by ``_COLUMNS[mode]`` on one grid
-    (``operators._grid``), by the float ops of ``build_model``."""
-    plan, theta, v0 = _plan(traj.t, traj.v), traj.theta, traj.v[0]
-    use2 = _reports_second(build_model(params, mode, v_f, n), plan.v, plan.d)
+    through one. ``build_model(params, mode, v_f, n)`` runs once, first: it
+    checks ``params`` (a public call's one check of them), ``v_f`` and ``n``
+    and gives the switch mask, and with it each walk entry's reporting spans
+    and dense head (``operators._reporting``). Each call lays the banks of its
+    vector, unchecked (callers pass only vectors ``build_model`` accepts or
+    ``project_params`` output), out by ``_COLUMNS[mode]`` on one grid
+    (``operators._grid``) as the rows of one walk (``operators._stack``)."""
+    model, theta, v0 = build_model(params, mode, v_f, n), traj.theta, traj.v[0]
+    plan = _plan(traj.t, traj.v)
+    use2 = _reports_second(model, plan.v, plan.d)
     columns = _COLUMNS[mode]
     tables = _tables(np.eye(columns.max() + 1)[columns, :-1], n)  # the regulator has no column
-    slices, bank = _layout((n + 1,) * len(columns))
-    reporting = _reporting(plan, use2, slices)
+    reporting = _reporting(plan, use2, _layout((n + 1,) * len(columns))[0])
 
     def lay_out(p):
         fields = np.concatenate((p, (1.0,)))[columns]
-        banks = fields.tolist()
-        r, w = grid = _grid(*banks[0][4:8], n)
-        # each bank's p, then kappa_asc*r (kappa_asc is 1), then kappa_desc*r
-        rows = np.concatenate([w] * len(banks) + [r] * len(banks) + [*fields[:, 8:9] * r])
-        return fields, grid, _Stack(slices, bank, *rows.reshape(3, -1),
-                                    *(tuple(_line(*f[k : k + 2]) for f in banks) for k in (0, 2)))
+        grid = _grid(*fields[0, 4:8].tolist(), n)  # kappa_asc is 1, kappa_desc field 8
+        return fields, grid, _stack([(*grid, 1.0, f[8], _line(*f[:2]), _line(*f[2:4]))
+                                     for f in fields.tolist()])
 
     def fit_residuals(p):
         stack = lay_out(p)[2]
@@ -279,10 +276,10 @@ def jacobian_fd(
     for step-size diagnostics). Every column's residuals come from one
     ``_fit_pair``, so the input is validated and planned once.
     """
-    params = validate_params(params, mode)
+    fit_residuals, _, warn_empty = _fit_pair(traj, params, v_f, mode, n)
+    params = np.asarray(params, dtype=float)
     if traj.theta is None:
         raise InputError("trajectory has no measured angles to fit against")
-    fit_residuals, _, warn_empty = _fit_pair(traj, params, v_f, mode, n)
     warn_empty(params)
     base = fit_residuals(params)
     J = np.empty((base.size, params.size))

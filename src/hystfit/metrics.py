@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, warn_caller
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,6 @@ def compute_metrics(measured, predicted) -> Metrics:
     if span > 0:
         nrmse = 100.0 * rmse / span
     else:
-        warnings.warn(
-            "measured sequence is constant; NRMSE undefined", RuntimeWarning, stacklevel=2
-        )
+        warn_caller("measured sequence is constant; NRMSE undefined")
         nrmse = None
     return Metrics(rmse=rmse, nrmse=nrmse, mae=mae, n=int(measured.size))

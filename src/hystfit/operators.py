@@ -13,27 +13,26 @@ first sample steps from the last input seen, or is at rest in a fresh
 evaluation. Exact input repeats take the hold branch; there is no
 epsilon band around zero rate.
 
+Every pass walks the rows of all banks at once, as ``_stack`` lays them
+out for a model (``_evaluate``) or a fit's vector (``fitting._fit_pair``).
 The fit's exact Jacobian (``_bank_tangent``) takes the forward pass's
 walk (``_states``) and, along a long run, its closed form
 (``_closed_form``), so it is taken at exactly the states ``predict``
-reports. It serves the banks a fit lays out (``fitting._fit_pair``):
-linear envelopes, ``kappa_asc`` 1 and one grid shared by every bank.
+reports. It serves the banks a fit lays out: linear envelopes,
+``kappa_asc`` 1 and one grid shared by every bank.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-import os
-import sys
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .envelopes import Envelope, TanhEnvelope
-from .errors import ConfigError, InputError, check_number
+from .errors import ConfigError, InputError, check_number, warn_caller
 
 
 @dataclass(frozen=True)
@@ -194,20 +193,17 @@ def _banks(model) -> tuple[GpiModel, ...]:
 _Stack = collections.namedtuple("_Stack", "slices bank p asc_off desc_off asc desc")
 
 
-def _stack(banks, start=None) -> _Stack:
-    """The ``GpiModel`` ``banks`` as the rows of one walk: bank ``b`` owns
-    rows ``slices[b]``, in operator order; ``bank`` is each row's bank, and
-    ``p``, ``asc_off``, ``desc_off`` its weight, ``kappa_asc*r`` and
-    ``kappa_desc*r``, and ``asc`` and ``desc`` each bank's envelope (a fit
-    lays its vectors out in such rows, ``fitting._fit_pair``). ConfigError
-    if the states ``start`` of a continued memory hold other operator counts."""
-    r, p = zip(*[b.density._grid for b in banks])
-    sizes = tuple(x.size for x in r)
-    if start is not None and (held := tuple(x.size for x in start)) != sizes:
-        raise ConfigError(f"memory holds banks of {held} operators, the model has {sizes}")
-    rows = np.concatenate([*p, *(b.kappa_asc * x for b, x in zip(banks, r)),
-                           *(b.kappa_desc * x for b, x in zip(banks, r))]).reshape(3, -1)
-    return _Stack(*_layout(sizes), *rows, *zip(*[(b.asc_env, b.desc_env) for b in banks]))
+def _stack(banks) -> _Stack:
+    """``banks``, one ``(r, p, kappa_asc, kappa_desc, asc, desc)`` each, as
+    the rows of one walk: bank ``b`` owns rows ``slices[b]``, in operator
+    order; ``bank`` is each row's bank, and ``p``, ``asc_off``, ``desc_off``
+    its weight, ``kappa_asc*r`` and ``kappa_desc*r``, and ``asc`` and
+    ``desc`` each bank's envelope function. A model's banks (``_evaluate``)
+    and a fit's vectors (``fitting._fit_pair``) are laid out here."""
+    r, p, kappa_asc, kappa_desc, asc, desc = zip(*banks)
+    rows = np.concatenate([*p, *(k * x for k, x in zip(kappa_asc, r)),
+                           *(k * x for k, x in zip(kappa_desc, r))]).reshape(3, -1)
+    return _Stack(*_layout(tuple(x.size for x in r)), *rows, asc, desc)
 
 
 @lru_cache(maxsize=16)
@@ -244,14 +240,10 @@ def _init_bank(stack: _Stack, v0: float):
 
 
 def _warn_empty(v0, empty):
-    """Warn of each bank with ``empty`` operators at ``v0`` (``_init_bank``), naming
-    the innermost frame outside the package (``skip_file_prefixes`` from Python 3.12 on)."""
+    """Warn of each bank with ``empty`` operators at ``v0`` (``_init_bank``),
+    naming the innermost frame outside the package (``errors.warn_caller``)."""
     for count in filter(None, empty):
-        package, frame, level = os.path.dirname(__file__) + os.sep, sys._getframe(), 1
-        while frame is not None and frame.f_code.co_filename.startswith(package):
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"empty play band at v0={v0} for {count} operator(s); left at 0",
-                      RuntimeWarning, stacklevel=level)
+        warn_caller(f"empty play band at v0={v0} for {count} operator(s); left at 0")
 
 
 # samples per block of short runs; temporaries stay O(operators x block)
@@ -607,12 +599,16 @@ def _plan(t, v, memory: Memory | None = None) -> Plan:
 
 
 def _evaluate(model, plan: Plan):
-    """One pass of ``model``'s banks over ``plan`` from its start states:
-    ``(z, use2, memory)`` (``_bank_pass``), ``use2`` the samples submodel 2
-    reports (``_reports_second``). The model is only read.
+    """One pass of ``model``'s banks (``_stack``) over ``plan`` from its start
+    states: ``(z, use2, memory)`` (``_bank_pass``), ``use2`` the samples
+    submodel 2 reports (``_reports_second``). The model is only read.
+    ConfigError if a continued memory holds other operator counts.
     """
-    stack = _stack(_banks(model), plan.start)
-    v = plan.v
+    stack = _stack([(*b.density._grid, b.kappa_asc, b.kappa_desc, b.asc_env, b.desc_env)
+                    for b in _banks(model)])
+    v, sizes = plan.v, tuple(e - a for a, e in stack.slices)
+    if plan.start is not None and (held := tuple(x.size for x in plan.start)) != sizes:
+        raise ConfigError(f"memory holds banks of {held} operators, the model has {sizes}")
     use2 = _reports_second(model, v, plan.d)
     w, empty = _init_bank(stack, v[0]) if plan.start is None else (np.concatenate(plan.start), ())
     _warn_empty(v[0], empty)

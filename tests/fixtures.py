@@ -86,8 +86,9 @@ def recovery_dataset(seed, noise_std=0.1, n=SWEEP_N):
 
 def bank_stack(bank: GpiModel):
     """``bank`` alone as the rows of one walk (``operators._stack``), as a
-    model's evaluation lays it out."""
-    return _stack([bank])
+    model's evaluation lays it out (``operators._evaluate``)."""
+    return _stack([(*bank.density._grid, bank.kappa_asc, bank.kappa_desc,
+                    bank.asc_env, bank.desc_env)])
 
 
 def unequal_banks_model(kind: str) -> EgpiModel:

@@ -619,6 +619,12 @@ def test_model_doc_mode_flag_consistency():
     doc3["submodels"] *= 2
     with pytest.raises(ConfigError):
         model_from_doc(doc3)
+    # a missing descending flag is named by its file key, not the model field
+    for model in (reference_model(), _descend_model()):
+        doc5 = model_to_doc(model)
+        doc5["flags"].pop("v_f_desc")
+        with pytest.raises(ConfigError, match=f"'{doc5['mode']}' requires the flag 'v_f_desc'"):
+            model_from_doc(doc5)
 
 
 def test_model_doc_rejects_unknown_mode():

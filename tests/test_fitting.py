@@ -471,9 +471,10 @@ def _layout_vectors():
 
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_the_fit_rows_are_the_model_rows(n):
-    # a fit lays each vector's banks out itself (``_fit_pair``), and
-    # builds no model per call; every vector validate_params accepts
-    # builds a model, whose evaluation has the bits of the fit's residuals
+    # a fit lays each vector's banks out through ``operators._stack``
+    # (``_fit_pair``), from its own grid and line closures, and builds no
+    # model per call; every vector validate_params accepts builds a model,
+    # whose evaluation has the bits of the fit's residuals
     from hystfit.operators import _evaluate, _plan
 
     traj = recovery_dataset(0, n=1200)[0]
@@ -495,8 +496,23 @@ def test_the_public_fit_functions_check_the_threshold_count(small_fixture, n, me
             call(params, clean, SWEEP_FLAG, "egpi", n)
 
 
+def test_a_public_fit_call_checks_its_vector_once(small_fixture, monkeypatch):
+    # residuals, jacobian and jacobian_fd checked a vector, and then their
+    # model checked it again; a list is converted after the one check
+    import hystfit.fitting as fitting
+
+    _, params, clean, _ = small_fixture
+    real, checked = fitting.validate_params, []
+    monkeypatch.setattr(fitting, "validate_params", lambda *a: checked.append(a) or real(*a))
+    for call in (residuals, jacobian, jacobian_fd):
+        want = call(params, clean, SWEEP_FLAG, "egpi")
+        assert np.array_equal(call(list(params), clean, SWEEP_FLAG, "egpi"), want)
+        assert len(checked) == 2
+        checked.clear()
+
+
 def test_a_fit_builds_its_model_once(small_fixture, monkeypatch):
-    # every residual and Jacobian call of a fit lays its banks out itself;
+    # every residual and Jacobian call of a fit lays its banks out (``_stack``);
     # the one model gives the switching and checks v_f and n. A vector is
     # checked twice, the start and the model's, as the fit projects the rest
     import hystfit.fitting as fitting
@@ -663,6 +679,19 @@ def test_lm_fit_warns_once_of_empty_bands_at_its_final_parameters(small_fixture)
         assert [str(w.message) for w in record] == [
             "empty play band at v0=0.0 for 1 operator(s); left at 0"] * count
         assert all(w.filename == __file__ for w in record)
+
+
+def test_lm_fit_names_its_caller_when_nrmse_is_undefined(small_fixture):
+    # a constant measured series leaves NRMSE undefined; the warning named
+    # the line of lm_fit that computes the metrics, not its caller
+    base, params, _, _ = small_fixture
+    flat = Trajectory(t=base.t, v=base.v, theta=np.ones(base.v.size))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        result = lm_fit(flat, FitConfig(max_iterations=2, v_f=SWEEP_FLAG, initial=params), "egpi")
+    assert result.metrics.nrmse is None
+    undefined = [w for w in record if "NRMSE undefined" in str(w.message)]
+    assert [w.filename for w in undefined] == [__file__]
 
 
 def test_lm_fit_rejects_bad_input(small_fixture):
